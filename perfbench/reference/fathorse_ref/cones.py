@@ -1,0 +1,305 @@
+"""Cantor-cone sections of a square-root skew product on the square.
+
+The planar map acts on [-1, 1]^2 minus the line x = 0: the x coordinate
+moves through the c = 2 square-root branches while each vertical fiber is
+squeezed by |x|^{1/k}/2 and pushed toward the top (x > 0) or bottom
+(x < 0) half.  Slicing the forward-invariant set along x = a gives a
+Cantor set whose level-n cover is described exactly by a preimage
+recursion: level n holds 2^n normalized preimages of a, and each leaf
+interval width is the running product of the fiber factors along its
+orbit.  The total width decays at least like 4^{-n/k}, so every slice has
+zero length in the limit; for k = 2 the decay is exactly one half per
+level, independent of the abscissa.
+
+Preimages are kept in normalized coordinates r = (unscaled value)/b_n
+with b_n = 2^{2^{n+1}-2}: the unscaled integers overflow binary64 at
+n = 4, while the normalized recursion stays inside [-1, 1].  The exact
+unnormalized table is retained in rational arithmetic for small n as an
+independent cross-check, as is a brute-force slice estimator that finds
+preimages by bisection and pushes dense fiber grids forward.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+from fractions import Fraction
+
+import numpy as np
+
+from .errors import DomainError, InvalidParameterError, SingularityError, SizeGuardError
+from .lorenz import LorenzBranchMap, branch_value
+
+__all__ = [
+    "ConeSystem",
+    "SliceDecomposition",
+    "ConeBoundReport",
+    "BruteForceSlice",
+    "make_cone_system",
+    "cone_map",
+    "preimage_level",
+    "slice_measure",
+    "verify_cone_bound",
+    "brute_force_slice",
+    "exact_preimage_table",
+]
+
+LEVEL_HARD_CAP = 24
+BRUTE_FORCE_LEVEL_CAP = 8
+
+
+@dataclass(frozen=True)
+class ConeSystem:
+    """Fiber-contraction exponent k >= 2 over the c = 2 branch map."""
+
+    k: int
+    base: LorenzBranchMap
+
+    def __post_init__(self):
+        if int(self.k) != self.k or self.k < 2:
+            raise InvalidParameterError(f"fiber exponent k must be an integer >= 2, got {self.k}")
+        if self.base.c != 2.0:
+            raise InvalidParameterError("cone construction requires the c = 2 base map")
+
+
+def make_cone_system(k: int) -> ConeSystem:
+    base = LorenzBranchMap.from_coefficient(2.0, boundary_warning=False)
+    return ConeSystem(k=int(k), base=base)
+
+
+def cone_map(sys: ConeSystem, x: float, y: float) -> tuple[float, float]:
+    """One application of the skew product at (x, y), x != 0."""
+    if x == 0.0:
+        raise SingularityError("skew product is undefined on the line x = 0")
+    if abs(x) > 1.0 or abs(y) > 1.0:
+        raise DomainError(f"point ({x}, {y}) outside the section square")
+    factor = abs(x) ** (1.0 / sys.k)
+    if x > 0.0:
+        return 2.0 * math.sqrt(x) - 1.0, 0.5 * (y * factor + 1.0)
+    return -2.0 * math.sqrt(-x) + 1.0, 0.5 * (y * factor - 1.0)
+
+
+def preimage_level(a: float, n: int) -> np.ndarray:
+    """Normalized preimages of a at level n, ordered m = 1..2^n.
+
+    Children of the parent at index j (1-based) sit at m = 2j-1 and 2j:
+    odd m takes the negative branch preimage -((r-1)/2)^2, even m the
+    positive one ((r+1)/2)^2, so signs alternate -,+,-,+ along the level.
+    """
+    if abs(a) >= 1.0:
+        raise DomainError(f"slice abscissa must satisfy |a| < 1, got {a}")
+    if n < 0:
+        raise DomainError("level must be nonnegative")
+    if n > LEVEL_HARD_CAP:
+        raise SizeGuardError(f"level {n} exceeds the hard cap {LEVEL_HARD_CAP}")
+    level = np.array([a], dtype=float)
+    for _ in range(n):
+        child = np.empty(2 * level.size, dtype=float)
+        child[0::2] = -(((level - 1.0) / 2.0) ** 2)
+        child[1::2] = ((level + 1.0) / 2.0) ** 2
+        level = child
+    return level
+
+
+@dataclass(frozen=True)
+class SliceDecomposition:
+    """Level-n cover of the slice at x = a: leaf preimages and widths."""
+
+    a: float
+    n: int
+    k: int
+    r: np.ndarray
+    widths: np.ndarray
+    total: float
+
+    @property
+    def bound(self) -> float:
+        return 2.0 / 4.0 ** (self.n / self.k)
+
+    def leaves(self) -> list[tuple[float, float]]:
+        return list(zip(self.r.tolist(), self.widths.tolist()))
+
+
+def slice_measure(sys: ConeSystem, a: float, n: int) -> SliceDecomposition:
+    """Exact level-n slice cover via the width recursion.
+
+    width(n, m) = |r(n, m)|^{1/k}/2 * width(n-1, ceil(m/2)), starting
+    from the full fiber width 2 at level 0.
+    """
+    if abs(a) >= 1.0:
+        raise DomainError(f"slice abscissa must satisfy |a| < 1, got {a}")
+    if n < 0:
+        raise DomainError("level must be nonnegative")
+    if n > LEVEL_HARD_CAP:
+        raise SizeGuardError(f"level {n} exceeds the hard cap {LEVEL_HARD_CAP}")
+    r = np.array([a], dtype=float)
+    widths = np.array([2.0], dtype=float)
+    inv_k = 1.0 / sys.k
+    for _ in range(n):
+        child_r = np.empty(2 * r.size, dtype=float)
+        child_r[0::2] = -(((r - 1.0) / 2.0) ** 2)
+        child_r[1::2] = ((r + 1.0) / 2.0) ** 2
+        child_w = np.empty_like(child_r)
+        child_w[0::2] = 0.5 * np.abs(child_r[0::2]) ** inv_k * widths
+        child_w[1::2] = 0.5 * np.abs(child_r[1::2]) ** inv_k * widths
+        r, widths = child_r, child_w
+    # np.sum reduces pairwise, so the total is schedule-independent
+    return SliceDecomposition(a=a, n=n, k=sys.k, r=r, widths=widths, total=float(np.sum(widths)))
+
+
+@dataclass(frozen=True)
+class ConeBoundRow:
+    n: int
+    total: float
+    bound: float
+    ratio: float
+    bound_ok: bool
+    decay_ok: bool
+
+
+@dataclass(frozen=True)
+class ConeBoundReport:
+    k: int
+    a: float
+    rows: tuple[ConeBoundRow, ...]
+
+    @property
+    def all_pass(self) -> bool:
+        return all(row.bound_ok and row.decay_ok for row in self.rows)
+
+
+def verify_cone_bound(sys: ConeSystem, a: float, n_max: int) -> ConeBoundReport:
+    """Tabulate totals against the 2/4^{n/k} bound and the per-level decay."""
+    if n_max < 1:
+        raise DomainError("n_max must be at least 1")
+    decay = 2.0 ** (-2.0 / sys.k)
+    rows = []
+    prev = None
+    for n in range(n_max + 1):
+        dec = slice_measure(sys, a, n)
+        bound_ok = dec.total <= dec.bound + 1e-12
+        if prev is None:
+            ratio, decay_ok = math.nan, True
+        else:
+            ratio = dec.total / prev
+            decay_ok = dec.total <= prev * decay * (1.0 + 1e-12)
+        rows.append(ConeBoundRow(n, dec.total, dec.bound, ratio, bound_ok, decay_ok))
+        prev = dec.total
+    return ConeBoundReport(k=sys.k, a=a, rows=tuple(rows))
+
+
+def _branch_preimage(v: float, sign: int) -> float:
+    """Preimage of v under one branch of the c = 2 map, by plain bisection."""
+    if sign > 0:
+        lo, hi = 0.0, 1.0
+    else:
+        lo, hi = -1.0, 0.0
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
+        fm = branch_value(2.0, mid) if mid != 0.0 else (-1.0 if sign > 0 else 1.0)
+        if fm < v:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+@dataclass(frozen=True)
+class BruteForceSlice:
+    a: float
+    n: int
+    k: int
+    resolution: float
+    total: float
+    leaf_count: int
+    warning: str | None = None
+
+
+def brute_force_slice(sys: ConeSystem, a: float, n: int, resolution: float) -> BruteForceSlice:
+    """Independent slice estimate: bisect preimages, push dense fiber grids.
+
+    Every level-n preimage of a is found by per-branch bisection (no use
+    of the analytic inverse or the width recursion).  A dense y-grid on
+    each preimage line is pushed forward n times through the skew product;
+    the images land on the slice x = a and their merged interval lengths
+    are summed.  Agreement with slice_measure is expected within
+    max(10 * resolution, 1e-6).
+    """
+    if abs(a) >= 1.0:
+        raise DomainError(f"slice abscissa must satisfy |a| < 1, got {a}")
+    if n < 0:
+        raise DomainError("level must be nonnegative")
+    if n > BRUTE_FORCE_LEVEL_CAP:
+        raise SizeGuardError(
+            f"brute-force level {n} exceeds the cost cap {BRUTE_FORCE_LEVEL_CAP}"
+        )
+    warning = None
+    if resolution > 1e-3:
+        warning = f"resolution {resolution} coarser than 1e-3; estimate may be imprecise"
+
+    level = [a]
+    for _ in range(n):
+        level = [x for v in level for x in (_branch_preimage(v, -1), _branch_preimage(v, +1))]
+
+    npts = int(math.ceil(2.0 / resolution)) + 1
+    ygrid = np.linspace(-1.0, 1.0, npts)
+    inv_k = 1.0 / sys.k
+    intervals = []
+    for x0 in level:
+        x, y = x0, ygrid.copy()
+        for _ in range(n):
+            factor = abs(x) ** inv_k
+            if x > 0.0:
+                y = 0.5 * (y * factor + 1.0)
+            else:
+                y = 0.5 * (y * factor - 1.0)
+            x = branch_value(2.0, x)
+        intervals.append((float(y.min()), float(y.max())))
+
+    intervals.sort()
+    pieces = []
+    cur_lo, cur_hi = intervals[0]
+    for lo, hi in intervals[1:]:
+        if lo <= cur_hi:
+            cur_hi = max(cur_hi, hi)
+        else:
+            pieces.append(cur_hi - cur_lo)
+            cur_lo, cur_hi = lo, hi
+    pieces.append(cur_hi - cur_lo)
+    return BruteForceSlice(
+        a=a,
+        n=n,
+        k=sys.k,
+        resolution=resolution,
+        total=math.fsum(pieces),
+        leaf_count=len(level),
+        warning=warning,
+    )
+
+
+def exact_preimage_table(n: int, a: Fraction = Fraction(0)) -> tuple[list[list[Fraction]], list[int]]:
+    """Unnormalized preimage table in exact rational arithmetic.
+
+    Returns per-level lists of the unscaled values (integers when a is an
+    integer) alongside the scale denominators b_n = 2^{2^{n+1}-2}; level
+    n entry m satisfies value = (-1)^m (parent + (-1)^m b_{n-1})^2 with
+    parent at index ceil(m/2) of the previous level.
+    """
+    if n < 0:
+        raise DomainError("level must be nonnegative")
+    if n > 6:
+        raise SizeGuardError("exact table limited to n <= 6 (denominators explode)")
+    denominators = [1]
+    for _ in range(n):
+        denominators.append(4 * denominators[-1] ** 2)
+    levels = [[Fraction(a)]]
+    for depth in range(1, n + 1):
+        prev, scale = levels[-1], denominators[depth - 1]
+        cur = []
+        for parent in prev:
+            cur.append(-((parent - scale) ** 2))
+            cur.append((parent + scale) ** 2)
+        levels.append(cur)
+    return levels, denominators

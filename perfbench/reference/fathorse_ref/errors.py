@@ -1,0 +1,29 @@
+"""Exception types shared across the package."""
+
+
+class FathorseError(Exception):
+    """Base class for all package-specific errors."""
+
+
+class DomainError(FathorseError, ValueError):
+    """An argument lies outside the domain of the requested operation."""
+
+
+class SingularityError(DomainError):
+    """Evaluation requested exactly on the singular line x = 0."""
+
+
+class InvalidParameterError(FathorseError, ValueError):
+    """A construction parameter violates its admissible range."""
+
+
+class FeasibilityError(InvalidParameterError):
+    """The gap series is too long for the ambient interval."""
+
+
+class SizeGuardError(FathorseError, ValueError):
+    """A depth or resolution request exceeds the configured cost guard."""
+
+
+class ConfigError(FathorseError, ValueError):
+    """A configuration file is malformed or carries unknown keys."""

@@ -1,0 +1,361 @@
+"""Product horseshoe of the spliced map's return dynamics on the section.
+
+The section map expands x through the spliced interval map and moves y by
+the inverse of its right branch (oriented by the sign of x).  Its second
+iterate on the core square [-a, a]^2 has two fiber contractions, one per
+sign of x, and these are exactly the inverse branches of the base map and
+its odd reflection: composing N of them reproduces the level-N intervals
+of the Cantor construction.  The invariant set is therefore the product
+of two fat Cantor sets and its area is the square of the limit measure.
+
+Membership at finite depth N asks two independent questions: does the
+forward second-iterate orbit of x stay inside [-a, -b] u [b, a] for N
+steps (the expanding direction realizes the backward intersection), and
+does y lie in one of the 2^N fiber intervals (the forward contraction
+history).  The grid estimator exploits exactly this separability.
+"""
+
+from __future__ import annotations
+
+import bisect
+import math
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass, field
+
+from .bowen import BowenSystem
+from .errors import DomainError, SingularityError, SizeGuardError
+from .rng import SplitMix64
+
+__all__ = [
+    "PoincareSystem",
+    "HorseshoeEstimate",
+    "WitnessRecord",
+    "WitnessReport",
+    "make_poincare_system",
+    "suspension_volume",
+]
+
+FIBER_DEPTH_CAP = 12
+MEASURE_DEPTH_CAP = 10
+MEASURE_RESOLUTION_FLOOR = 1e-5
+
+
+@dataclass
+class PoincareSystem:
+    """Section map state: strip geometry and cached fiber covers."""
+
+    bowen: BowenSystem
+    epsilon: float = field(init=False)
+    strip_halfheight: float = field(init=False)
+    _fiber_cache: dict[int, dict[str, tuple[float, float]]] = field(default_factory=dict, repr=False)
+    _cover_cache: dict[int, tuple[list[float], list[tuple[float, float]]]] = field(
+        default_factory=dict, repr=False
+    )
+
+    def __post_init__(self):
+        m = self.bowen.m
+        f1 = m.c - 1.0
+        self.epsilon = (f1 + self.bowen.fb) / 2.0
+        self.strip_halfheight = -self.bowen.fb + self.epsilon
+        # hook extension slopes, <= 1/4 by the fixed-point-free inequality
+        y_top = self.bowen.invert_right(self.strip_halfheight)
+        y_bot = self.bowen.invert_right(-self.strip_halfheight)
+        self._mu_top = 0.25 * (1.0 - y_top) / (1.0 - self.strip_halfheight)
+        self._mu_bot = 0.25 * (y_bot + 1.0) / (1.0 - self.strip_halfheight)
+        self._g_top, self._g_bot = y_top, y_bot
+
+    # -- section map -------------------------------------------------------
+
+    def _oriented_fiber(self, u: float) -> float:
+        """Fiber image for the positive-x frame: the strip uses the right
+        branch inverse, beyond it an affine contraction into the hooks."""
+        y_cap = self.strip_halfheight
+        if -y_cap <= u <= y_cap:
+            return self.bowen.invert_right(u)
+        if u > y_cap:
+            return self._g_top + self._mu_top * (u - y_cap)
+        return self._g_bot + self._mu_bot * (u + y_cap)
+
+    def section_map(self, point: tuple[float, float]) -> tuple[float, float]:
+        """One return: x through the spliced map, y through the fiber."""
+        x, y = point
+        if x == 0.0:
+            raise SingularityError("section map undefined on the line x = 0")
+        if abs(x) > 1.0 or abs(y) > 1.0:
+            raise DomainError(f"point {point} outside the section square")
+        sign = 1.0 if x > 0.0 else -1.0
+        u = sign * y
+        g = self._oriented_fiber(u)
+        if abs(x) < self.bowen.m.b:
+            # inner rectangles: squeeze toward the strip-image midline so the
+            # images taper into the hook caps and stay inside the square
+            mid = 0.5 * (self._g_top + self._g_bot)
+            g = mid + math.sqrt(abs(x) / self.bowen.m.b) * (g - mid)
+        return self.bowen.modified_value(x), sign * g
+
+    def second_return(self, point: tuple[float, float]) -> tuple[float, float]:
+        """Closed-form second return on [-a, -b] u [b, a] x [-a, a]."""
+        x, y = point
+        a, b = self.bowen.m.a, self.bowen.m.b
+        if not (b <= abs(x) <= a) or abs(y) > a:
+            raise DomainError(f"point {point} outside the core domain")
+        sign = 1.0 if x > 0.0 else -1.0
+        if x > 0.0:
+            x2 = self.bowen.base_value(x)
+        else:
+            x2 = -self.bowen.base_value(-x)
+        inv = self.bowen.invert_right
+        y2 = -sign * inv(-inv(sign * y))
+        return x2, y2
+
+    def fiber_map(self, sign: int, y: float) -> float:
+        """One second-return fiber contraction for the given sign of x."""
+        a = self.bowen.m.a
+        if abs(y) > a + 1e-12:
+            raise DomainError(f"fiber argument {y} outside [-a, a]")
+        y = min(max(y, -a), a)
+        s = 1.0 if sign > 0 else -1.0
+        inv = self.bowen.invert_right
+        return -s * inv(-inv(s * y))
+
+    # -- product structure ---------------------------------------------------
+
+    def fiber_intervals(self, depth: int) -> dict[str, tuple[float, float]]:
+        """Images of [-a, a] under every sign word of the given length.
+
+        Sign words are strings over '-'/'+' read left to right as the
+        outermost-to-innermost contraction; '-' lands in [b, a] and '+'
+        in [-a, -b], mirroring the interval-tree letters 0 and 1.
+        """
+        if depth < 0:
+            raise DomainError("depth must be nonnegative")
+        if depth > FIBER_DEPTH_CAP:
+            raise SizeGuardError(f"fiber depth {depth} exceeds {FIBER_DEPTH_CAP}")
+        cached = self._fiber_cache.get(depth)
+        if cached is not None:
+            return cached
+        a = self.bowen.m.a
+        current = {"": (-a, a)}
+        for _ in range(depth):
+            nxt = {}
+            for word, (lo, hi) in current.items():
+                for ch, sign in (("-", -1), ("+", +1)):
+                    nxt[ch + word] = (self.fiber_map(sign, lo), self.fiber_map(sign, hi))
+            current = nxt
+        self._fiber_cache[depth] = current
+        return current
+
+    def _cover(self, depth: int) -> tuple[list[float], list[tuple[float, float]]]:
+        cached = self._cover_cache.get(depth)
+        if cached is None:
+            intervals = sorted(self.fiber_intervals(depth).values())
+            cached = ([iv[0] for iv in intervals], intervals)
+            self._cover_cache[depth] = cached
+        return cached
+
+    def _x_condition(self, x: float, depth: int) -> bool:
+        a, b = self.bowen.m.a, self.bowen.m.b
+        for _ in range(depth):
+            if not b <= abs(x) <= a:
+                return False
+            x = self.bowen.second_iterate(x)
+        return True
+
+    def _y_condition(self, y: float, depth: int) -> bool:
+        los, intervals = self._cover(depth)
+        i = bisect.bisect_right(los, y) - 1
+        return i >= 0 and y <= intervals[i][1]
+
+    def membership(self, point: tuple[float, float], depth: int) -> bool:
+        """Finite-depth horseshoe membership on the core square."""
+        x, y = point
+        a = self.bowen.m.a
+        if abs(x) > a or abs(y) > a:
+            raise DomainError(f"point {point} outside the core square")
+        return self._x_condition(x, depth) and self._y_condition(y, depth)
+
+    def measure_estimate(
+        self, depth: int, resolution: float, threads: int = 1
+    ) -> "HorseshoeEstimate":
+        """Cell-center grid estimate of the depth-N horseshoe area.
+
+        The membership predicate factors into per-axis conditions, so the
+        member-cell count over the grid is the product of the per-axis
+        counts; the envelope 4 h 2^N L_N bounds the cells straddling the
+        2^{N+1} interval endpoints per axis.
+        """
+        if depth > MEASURE_DEPTH_CAP:
+            raise SizeGuardError(f"measure depth {depth} exceeds {MEASURE_DEPTH_CAP}")
+        if resolution < MEASURE_RESOLUTION_FLOOR:
+            raise SizeGuardError(f"resolution below the floor {MEASURE_RESOLUTION_FLOOR}")
+        a = self.bowen.m.a
+        ncells = int(math.ceil(2.0 * a / resolution))
+        cell = 2.0 * a / ncells
+        centers = [-a + (i + 0.5) * cell for i in range(ncells)]
+
+        if threads > 1:
+            chunk = (ncells + threads - 1) // threads
+            parts = [centers[i : i + chunk] for i in range(0, ncells, chunk)]
+            with ThreadPoolExecutor(max_workers=threads) as pool:
+                flag_chunks = list(
+                    pool.map(lambda part: [self._x_condition(x, depth) for x in part], parts)
+                )
+            x_flags = [flag for ch in flag_chunks for flag in ch]
+        else:
+            x_flags = [self._x_condition(x, depth) for x in centers]
+        y_flags = [self._y_condition(y, depth) for y in centers]
+
+        count = sum(x_flags) * sum(y_flags)
+        level = self.bowen.cc.level_measure(depth)
+        return HorseshoeEstimate(
+            depth=depth,
+            cell=cell,
+            estimated_area=count * cell * cell,
+            exact_level_area=level * level,
+            envelope=4.0 * cell * (2.0 ** depth) * level,
+            sign_word_intervals=self.fiber_intervals(depth),
+            centers=centers,
+            x_flags=x_flags,
+            y_flags=y_flags,
+        )
+
+    # -- witnesses ------------------------------------------------------------
+
+    def vertical_gap_witness(
+        self,
+        sample_count: int,
+        eps: float,
+        seed: int,
+        depth: int = 6,
+        max_search_level: int = 40,
+    ) -> "WitnessReport":
+        """Certify that no vertical eps-segment lies in the horseshoe.
+
+        Members of the depth-N set are sampled from the product cover with
+        the seeded splitmix64 stream; for each, the interval tree under y
+        is descended until a removed gap sits within eps, and the nudged
+        gap point is re-tested as a non-member (at the gap's own depth if
+        that exceeds the sampling depth: the failure certificate concerns
+        the full intersection, whose covers shrink with depth).
+        """
+        b = self.bowen.m.b
+        if not eps < b:
+            raise DomainError(f"eps = {eps} must stay below the gap scale b = {b}")
+        cc = self.bowen.cc
+        rng = SplitMix64(seed)
+        records = []
+        failures = []
+        max_level_used = 0
+        for i in range(sample_count):
+            wx, wy = rng.bits(depth), rng.bits(depth)
+            ux, uy = rng.random(), rng.random()
+            xlo, xhi = cc.interval(wx)
+            ylo, yhi = cc.interval(wy)
+            x = xlo + ux * (xhi - xlo)
+            y = ylo + uy * (yhi - ylo)
+            if not self.membership((x, y), depth):
+                failures.append(WitnessRecord(i, x, y, None, None, "sample not a member"))
+                continue
+            found = None
+            word = ""
+            for level in range(max_search_level + 1):
+                glo, ghi = cc.gap(word)
+                if y < glo:
+                    dist = glo - y
+                    inside = glo + 0.5 * min(ghi - glo, eps - dist) if dist < eps else None
+                elif y > ghi:
+                    dist = y - ghi
+                    inside = ghi - 0.5 * min(ghi - glo, eps - dist) if dist < eps else None
+                else:
+                    dist = 0.0
+                    inside = min(max(y, glo + 0.25 * (ghi - glo)), ghi - 0.25 * (ghi - glo))
+                if inside is not None and not self.membership(
+                    (x, inside), max(depth, level + 1)
+                ):
+                    found = WitnessRecord(i, x, y, inside, level, None)
+                    max_level_used = max(max_level_used, level)
+                    break
+                word += "0" if y > ghi else "1"
+            if found is None:
+                failures.append(WitnessRecord(i, x, y, None, None, "no gap within eps"))
+            else:
+                records.append(found)
+        return WitnessReport(
+            sample_count=sample_count,
+            eps=eps,
+            seed=seed,
+            depth=depth,
+            found_all=not failures,
+            max_level_used=max_level_used,
+            failures=tuple(failures),
+            records=tuple(records),
+        )
+
+    def fiber_contraction_report(self, samples: int = 2000) -> dict[str, float]:
+        """Sampled derivative bounds: the single-return fiber slope on the
+        strip (bounded, may slightly exceed 1 after the surgery) and the
+        two-step contraction factor on the core (provably <= 1/2)."""
+        y_cap = self.strip_halfheight
+        a = self.bowen.m.a
+        h = 1e-7
+        strip_max = 0.0
+        for i in range(samples):
+            y = -y_cap + (2.0 * y_cap) * (i + 0.5) / samples
+            d = abs(self.bowen.invert_right(y + h) - self.bowen.invert_right(y - h)) / (2.0 * h)
+            strip_max = max(strip_max, d)
+        core_max = 0.0
+        for i in range(samples):
+            y = -a + (2.0 * a) * (i + 0.5) / samples
+            d = abs(self.fiber_map(-1, y + h) - self.fiber_map(-1, y - h)) / (2.0 * h)
+            core_max = max(core_max, d)
+        return {"strip_fiber_max_slope": strip_max, "core_two_step_max_factor": core_max}
+
+
+@dataclass
+class HorseshoeEstimate:
+    depth: int
+    cell: float
+    estimated_area: float
+    exact_level_area: float
+    envelope: float
+    sign_word_intervals: dict[str, tuple[float, float]]
+    centers: list[float] = field(repr=False, default_factory=list)
+    x_flags: list[bool] = field(repr=False, default_factory=list)
+    y_flags: list[bool] = field(repr=False, default_factory=list)
+
+    @property
+    def within_envelope(self) -> bool:
+        return abs(self.estimated_area - self.exact_level_area) <= self.envelope
+
+
+@dataclass(frozen=True)
+class WitnessRecord:
+    index: int
+    x: float
+    y: float
+    witness_y: float | None
+    gap_level: int | None
+    failure: str | None
+
+
+@dataclass(frozen=True)
+class WitnessReport:
+    sample_count: int
+    eps: float
+    seed: int
+    depth: int
+    found_all: bool
+    max_level_used: int
+    failures: tuple[WitnessRecord, ...]
+    records: tuple[WitnessRecord, ...] = ()
+
+
+def make_poincare_system(bowen: BowenSystem) -> PoincareSystem:
+    return PoincareSystem(bowen=bowen)
+
+
+def suspension_volume(area: float, delta: float) -> float:
+    """Flow-box volume of the thickened set: delta times the planar area."""
+    if area < 0.0 or delta < 0.0:
+        raise DomainError("area and delta must be nonnegative")
+    return delta * area

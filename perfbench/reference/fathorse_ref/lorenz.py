@@ -1,0 +1,201 @@
+"""Odd square-root interval maps with a single singularity at the origin.
+
+The family is f(x) = c*sqrt(x) - 1 for x > 0, extended oddly to x < 0,
+with branch coefficient c in (1, 2].  Both branches are increasing, the
+one-sided limits at 0 are -1 and +1, and the derivative is bounded below
+by alpha = c/2 while blowing up at the origin.  Two derived constants
+drive everything downstream: the positive fixed point a of the second
+iterate (f(a) = -a) and the point b in (0, a) with f(f(b)) = -a.
+"""
+
+from __future__ import annotations
+
+import math
+import warnings
+from dataclasses import dataclass
+
+from .errors import DomainError, InvalidParameterError, SingularityError
+
+__all__ = [
+    "LorenzBranchMap",
+    "branch_value",
+    "branch_derivative",
+    "right_branch_inverse",
+    "fixed_point_constant",
+    "preimage_constant",
+    "derive_constants",
+    "validate_axioms",
+    "AxiomCheck",
+    "AxiomReport",
+]
+
+
+def _check_coefficient(c: float) -> None:
+    if not 1.0 < c <= 2.0:
+        raise InvalidParameterError(f"branch coefficient must lie in (1, 2], got {c}")
+
+
+def branch_value(c: float, x: float) -> float:
+    """Evaluate the map at x in [-1, 1] \\ {0}."""
+    if x == 0.0:
+        raise SingularityError("map is undefined at x = 0")
+    if abs(x) > 1.0:
+        raise DomainError(f"x = {x} outside [-1, 1]")
+    if x > 0.0:
+        return c * math.sqrt(x) - 1.0
+    return -c * math.sqrt(-x) + 1.0
+
+
+def branch_derivative(c: float, x: float) -> float:
+    """Slope c / (2 sqrt(|x|)); always >= c/2 on [-1, 1], diverging at 0."""
+    if x == 0.0:
+        raise SingularityError("derivative is undefined at x = 0")
+    if abs(x) > 1.0:
+        raise DomainError(f"x = {x} outside [-1, 1]")
+    return c / (2.0 * math.sqrt(abs(x)))
+
+
+def right_branch_inverse(c: float, y: float) -> float:
+    """Inverse of the x > 0 branch: y in (-1, c-1] maps to ((y+1)/c)^2."""
+    if y <= -1.0 or y > (c - 1.0) + 1e-12:
+        raise DomainError(f"y = {y} outside the right-branch range (-1, {c - 1.0}]")
+    t = (min(y, c - 1.0) + 1.0) / c
+    return t * t
+
+
+def fixed_point_constant(c: float) -> float:
+    """Positive fixed point a of the second iterate, from t^2 + c t - 1 = 0."""
+    _check_coefficient(c)
+    t = (-c + math.sqrt(c * c + 4.0)) / 2.0
+    return t * t
+
+
+def preimage_constant(c: float, a: float) -> float:
+    """The b in (0, a) with f(f(b)) = -a, i.e. sqrt(b) = (1 - ((1+a)/c)^2)/c.
+
+    Raises InvalidParameterError when no such point exists inside the
+    interval (small coefficients push f(b) below -1).
+    """
+    s = (1.0 - ((1.0 + a) / c) ** 2) / c
+    if s <= 0.0:
+        raise InvalidParameterError(
+            f"no preimage constant for c = {c}: f(b) would fall below -1"
+        )
+    b = s * s
+    if not 0.0 < b < a:
+        raise InvalidParameterError(f"preimage constant b = {b} not in (0, a)")
+    return b
+
+
+def derive_constants(c: float) -> tuple[float, float]:
+    """Derive (a, b) for the coefficient and enforce f(1) > -f(b)."""
+    a = fixed_point_constant(c)
+    b = preimage_constant(c, a)
+    if c - 1.0 <= ((1.0 + a) / c) ** 2:
+        raise InvalidParameterError(
+            f"c = {c} rejected: requires f(1) > -f(b), "
+            f"but {c - 1.0} <= {((1.0 + a) / c) ** 2}"
+        )
+    return a, b
+
+
+@dataclass(frozen=True)
+class LorenzBranchMap:
+    """One member of the family, with its derived constants attached.
+
+    c      branch coefficient in (1, 2]
+    a      positive fixed point of the second iterate, f(a) = -a
+    b      preimage constant, f(f(b)) = -a, 0 < b < a
+    alpha  derivative lower bound c/2 on [-1, 1] away from 0
+    """
+
+    c: float
+    a: float
+    b: float
+    alpha: float
+
+    @classmethod
+    def from_coefficient(cls, c: float, boundary_warning: bool = True) -> "LorenzBranchMap":
+        a, b = derive_constants(c)
+        if c == 2.0 and boundary_warning:
+            warnings.warn(
+                "c = 2 sits on the boundary: f(1) = 1 violates the strict "
+                "axiom f(1) < 1 (accepted for the cone construction)",
+                stacklevel=2,
+            )
+        return cls(c=c, a=a, b=b, alpha=c / 2.0)
+
+    def value(self, x: float) -> float:
+        return branch_value(self.c, x)
+
+    def derivative(self, x: float) -> float:
+        return branch_derivative(self.c, x)
+
+    def invert_right(self, y: float) -> float:
+        return right_branch_inverse(self.c, y)
+
+
+@dataclass(frozen=True)
+class AxiomCheck:
+    name: str
+    passed: bool
+    margin: float
+
+
+@dataclass(frozen=True)
+class AxiomReport:
+    c: float
+    grid_size: int
+    checks: tuple[AxiomCheck, ...]
+    boundary_case: bool
+
+    @property
+    def strict_pass(self) -> bool:
+        return all(ch.passed for ch in self.checks)
+
+    @property
+    def passes(self) -> bool:
+        """Strict pass, except that c = 2 excuses the two endpoint axioms
+        (f(1) = 1 and, by odd symmetry, f(-1) = -1 sit on the boundary)."""
+        excused = {"f(1)<1", "f(-1)>-1"} if self.boundary_case else set()
+        return all(ch.passed for ch in self.checks if ch.name not in excused)
+
+
+def validate_axioms(map_or_c, grid_size: int = 10_000) -> AxiomReport:
+    """Check the interval-map axioms on a grid and report margins.
+
+    Accepts either a LorenzBranchMap or a bare coefficient, so family
+    members whose derived constants do not exist (small c) can still be
+    probed.  Report-only: nothing is raised on failure.
+    """
+    c = float(getattr(map_or_c, "c", map_or_c))
+    if grid_size < 2:
+        raise InvalidParameterError("grid_size must be at least 2")
+    alpha = c / 2.0
+    xs = [i / grid_size for i in range(1, grid_size + 1)]
+
+    checks = []
+    m_right = 1.0 - branch_value(c, 1.0)
+    checks.append(AxiomCheck("f(1)<1", m_right > 0.0, m_right))
+    m_left = branch_value(c, -1.0) + 1.0
+    checks.append(AxiomCheck("f(-1)>-1", m_left > 0.0, m_left))
+
+    delta = 1e-14
+    lim = max(abs(branch_value(c, delta) + 1.0), abs(branch_value(c, -delta) - 1.0))
+    checks.append(AxiomCheck("one_sided_limits", lim < 1e-6, lim))
+
+    dmin = min(branch_derivative(c, x) for x in xs)
+    checks.append(AxiomCheck("derivative_floor", dmin >= alpha - 1e-12, dmin - alpha))
+    dnear = branch_derivative(c, 1e-12)
+    checks.append(AxiomCheck("derivative_blowup", dnear > 1e5, dnear))
+
+    odd = max(abs(branch_value(c, x) + branch_value(c, -x)) for x in xs)
+    checks.append(AxiomCheck("odd_symmetry", odd <= 1e-14, odd))
+
+    vals = [branch_value(c, x) for x in xs]
+    mono = min(v2 - v1 for v1, v2 in zip(vals, vals[1:]))
+    checks.append(AxiomCheck("branch_monotone", mono > 0.0, mono))
+
+    return AxiomReport(
+        c=c, grid_size=grid_size, checks=tuple(checks), boundary_case=(c == 2.0)
+    )

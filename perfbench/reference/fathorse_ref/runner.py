@@ -1,0 +1,414 @@
+"""Experiment orchestration: run the four suites and write artifacts.
+
+Outputs in the configured directory:
+
+    cones.csv       per (k, a, n): slice total, decay bound, level ratio
+    fatcantor.csv   per level: cover measure, closed form, removed gap
+    surgery.json    derivative-2 verification report plus constants
+    horseshoe.csv   per depth: grid estimate, exact product, envelope
+    report.json     one {id, value, bound, pass} record per check
+    figures/*.svg   partition, image, cones, horseshoe renderings
+    figures/*.json  the datasets the figures were rendered from
+
+Exit codes: 0 all checks pass, 1 some check failed, 2 infeasible
+parameters, 3 I/O failure.  Numbers are written with 17 significant
+digits and LF line endings so repeated runs are byte-identical.
+"""
+
+from __future__ import annotations
+
+import json
+import math
+from fractions import Fraction
+from pathlib import Path
+
+from . import cones as cones_mod
+from . import svgfig
+from .bowen import build_base_map, verify_surgery
+from .config import ExperimentConfig, thread_count
+from .errors import DomainError, FeasibilityError, InvalidParameterError, SizeGuardError
+from .fatcantor import make_construction
+from .horseshoe import make_poincare_system, suspension_volume
+from .lorenz import LorenzBranchMap
+
+__all__ = ["run", "SUITES"]
+
+SUITES = ("cones", "fatcantor", "bowen", "horseshoe")
+
+
+def _fmt(v) -> str:
+    if isinstance(v, bool):
+        return "true" if v else "false"
+    if isinstance(v, float):
+        return f"{v:.17g}"
+    return str(v)
+
+
+def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
+    lines = [",".join(header)]
+    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+
+
+def _write_json(path: Path, obj) -> None:
+    path.write_text(
+        json.dumps(obj, indent=2, sort_keys=True) + "\n", encoding="utf-8", newline="\n"
+    )
+
+
+class _Checks:
+    def __init__(self):
+        self.records = []
+
+    def add(self, cid: str, value: float, bound: float, ok: bool) -> None:
+        self.records.append(
+            {"id": cid, "value": value, "bound": bound, "pass": bool(ok)}
+        )
+
+    @property
+    def all_pass(self) -> bool:
+        return all(r["pass"] for r in self.records)
+
+
+def _cones_suite(cfg: ExperimentConfig, out: Path, checks: _Checks, figures: dict) -> None:
+    rows = []
+    worst_excess = -math.inf
+    k2_dev = 0.0
+    for k in cfg.k_list:
+        system = cones_mod.make_cone_system(k)
+        for a in cfg.a_list:
+            if cfg.n_max >= 1:
+                table = cones_mod.verify_cone_bound(system, a, cfg.n_max).rows
+            else:
+                dec = cones_mod.slice_measure(system, a, 0)
+                table = [
+                    cones_mod.ConeBoundRow(0, dec.total, dec.bound, math.nan, True, True)
+                ]
+            for row in table:
+                rows.append([k, a, row.n, row.total, row.bound, row.ratio])
+                worst_excess = max(worst_excess, row.total - row.bound)
+                if k == 2:
+                    k2_dev = max(k2_dev, abs(row.total - 2.0 ** (1 - row.n)))
+    _write_csv(out / "cones.csv", ["k", "a", "n", "total", "bound", "ratio"], rows)
+    checks.add("cone_bound_excess", worst_excess, 1e-12, worst_excess <= 1e-12)
+    if 2 in cfg.k_list:
+        checks.add("cone_k2_identity", k2_dev, 1e-12, k2_dev <= 1e-12)
+
+    levels, denoms = cones_mod.exact_preimage_table(4)
+    expected = [1, 4, 64, 16384]
+    spot_ok = denoms[:4] == expected
+    for n in range(5):
+        floats = cones_mod.preimage_level(0.0, n)
+        spot_ok = spot_ok and all(
+            Fraction(float(r)) == Fraction(val, denoms[n])
+            for r, val in zip(floats, levels[n])
+        )
+    checks.add("cone_integer_spotcheck", 1.0 if spot_ok else 0.0, 1.0, spot_ok)
+
+    oracle_k = cfg.k_list[0]
+    oracle_sys = cones_mod.make_cone_system(oracle_k)
+    oracle_a = cfg.a_list[len(cfg.a_list) // 2]
+    bf = cones_mod.brute_force_slice(oracle_sys, oracle_a, min(4, cfg.n_max), 1e-3)
+    exact = cones_mod.slice_measure(oracle_sys, oracle_a, min(4, cfg.n_max)).total
+    tol = max(10 * 1e-3, 1e-6)
+    checks.add("cone_oracle_sample", abs(bf.total - exact), tol, abs(bf.total - exact) <= tol)
+
+    sweep_k = cfg.k_list[0]
+    sweep_sys = cones_mod.make_cone_system(sweep_k)
+    sweep_n = min(6, cfg.n_max)
+    slices = []
+    for i in range(161):
+        a = -0.98 + i * (1.96 / 160)
+        dec = cones_mod.slice_measure(sweep_sys, a, sweep_n)
+        intervals = _slice_intervals(sweep_sys, a, sweep_n)
+        slices.append({"a": a, "intervals": intervals, "total": dec.total})
+    figures["cones"] = {"k": sweep_k, "n": sweep_n, "slices": slices}
+
+
+def _slice_intervals(system, a: float, n: int) -> list[list[float]]:
+    """Fiber intervals of the level-n cover at abscissa a.
+
+    Each node carries the affine composite of the fiber maps along its
+    orbit back to the slice; the fiber map at a child is applied first,
+    so the child composite is parent_composite o child_fiber.
+    """
+    level = [(a, 1.0, 0.0)]  # (abscissa, slope, offset) of the composite
+    for _ in range(n):
+        nxt = []
+        for r, slope, offset in level:
+            for child in (-(((r - 1.0) / 2.0) ** 2), ((r + 1.0) / 2.0) ** 2):
+                f_slope = 0.5 * abs(child) ** (1.0 / system.k)
+                f_offset = 0.5 if child > 0 else -0.5
+                nxt.append((child, slope * f_slope, slope * f_offset + offset))
+        level = nxt
+    return [[offset - slope, offset + slope] for _, slope, offset in level]
+
+
+def _fatcantor_suite(cfg: ExperimentConfig, out: Path, checks: _Checks, cc) -> None:
+    rows = []
+    tele_dev = 0.0
+    for n in range(cfg.level_max + 1):
+        measure = cc.level_measure(n)
+        closed = 2.0 * cc.half_width - cc.gaps.partial_sum(n)
+        gap = cc.gaps.length(n)
+        rows.append([n, measure, closed, gap])
+        if n > 0:
+            tele_dev = max(tele_dev, abs((prev - measure) - cc.gaps.length(n - 1)))
+        prev = measure
+    _write_csv(out / "fatcantor.csv", ["n", "measure", "closed_form", "gap_length"], rows)
+    checks.add("fatcantor_telescoping", tele_dev, 1e-12, tele_dev <= 1e-12)
+
+    limit = cc.limit_measure()
+    lm20 = cc.level_measure(20)
+    tail = cc.gaps.total() - cc.gaps.partial_sum(20)
+    checks.add(
+        "fatcantor_limit_gap", abs(lm20 - limit), tail + 1e-12, abs(lm20 - limit) <= tail + 1e-12
+    )
+    checks.add("fatcantor_limit_positive", limit, 0.0, limit > 0.0)
+
+    try:
+        boundary = LorenzBranchMap.from_coefficient(2.0, boundary_warning=False)
+        make_construction(boundary, 2.0)
+        infeasible_detected = False
+    except FeasibilityError:
+        infeasible_detected = True
+    checks.add(
+        "fatcantor_infeasible_c2_detected",
+        1.0 if infeasible_detected else 0.0,
+        1.0,
+        infeasible_detected,
+    )
+
+
+def _bowen_suite(cfg: ExperimentConfig, out: Path, checks: _Checks, cc) -> object:
+    system = build_base_map(cc)
+    report = verify_surgery(system, max_level=min(10, cfg.level_max), monotone_grid=20_000)
+    formula_err = max(lv.formula_err for lv in report.levels)
+    checks.add("surgery_sup_formula", formula_err, 1e-9, formula_err <= 1e-9)
+    checks.add(
+        "surgery_endpoint_slope", report.endpoint_max_dev, 1e-9, report.endpoint_max_dev <= 1e-9
+    )
+    splice = max(report.splice_margins.values())
+    checks.add("surgery_splice_continuity", splice, 1e-10, splice <= 1e-10)
+    checks.add(
+        "surgery_monotone", 1.0 if report.monotone_ok else 0.0, 1.0, report.monotone_ok
+    )
+    checks.add(
+        "surgery_sup_decreasing",
+        1.0 if report.sup_strictly_decreasing else 0.0,
+        1.0,
+        report.sup_strictly_decreasing,
+    )
+    payload = {
+        "constants": {
+            "c": system.m.c,
+            "a": system.m.a,
+            "b": system.m.b,
+            "alpha": system.m.alpha,
+            "f_of_b": system.fb,
+            "gap_exponent": cc.gaps.exponent,
+            "limit_measure": cc.limit_measure(),
+        },
+        "levels": [
+            {
+                "n": lv.n,
+                "sup_dev": lv.sup_dev,
+                "expected_dev": lv.expected_dev,
+                "formula_err": lv.formula_err,
+                "words_sampled": lv.words_sampled,
+            }
+            for lv in report.levels
+        ],
+        "endpoint_count": report.endpoint_count,
+        "endpoint_max_dev": report.endpoint_max_dev,
+        "splice_margins": report.splice_margins,
+        "monotone_ok": report.monotone_ok,
+        "max_grid_jump": report.max_grid_jump,
+        "grid_size": report.grid_size,
+    }
+    _write_json(out / "surgery.json", payload)
+    return system
+
+
+def _horseshoe_suite(
+    cfg: ExperimentConfig, out: Path, checks: _Checks, bowen, figures: dict
+) -> None:
+    ps = make_poincare_system(bowen)
+    cc = bowen.cc
+    threads = thread_count()
+
+    tree_dev = 0.0
+    match_depth = min(8, cfg.level_max)
+    for word, (lo, hi) in ps.fiber_intervals(match_depth).items():
+        tword = word.replace("-", "0").replace("+", "1")
+        tlo, thi = cc.interval(tword)
+        tree_dev = max(tree_dev, abs(lo - tlo), abs(hi - thi))
+    checks.add("horseshoe_fiber_tree_match", tree_dev, 1e-9, tree_dev <= 1e-9)
+
+    rows = []
+    worst_gap = 0.0
+    positive = True
+    estimate = None
+    for depth in range(cfg.N + 1):
+        estimate = ps.measure_estimate(depth, cfg.resolution, threads=threads)
+        rows.append(
+            [depth, estimate.estimated_area, estimate.exact_level_area, estimate.envelope]
+        )
+        worst_gap = max(
+            worst_gap, abs(estimate.estimated_area - estimate.exact_level_area) - estimate.envelope
+        )
+        positive = positive and estimate.estimated_area > 0.0
+    _write_csv(out / "horseshoe.csv", ["N", "estimate", "exact_product", "envelope"], rows)
+    checks.add("horseshoe_envelope_excess", worst_gap, 0.0, worst_gap <= 0.0)
+    checks.add(
+        "horseshoe_estimate_positive",
+        estimate.estimated_area,
+        0.0,
+        positive,
+    )
+
+    a = bowen.m.a
+    f2_points = {
+        "(a,a)": ((a, a), (a, -bowen.m.b)),
+        "(b,-a)": ((bowen.m.b, -a), (-a, -a)),
+        "(a,-a)": ((a, -a), (a, -a)),
+    }
+    f2_dev = 0.0
+    for (pt, expected) in f2_points.values():
+        got = ps.second_return(pt)
+        f2_dev = max(f2_dev, abs(got[0] - expected[0]), abs(got[1] - expected[1]))
+    checks.add("horseshoe_f2_identities", f2_dev, 1e-9, f2_dev <= 1e-9)
+
+    eps = cc.gaps.length(3) / 16.0
+    witness = ps.vertical_gap_witness(1000, eps, seed=cfg.seed, depth=cfg.N)
+    checks.add(
+        "horseshoe_vertical_witness",
+        float(len(witness.failures)),
+        0.0,
+        witness.found_all,
+    )
+
+    area = cc.level_measure(cfg.N) ** 2
+    volume = suspension_volume(area, cfg.delta)
+    checks.add(
+        "suspension_positive_exact",
+        volume,
+        0.0,
+        volume > 0.0 and volume == cfg.delta * area,
+    )
+
+    contraction = ps.fiber_contraction_report()
+    checks.add(
+        "fiber_two_step_contraction",
+        contraction["core_two_step_max_factor"],
+        0.5 + 1e-9,
+        contraction["core_two_step_max_factor"] <= 0.5 + 1e-9,
+    )
+
+    figures["partition"] = {
+        "b": bowen.m.b,
+        "strip_halfheight": ps.strip_halfheight,
+        "epsilon": ps.epsilon,
+    }
+    figures["image"] = _image_dataset(ps)
+    coarse = ps.measure_estimate(cfg.N, max(cfg.resolution, 2.0 * a / 160), threads=threads)
+    points = [
+        [x, y]
+        for x, fx in zip(coarse.centers, coarse.x_flags)
+        if fx
+        for y, fy in zip(coarse.centers, coarse.y_flags)
+        if fy
+    ]
+    figures["horseshoe"] = {
+        "half_width": a,
+        "depth": cfg.N,
+        "point_size": coarse.cell / 2.0,
+        "points": points,
+        "tree": cc.to_tree_json(min(4, cfg.level_max)),
+    }
+
+
+def _image_dataset(ps) -> dict:
+    bw = ps.bowen
+    b, fb, c = bw.m.b, bw.fb, bw.m.c
+    y_cap = ps.strip_halfheight
+    g_top, g_bot = bw.invert_right(y_cap), bw.invert_right(-y_cap)
+    hook_top = g_top + ps._mu_top * (1.0 - y_cap)
+    hook_bot = g_bot - ps._mu_bot * (1.0 - y_cap)
+    mid = 0.5 * (g_top + g_bot)
+    cap = []
+    steps = 48
+    for i in range(steps + 1):
+        x = b * (1.0 - i / steps) ** 2 + 1e-9
+        rho = math.sqrt(x / b)
+        cap.append(
+            [bw.modified_value(x), mid + rho * (hook_bot - mid), mid + rho * (hook_top - mid)]
+        )
+    upper = {
+        "x_range": [fb, c - 1.0],
+        "strip_y": [g_bot, g_top],
+        "hook_y": [hook_bot, hook_top],
+        "cap": cap,
+    }
+    lower = {
+        "x_range": [-(c - 1.0), -fb],
+        "strip_y": [-g_top, -g_bot],
+        "hook_y": [-hook_top, -hook_bot],
+        "cap": [[-x, -hi, -lo] for x, lo, hi in cap],
+    }
+    return {"upper": upper, "lower": lower}
+
+
+def run(cfg: ExperimentConfig, only: str | None = None, out_dir: str | None = None) -> int:
+    """Run the enabled suites, write artifacts, return the exit code."""
+    enabled = SUITES if only is None else (only,)
+    if only is not None and only not in SUITES:
+        raise InvalidParameterError(f"unknown suite {only!r}; expected one of {SUITES}")
+    out = Path(out_dir if out_dir is not None else cfg.output_dir)
+    checks = _Checks()
+    figures: dict[str, dict] = {}
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        (out / "figures").mkdir(exist_ok=True)
+    except OSError as exc:
+        print(f"output directory not writable: {exc}")
+        return 3
+
+    try:
+        if "cones" in enabled:
+            _cones_suite(cfg, out, checks, figures)
+        cc = None
+        if {"fatcantor", "bowen", "horseshoe"} & set(enabled):
+            lorenz = LorenzBranchMap.from_coefficient(cfg.c, boundary_warning=False)
+            cc = make_construction(lorenz, cfg.p)
+        if "fatcantor" in enabled:
+            _fatcantor_suite(cfg, out, checks, cc)
+        bowen = None
+        if {"bowen", "horseshoe"} & set(enabled):
+            bowen = _bowen_suite(cfg, out, checks, cc)
+        if "horseshoe" in enabled:
+            _horseshoe_suite(cfg, out, checks, bowen, figures)
+    except FeasibilityError as exc:
+        print(f"infeasible parameters: {exc}")
+        return 2
+    except (InvalidParameterError, DomainError, SizeGuardError) as exc:
+        print(f"invalid parameters: {exc}")
+        return 2
+    except OSError as exc:
+        print(f"I/O failure: {exc}")
+        return 3
+
+    try:
+        for kind, dataset in sorted(figures.items()):
+            _write_json(out / "figures" / f"{kind}.json", dataset)
+            svg = svgfig.render_section_svg(dataset, kind)
+            (out / "figures" / f"{kind}.svg").write_text(svg, encoding="utf-8", newline="\n")
+        _write_json(out / "report.json", {"criteria": checks.records})
+    except OSError as exc:
+        print(f"I/O failure: {exc}")
+        return 3
+
+    for record in checks.records:
+        status = "pass" if record["pass"] else "FAIL"
+        print(f"{status}  {record['id']}: value={_fmt(record['value'])} bound={_fmt(record['bound'])}")
+    return 0 if checks.all_pass else 1

@@ -1,0 +1,143 @@
+"""Deterministic SVG figures of the section square.
+
+All figures share one canvas: 800 x 800 pixels, viewBox spanning
+[-1, 1]^2, with a scale(1,-1) group so the y axis points up.  Coordinates
+are written with a fixed six-decimal format and elements in a fixed
+order, so identical datasets produce byte-identical documents.
+"""
+
+from __future__ import annotations
+
+from .errors import DomainError
+
+__all__ = ["render_section_svg", "FIGURE_KINDS"]
+
+FIGURE_KINDS = ("partition", "image", "cones", "horseshoe")
+
+_HEADER = (
+    '<svg xmlns="http://www.w3.org/2000/svg" width="800" height="800" '
+    'viewBox="-1 -1 2 2">\n<g transform="scale(1,-1)">\n'
+)
+_FOOTER = "</g>\n</svg>\n"
+_FRAME = '<rect x="-1" y="-1" width="2" height="2" fill="white" stroke="black" stroke-width="0.004"/>\n'
+
+_GRAY_DARK = "#9a9a9a"
+_GRAY_LIGHT = "#c8c8c8"
+_GRAY_DARK2 = "#b4b4b4"
+_GRAY_LIGHT2 = "#dcdcdc"
+
+
+def _f(v: float) -> str:
+    return f"{v:.6f}"
+
+
+def _polygon(points, fill, stroke="none") -> str:
+    pts = " ".join(f"{_f(x)},{_f(y)}" for x, y in points)
+    return f'<polygon points="{pts}" fill="{fill}" stroke="{stroke}" stroke-width="0.003"/>\n'
+
+
+def _rect(lo_x, lo_y, hi_x, hi_y, fill, stroke="none") -> str:
+    return (
+        f'<rect x="{_f(lo_x)}" y="{_f(lo_y)}" width="{_f(hi_x - lo_x)}" '
+        f'height="{_f(hi_y - lo_y)}" fill="{fill}" stroke="{stroke}" stroke-width="0.003"/>\n'
+    )
+
+
+def _line(x1, y1, x2, y2, stroke="black", width=0.004) -> str:
+    return (
+        f'<line x1="{_f(x1)}" y1="{_f(y1)}" x2="{_f(x2)}" y2="{_f(y2)}" '
+        f'stroke="{stroke}" stroke-width="{width}"/>\n'
+    )
+
+
+def _axes() -> str:
+    return _line(-1, 0, 1, 0, "#666666", 0.002) + _line(0, -1, 0, 1, "#666666", 0.002)
+
+
+def _partition(dataset: dict) -> list[str]:
+    b = dataset["b"]
+    y_cap = dataset["strip_halfheight"]
+    parts = []
+    # outer frame regions (right region minus its strip, mirrored on the left)
+    parts.append(
+        _polygon(
+            [(0, -1), (0, 1), (1, 1), (1, y_cap), (b, y_cap), (b, -y_cap), (1, -y_cap), (1, -1)],
+            _GRAY_DARK,
+        )
+    )
+    parts.append(
+        _polygon(
+            [(0, 1), (0, -1), (-1, -1), (-1, -y_cap), (-b, -y_cap), (-b, y_cap), (-1, y_cap), (-1, 1)],
+            _GRAY_DARK2,
+        )
+    )
+    parts.append(_rect(b, -y_cap, 1, y_cap, _GRAY_LIGHT))
+    parts.append(_rect(-1, -y_cap, -b, y_cap, _GRAY_LIGHT2))
+    parts.append(_line(0, -1, 0, 1, "black", 0.006))  # the excluded line
+    for tick in (b, -b):
+        parts.append(_line(tick, -0.02, tick, 0.02, "black", 0.003))
+    return parts
+
+
+def _image(dataset: dict) -> list[str]:
+    parts = []
+    for half, rect_fill, band_fill in (
+        ("upper", _GRAY_LIGHT, _GRAY_DARK),
+        ("lower", _GRAY_LIGHT2, _GRAY_DARK2),
+    ):
+        data = dataset.get(half)
+        if not data:
+            continue
+        x_lo, x_hi = data["x_range"]
+        s_lo, s_hi = data["strip_y"]
+        h_lo, h_hi = data["hook_y"]
+        parts.append(_rect(x_lo, h_lo, x_hi, s_lo, band_fill))
+        parts.append(_rect(x_lo, s_hi, x_hi, h_hi, band_fill))
+        parts.append(_rect(x_lo, s_lo, x_hi, s_hi, rect_fill))
+        cap = data.get("cap", [])
+        if cap:
+            upper = [(x, hi) for x, _, hi in cap]
+            lower = [(x, lo) for x, lo, _ in reversed(cap)]
+            parts.append(_polygon(upper + lower, band_fill))
+    return parts
+
+
+def _cones(dataset: dict) -> list[str]:
+    parts = []
+    for entry in dataset.get("slices", []):
+        x = entry["a"]
+        for lo, hi in entry["intervals"]:
+            parts.append(_line(x, lo, x, hi, "#303030", 0.004))
+    parts.append(_line(0, -1, 0, 1, "black", 0.006))
+    return parts
+
+
+def _horseshoe(dataset: dict) -> list[str]:
+    parts = []
+    a = dataset.get("half_width")
+    if a:
+        parts.append(_rect(-a, -a, a, a, "none", stroke="black"))
+    r = dataset.get("point_size", 0.002)
+    for x, y in dataset.get("points", []):
+        parts.append(
+            f'<rect x="{_f(x - r)}" y="{_f(y - r)}" width="{_f(2 * r)}" '
+            f'height="{_f(2 * r)}" fill="#202020"/>\n'
+        )
+    return parts
+
+
+_RENDERERS = {
+    "partition": _partition,
+    "image": _image,
+    "cones": _cones,
+    "horseshoe": _horseshoe,
+}
+
+
+def render_section_svg(dataset: dict, kind: str) -> str:
+    """Render one figure kind from its dataset; empty datasets give the
+    bare canvas with axes."""
+    if kind not in _RENDERERS:
+        raise DomainError(f"unknown figure kind {kind!r}; expected one of {FIGURE_KINDS}")
+    body = _RENDERERS[kind](dataset or {})
+    return _HEADER + _FRAME + _axes() + "".join(body) + _FOOTER
