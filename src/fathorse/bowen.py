@@ -109,55 +109,56 @@ class BowenSystem:
     def gap_diffeo(self, word: str) -> GapDiffeo:
         return GapDiffeo(level=len(word), source=self.cc.gap("0" + word), target=self.cc.gap(word))
 
-    def _descend(self, x: float, tol: float):
+    def _walk(self, x: float, tol: float, forward: bool):
         """Walk the paired trees (source I_{0w}, target I_w) toward x.
 
-        Yields nothing; returns ('endpoint', value) for snapped endpoints,
-        ('gap', diffeo) when x falls in a closed source gap, or
-        ('deep', slo, shi, tlo, thi) when the source interval is below tol.
+        x lies in the probe tree: the source tree for the base map
+        (forward), the target tree for its inverse.  The other tree is the
+        partner; both descend in lockstep, the source one level below the
+        target.  Returns ('endpoint', partner endpoint) when x snaps to a
+        probe endpoint, ('gap', diffeo) when x falls in a closed probe gap,
+        or ('deep', value, slope) once the probe interval is below tol,
+        with the affine partner-over-probe interpolation at x.
         """
-        slo, shi = self.cc.interval("0")
-        tlo, thi = self.cc.interval("")
+        cc = self.cc
+        source, target = cc.interval("0"), cc.interval("")
+        (plo, phi), (qlo, qhi), dp, dq = (
+            (source, target, 1, 0) if forward else (target, source, 0, 1)
+        )
         n = 0
-        while shi - slo >= tol:
-            if abs(x - slo) <= _SNAP:
-                return ("endpoint", tlo)
-            if abs(x - shi) <= _SNAP:
-                return ("endpoint", thi)
-            gs = self.cc._gap_from(slo, shi, n + 1)
-            if gs[0] <= x <= gs[1]:
-                gt = self.cc._gap_from(tlo, thi, n)
-                return ("gap", GapDiffeo(level=n, source=gs, target=gt))
-            gt = self.cc._gap_from(tlo, thi, n)
-            if x > gs[1]:
-                slo, tlo = gs[1], gt[1]
+        while phi - plo >= tol:
+            if abs(x - plo) <= _SNAP:
+                return ("endpoint", qlo)
+            if abs(x - phi) <= _SNAP:
+                return ("endpoint", qhi)
+            gp = cc._gap_from(plo, phi, n + dp)
+            gq = cc._gap_from(qlo, qhi, n + dq)
+            if gp[0] <= x <= gp[1]:
+                source, target = (gp, gq) if forward else (gq, gp)
+                return ("gap", GapDiffeo(level=n, source=source, target=target))
+            if x > gp[1]:
+                plo, qlo = gp[1], gq[1]
             else:
-                shi, thi = gs[0], gt[0]
+                phi, qhi = gp[0], gq[0]
             n += 1
-        return ("deep", slo, shi, tlo, thi)
+        return ("deep", qlo + (x - plo) * (qhi - qlo) / (phi - plo), (qhi - qlo) / (phi - plo))
 
     def base_value(self, x: float, tol: float = 1e-12) -> float:
         """B(x) for x in [b, a]: shifted address, evaluated to depth tol."""
         self._check_core(x, tol)
-        kind, *rest = self._descend(x, tol)
-        if kind == "endpoint":
-            return rest[0]
-        if kind == "gap":
-            return rest[0].value(x)
-        slo, shi, tlo, thi = rest
-        return tlo + (x - slo) * (thi - tlo) / (shi - slo)
+        kind, leaf, *_ = self._walk(x, tol, forward=True)
+        return leaf.value(x) if kind == "gap" else leaf
 
     def base_derivative(self, x: float, tol: float = 1e-12) -> float:
         """B'(x): the gap profile inside gaps, exactly 2 at tree endpoints,
         and the interval-length ratio (tending to 2) deep on the Cantor set."""
         self._check_core(x, tol)
-        kind, *rest = self._descend(x, tol)
+        kind, *leaf = self._walk(x, tol, forward=True)
         if kind == "endpoint":
             return 2.0
         if kind == "gap":
-            return rest[0].derivative(x)
-        slo, shi, tlo, thi = rest
-        return (thi - tlo) / (shi - slo)
+            return leaf[0].derivative(x)
+        return leaf[1]
 
     def base_invert(self, v: float, tol: float = 1e-12) -> float:
         """Inverse of the base map, descending the shifted address tree."""
@@ -166,25 +167,8 @@ class BowenSystem:
         a = self.cc.half_width
         if not -a <= v <= a:
             raise DomainError(f"v = {v} outside [-a, a]")
-        slo, shi = self.cc.interval("0")
-        tlo, thi = self.cc.interval("")
-        n = 0
-        while thi - tlo >= tol:
-            if abs(v - tlo) <= _SNAP:
-                return slo
-            if abs(v - thi) <= _SNAP:
-                return shi
-            gt = self.cc._gap_from(tlo, thi, n)
-            if gt[0] <= v <= gt[1]:
-                gs = self.cc._gap_from(slo, shi, n + 1)
-                return GapDiffeo(level=n, source=gs, target=gt).invert(v)
-            gs = self.cc._gap_from(slo, shi, n + 1)
-            if v > gt[1]:
-                slo, tlo = gs[1], gt[1]
-            else:
-                shi, thi = gs[0], gt[0]
-            n += 1
-        return slo + (v - tlo) * (shi - slo) / (thi - tlo)
+        kind, leaf, *_ = self._walk(v, tol, forward=False)
+        return leaf.invert(v) if kind == "gap" else leaf
 
     def _check_core(self, x: float, tol: float) -> None:
         if tol < 1e-12:
@@ -197,11 +181,14 @@ class BowenSystem:
     def _in_left_surgery(self, x: float) -> bool:
         return self.fb - _SNAP <= x <= -self.m.a + _SNAP
 
+    def _core_preimage(self, x: float) -> float:
+        """Analytic right-branch preimage in [b, a] of x clamped to [f(b), -a]."""
+        u = self.m.invert_right(min(max(x, self.fb), -self.m.a))
+        return min(max(u, self.m.b), self.m.a)
+
     def _surgery(self, x: float) -> float:
         """h(x) = B applied to the analytic right-branch preimage of x."""
-        u = self.m.invert_right(min(max(x, self.fb), -self.m.a))
-        u = min(max(u, self.m.b), self.m.a)
-        return self.base_value(u)
+        return self.base_value(self._core_preimage(x))
 
     def modified_value(self, x: float) -> float:
         """The spliced map: analytic outside [f(b), -a] u [a, -f(b)],
@@ -228,8 +215,7 @@ class BowenSystem:
             v = -x  # the right zone is the odd reflection of the left one
         else:
             return self.m.derivative(x)
-        u = self.m.invert_right(min(max(v, self.fb), -self.m.a))
-        u = min(max(u, self.m.b), self.m.a)
+        u = self._core_preimage(v)
         return self.base_derivative(u) / self.m.derivative(u)
 
     def invert_right(self, y: float) -> float:
@@ -265,9 +251,7 @@ class BowenSystem:
         second factor is always the h-branch derivative.
         """
         self._check_core(x, 1e-12)
-        v = self.m.value(x)
-        u = self.m.invert_right(min(max(v, self.fb), -self.m.a))
-        u = min(max(u, self.m.b), self.m.a)
+        u = self._core_preimage(self.m.value(x))
         return self.m.derivative(x) * self.base_derivative(u) / self.m.derivative(u)
 
 

@@ -39,6 +39,7 @@ __all__ = [
     "cone_map",
     "preimage_level",
     "slice_measure",
+    "slice_intervals",
     "verify_cone_bound",
     "brute_force_slice",
     "exact_preimage_table",
@@ -79,25 +80,56 @@ def cone_map(sys: ConeSystem, x: float, y: float) -> tuple[float, float]:
     return -2.0 * math.sqrt(-x) + 1.0, 0.5 * (y * factor - 1.0)
 
 
-def preimage_level(a: float, n: int) -> np.ndarray:
-    """Normalized preimages of a at level n, ordered m = 1..2^n.
-
-    Children of the parent at index j (1-based) sit at m = 2j-1 and 2j:
-    odd m takes the negative branch preimage -((r-1)/2)^2, even m the
-    positive one ((r+1)/2)^2, so signs alternate -,+,-,+ along the level.
-    """
+def _check_slice(a: float, n: int, cap: int = LEVEL_HARD_CAP) -> None:
+    """Shared argument guard of the slice recursions."""
     if abs(a) >= 1.0:
         raise DomainError(f"slice abscissa must satisfy |a| < 1, got {a}")
     if n < 0:
         raise DomainError("level must be nonnegative")
-    if n > LEVEL_HARD_CAP:
-        raise SizeGuardError(f"level {n} exceeds the hard cap {LEVEL_HARD_CAP}")
+    if n > cap:
+        raise SizeGuardError(f"level {n} exceeds the cap {cap}")
+
+
+def _children(r: np.ndarray) -> np.ndarray:
+    """One preimage step: parent j (1-based) has children m = 2j-1 and 2j.
+
+    Odd m takes the negative branch preimage -((r-1)/2)^2, even m the
+    positive one ((r+1)/2)^2, so signs alternate -,+,-,+ along the level.
+    """
+    child = np.empty(2 * r.size, dtype=float)
+    child[0::2] = -(((r - 1.0) / 2.0) ** 2)
+    child[1::2] = ((r + 1.0) / 2.0) ** 2
+    return child
+
+
+def _levels(sys: ConeSystem, a: float, n: int):
+    """Yield (r, widths) for levels 0..n of the slice cover at x = a.
+
+    width(n, m) = |r(n, m)|^{1/k}/2 * width(n-1, ceil(m/2)), starting
+    from the full fiber width 2 at level 0.
+    """
+    _check_slice(a, n)
+    r = np.array([a], dtype=float)
+    widths = np.array([2.0], dtype=float)
+    inv_k = 1.0 / sys.k
+    yield r, widths
+    for _ in range(n):
+        r = _children(r)
+        child_w = np.abs(r)  # width step, in place: |r|^{1/k}/2 times the parent width
+        child_w **= inv_k
+        child_w *= 0.5
+        pairs = child_w.reshape(-1, 2)
+        pairs *= widths[:, None]
+        widths = child_w
+        yield r, widths
+
+
+def preimage_level(a: float, n: int) -> np.ndarray:
+    """Normalized preimages of a at level n, ordered m = 1..2^n."""
+    _check_slice(a, n)
     level = np.array([a], dtype=float)
     for _ in range(n):
-        child = np.empty(2 * level.size, dtype=float)
-        child[0::2] = -(((level - 1.0) / 2.0) ** 2)
-        child[1::2] = ((level + 1.0) / 2.0) ** 2
-        level = child
+        level = _children(level)
     return level
 
 
@@ -121,30 +153,30 @@ class SliceDecomposition:
 
 
 def slice_measure(sys: ConeSystem, a: float, n: int) -> SliceDecomposition:
-    """Exact level-n slice cover via the width recursion.
-
-    width(n, m) = |r(n, m)|^{1/k}/2 * width(n-1, ceil(m/2)), starting
-    from the full fiber width 2 at level 0.
-    """
-    if abs(a) >= 1.0:
-        raise DomainError(f"slice abscissa must satisfy |a| < 1, got {a}")
-    if n < 0:
-        raise DomainError("level must be nonnegative")
-    if n > LEVEL_HARD_CAP:
-        raise SizeGuardError(f"level {n} exceeds the hard cap {LEVEL_HARD_CAP}")
-    r = np.array([a], dtype=float)
-    widths = np.array([2.0], dtype=float)
-    inv_k = 1.0 / sys.k
-    for _ in range(n):
-        child_r = np.empty(2 * r.size, dtype=float)
-        child_r[0::2] = -(((r - 1.0) / 2.0) ** 2)
-        child_r[1::2] = ((r + 1.0) / 2.0) ** 2
-        child_w = np.empty_like(child_r)
-        child_w[0::2] = 0.5 * np.abs(child_r[0::2]) ** inv_k * widths
-        child_w[1::2] = 0.5 * np.abs(child_r[1::2]) ** inv_k * widths
-        r, widths = child_r, child_w
+    """Exact level-n slice cover via the width recursion."""
+    for r, widths in _levels(sys, a, n):
+        pass
     # np.sum reduces pairwise, so the total is schedule-independent
     return SliceDecomposition(a=a, n=n, k=sys.k, r=r, widths=widths, total=float(np.sum(widths)))
+
+
+def slice_intervals(sys: ConeSystem, a: float, n: int) -> np.ndarray:
+    """Fiber intervals [lo, hi] of the level-n cover at abscissa a, one row per leaf.
+
+    A leaf interval is its parent's image under the child's fiber map
+    y -> (|r|^{1/k} y +- 1)/2, so the child center sits a quarter of the
+    parent width below (negative branch) or above (positive branch) the
+    parent center.
+    """
+    levels = _levels(sys, a, n)
+    _, widths = next(levels)
+    centers = np.zeros(1)
+    for _, child_widths in levels:
+        centers = np.repeat(centers, 2)
+        centers[0::2] -= 0.25 * widths
+        centers[1::2] += 0.25 * widths
+        widths = child_widths
+    return np.stack([centers - 0.5 * widths, centers + 0.5 * widths], axis=1)
 
 
 @dataclass(frozen=True)
@@ -227,14 +259,7 @@ def brute_force_slice(sys: ConeSystem, a: float, n: int, resolution: float) -> B
     are summed.  Agreement with slice_measure is expected within
     max(10 * resolution, 1e-6).
     """
-    if abs(a) >= 1.0:
-        raise DomainError(f"slice abscissa must satisfy |a| < 1, got {a}")
-    if n < 0:
-        raise DomainError("level must be nonnegative")
-    if n > BRUTE_FORCE_LEVEL_CAP:
-        raise SizeGuardError(
-            f"brute-force level {n} exceeds the cost cap {BRUTE_FORCE_LEVEL_CAP}"
-        )
+    _check_slice(a, n, BRUTE_FORCE_LEVEL_CAP)
     warning = None
     if resolution > 1e-3:
         warning = f"resolution {resolution} coarser than 1e-3; estimate may be imprecise"

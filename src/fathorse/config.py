@@ -3,13 +3,13 @@
 from __future__ import annotations
 
 import json
-import os
+import sys
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from .errors import ConfigError
 
-__all__ = ["ExperimentConfig", "load_config", "thread_count"]
+__all__ = ["ExperimentConfig", "load_config"]
 
 
 @dataclass
@@ -30,8 +30,30 @@ class ExperimentConfig:
         return asdict(self)
 
 
-_NUMERIC = {"c": float, "p": float, "n_max": int, "level_max": int, "N": int,
-            "resolution": float, "delta": float, "seed": int}
+_REALS = ("c", "p", "resolution", "delta")
+_COUNTS = ("n_max", "level_max", "N")  # nonnegative integers
+
+
+def _number(key: str, value) -> int | float:
+    """A JSON number within the binary64 range; booleans are not numbers here."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"config key {key!r} must be a number, got {value!r}")
+    if not abs(value) <= sys.float_info.max:  # also false for NaN
+        raise ConfigError(f"config key {key!r} must be a finite number, got {value}")
+    return value
+
+
+def _integer(key: str, value) -> int:
+    value = _number(key, value)
+    if value != int(value):
+        raise ConfigError(f"config key {key!r} must be an integer, got {value}")
+    return int(value)
+
+
+def _nonempty_list(key: str, value, item) -> list:
+    if not isinstance(value, list) or not value:
+        raise ConfigError(f"{key} must be a non-empty list")
+    return [item(key, v) for v in value]
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
@@ -39,7 +61,7 @@ def load_config(path: str | Path) -> ExperimentConfig:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             raw = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # malformed JSON or not UTF-8
             raise ConfigError(f"invalid JSON in {path}: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
@@ -49,32 +71,17 @@ def load_config(path: str | Path) -> ExperimentConfig:
         raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
     cfg = ExperimentConfig()
     for key, value in raw.items():
-        if key in _NUMERIC:
-            try:
-                value = _NUMERIC[key](value)
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(f"config key {key!r} must be numeric") from exc
+        if key in _REALS:
+            value = float(_number(key, value))
+        elif key in _COUNTS or key == "seed":
+            value = _integer(key, value)
+            if key != "seed" and value < 0:
+                raise ConfigError(f"config key {key!r} must be nonnegative, got {value}")
         elif key == "k_list":
-            if not isinstance(value, list) or not all(isinstance(v, int) for v in value):
-                raise ConfigError("k_list must be a list of integers")
+            value = _nonempty_list(key, value, _integer)
         elif key == "a_list":
-            if not isinstance(value, list) or not all(
-                isinstance(v, (int, float)) for v in value
-            ):
-                raise ConfigError("a_list must be a list of numbers")
-            value = [float(v) for v in value]
-        elif key == "output_dir":
-            if not isinstance(value, str):
-                raise ConfigError("output_dir must be a string")
+            value = [float(v) for v in _nonempty_list(key, value, _number)]
+        elif not isinstance(value, str):  # output_dir, the only other key
+            raise ConfigError("output_dir must be a string")
         setattr(cfg, key, value)
     return cfg
-
-
-def thread_count() -> int:
-    """Parallelism cap from FATHORSE_THREADS; sequential by default."""
-    raw = os.environ.get("FATHORSE_THREADS", "")
-    try:
-        n = int(raw)
-    except ValueError:
-        return 1
-    return max(1, n)

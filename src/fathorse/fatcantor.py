@@ -89,8 +89,7 @@ class CantorConstruction:
     """Word-indexed interval tree on [-a, a] with centered gaps removed.
 
     The interval cache is append-only and keyed by word; repopulation is
-    idempotent (a word always resolves to the same endpoints), so shared
-    concurrent use is safe.
+    idempotent (a word always resolves to the same endpoints).
     """
 
     half_width: float
@@ -180,9 +179,6 @@ class CantorConstruction:
             raise DomainError("depth must be nonnegative")
         if depth > 12:
             raise SizeGuardError("tree dump limited to depth 12")
-        words = [""]
-        for _ in range(depth):
-            words = [w + ch for w in words for ch in "01"]
         nodes = {}
         frontier = [""]
         while frontier:

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import bisect
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from .bowen import BowenSystem
@@ -99,14 +98,9 @@ class PoincareSystem:
         a, b = self.bowen.m.a, self.bowen.m.b
         if not (b <= abs(x) <= a) or abs(y) > a:
             raise DomainError(f"point {point} outside the core domain")
-        sign = 1.0 if x > 0.0 else -1.0
         if x > 0.0:
-            x2 = self.bowen.base_value(x)
-        else:
-            x2 = -self.bowen.base_value(-x)
-        inv = self.bowen.invert_right
-        y2 = -sign * inv(-inv(sign * y))
-        return x2, y2
+            return self.bowen.base_value(x), self.fiber_map(1, y)
+        return -self.bowen.base_value(-x), self.fiber_map(-1, y)
 
     def fiber_map(self, sign: int, y: float) -> float:
         """One second-return fiber contraction for the given sign of x."""
@@ -174,9 +168,7 @@ class PoincareSystem:
             raise DomainError(f"point {point} outside the core square")
         return self._x_condition(x, depth) and self._y_condition(y, depth)
 
-    def measure_estimate(
-        self, depth: int, resolution: float, threads: int = 1
-    ) -> "HorseshoeEstimate":
+    def measure_estimate(self, depth: int, resolution: float) -> "HorseshoeEstimate":
         """Cell-center grid estimate of the depth-N horseshoe area.
 
         The membership predicate factors into per-axis conditions, so the
@@ -193,16 +185,7 @@ class PoincareSystem:
         cell = 2.0 * a / ncells
         centers = [-a + (i + 0.5) * cell for i in range(ncells)]
 
-        if threads > 1:
-            chunk = (ncells + threads - 1) // threads
-            parts = [centers[i : i + chunk] for i in range(0, ncells, chunk)]
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                flag_chunks = list(
-                    pool.map(lambda part: [self._x_condition(x, depth) for x in part], parts)
-                )
-            x_flags = [flag for ch in flag_chunks for flag in ch]
-        else:
-            x_flags = [self._x_condition(x, depth) for x in centers]
+        x_flags = [self._x_condition(x, depth) for x in centers]
         y_flags = [self._y_condition(y, depth) for y in centers]
 
         count = sum(x_flags) * sum(y_flags)
@@ -213,7 +196,6 @@ class PoincareSystem:
             estimated_area=count * cell * cell,
             exact_level_area=level * level,
             envelope=4.0 * cell * (2.0 ** depth) * level,
-            sign_word_intervals=self.fiber_intervals(depth),
             centers=centers,
             x_flags=x_flags,
             y_flags=y_flags,
@@ -318,7 +300,6 @@ class HorseshoeEstimate:
     estimated_area: float
     exact_level_area: float
     envelope: float
-    sign_word_intervals: dict[str, tuple[float, float]]
     centers: list[float] = field(repr=False, default_factory=list)
     x_flags: list[bool] = field(repr=False, default_factory=list)
     y_flags: list[bool] = field(repr=False, default_factory=list)

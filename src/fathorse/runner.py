@@ -25,7 +25,7 @@ from pathlib import Path
 from . import cones as cones_mod
 from . import svgfig
 from .bowen import build_base_map, verify_surgery
-from .config import ExperimentConfig, thread_count
+from .config import ExperimentConfig
 from .errors import DomainError, FeasibilityError, InvalidParameterError, SizeGuardError
 from .fatcantor import make_construction
 from .horseshoe import make_poincare_system, suspension_volume
@@ -120,28 +120,9 @@ def _cones_suite(cfg: ExperimentConfig, out: Path, checks: _Checks, figures: dic
     for i in range(161):
         a = -0.98 + i * (1.96 / 160)
         dec = cones_mod.slice_measure(sweep_sys, a, sweep_n)
-        intervals = _slice_intervals(sweep_sys, a, sweep_n)
+        intervals = cones_mod.slice_intervals(sweep_sys, a, sweep_n).tolist()
         slices.append({"a": a, "intervals": intervals, "total": dec.total})
     figures["cones"] = {"k": sweep_k, "n": sweep_n, "slices": slices}
-
-
-def _slice_intervals(system, a: float, n: int) -> list[list[float]]:
-    """Fiber intervals of the level-n cover at abscissa a.
-
-    Each node carries the affine composite of the fiber maps along its
-    orbit back to the slice; the fiber map at a child is applied first,
-    so the child composite is parent_composite o child_fiber.
-    """
-    level = [(a, 1.0, 0.0)]  # (abscissa, slope, offset) of the composite
-    for _ in range(n):
-        nxt = []
-        for r, slope, offset in level:
-            for child in (-(((r - 1.0) / 2.0) ** 2), ((r + 1.0) / 2.0) ** 2):
-                f_slope = 0.5 * abs(child) ** (1.0 / system.k)
-                f_offset = 0.5 if child > 0 else -0.5
-                nxt.append((child, slope * f_slope, slope * f_offset + offset))
-        level = nxt
-    return [[offset - slope, offset + slope] for _, slope, offset in level]
 
 
 def _fatcantor_suite(cfg: ExperimentConfig, out: Path, checks: _Checks, cc) -> None:
@@ -235,7 +216,6 @@ def _horseshoe_suite(
 ) -> None:
     ps = make_poincare_system(bowen)
     cc = bowen.cc
-    threads = thread_count()
 
     tree_dev = 0.0
     match_depth = min(8, cfg.level_max)
@@ -250,7 +230,7 @@ def _horseshoe_suite(
     positive = True
     estimate = None
     for depth in range(cfg.N + 1):
-        estimate = ps.measure_estimate(depth, cfg.resolution, threads=threads)
+        estimate = ps.measure_estimate(depth, cfg.resolution)
         rows.append(
             [depth, estimate.estimated_area, estimate.exact_level_area, estimate.envelope]
         )
@@ -311,7 +291,7 @@ def _horseshoe_suite(
         "epsilon": ps.epsilon,
     }
     figures["image"] = _image_dataset(ps)
-    coarse = ps.measure_estimate(cfg.N, max(cfg.resolution, 2.0 * a / 160), threads=threads)
+    coarse = ps.measure_estimate(cfg.N, max(cfg.resolution, 2.0 * a / 160))
     points = [
         [x, y]
         for x, fx in zip(coarse.centers, coarse.x_flags)

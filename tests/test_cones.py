@@ -10,6 +10,7 @@ from fathorse.cones import (
     exact_preimage_table,
     make_cone_system,
     preimage_level,
+    slice_intervals,
     slice_measure,
     verify_cone_bound,
 )
@@ -148,6 +149,32 @@ class TestSliceMeasure:
         assert np.all(dec.widths > 0.0)
         assert dec.total == pytest.approx(float(np.sum(dec.widths)), abs=0.0)
         assert dec.r.size == 2 ** 10
+
+    def test_leaves_are_preimage_level(self, k3):
+        for a in (-0.9, 0.0, 0.42):
+            for n in (0, 1, 9):
+                assert np.array_equal(slice_measure(k3, a, n).r, preimage_level(a, n))
+
+    @pytest.mark.parametrize("k", [2, 3, 5])
+    def test_intervals_match_scalar_composite(self, k):
+        # scalar reference: carry each leaf's affine composite of fiber maps
+        # (slope, offset) back to the slice; numpy and Python powers may
+        # differ by an ulp per level, hence a tolerance of a few ulps per level
+        system = make_cone_system(k)
+        n = 7
+        for a in (-0.9, 0.0, 0.42):
+            level = [(a, 1.0, 0.0)]
+            for _ in range(n):
+                nxt = []
+                for r, slope, offset in level:
+                    for child in (-(((r - 1.0) / 2.0) ** 2), ((r + 1.0) / 2.0) ** 2):
+                        f_slope = 0.5 * abs(child) ** (1.0 / k)
+                        f_offset = 0.5 if child > 0 else -0.5
+                        nxt.append((child, slope * f_slope, slope * f_offset + offset))
+                level = nxt
+            expected = [[offset - slope, offset + slope] for _, slope, offset in level]
+            got = slice_intervals(system, a, n)
+            assert np.allclose(got, expected, rtol=0.0, atol=4 * n * np.finfo(float).eps)
 
 
 class TestConeBound:

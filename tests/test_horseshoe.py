@@ -151,11 +151,6 @@ class TestMeasureEstimate:
         assert est.within_envelope
         assert est.estimated_area > 0.0
 
-    def test_threaded_matches_sequential(self, poincare18):
-        seq = poincare18.measure_estimate(3, 2e-3, threads=1)
-        par = poincare18.measure_estimate(3, 2e-3, threads=4)
-        assert par.estimated_area == seq.estimated_area
-
     def test_guards(self, poincare18):
         with pytest.raises(SizeGuardError):
             poincare18.measure_estimate(11, 1e-3)

@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 
 from fathorse.cli import main
-from fathorse.config import ExperimentConfig, load_config, thread_count
+from fathorse.config import ExperimentConfig, load_config
 from fathorse.errors import ConfigError, DomainError
 from fathorse.rng import SplitMix64
 from fathorse.runner import run
@@ -61,15 +61,32 @@ class TestConfig:
         with pytest.raises(ConfigError):
             load_config(_write(tmp_path / "c.json", [1, 2]))
 
-    def test_thread_count_env(self, monkeypatch):
-        monkeypatch.delenv("FATHORSE_THREADS", raising=False)
-        assert thread_count() == 1
-        monkeypatch.setenv("FATHORSE_THREADS", "4")
-        assert thread_count() == 4
-        monkeypatch.setenv("FATHORSE_THREADS", "0")
-        assert thread_count() == 1
-        monkeypatch.setenv("FATHORSE_THREADS", "junk")
-        assert thread_count() == 1
+    @pytest.mark.parametrize(
+        "override",
+        [
+            pytest.param({"k_list": []}, id="k_list-empty"),
+            pytest.param({"a_list": []}, id="a_list-empty"),
+            pytest.param({"level_max": -1}, id="level_max-negative"),
+            pytest.param({"N": -1}, id="N-negative"),
+            pytest.param({"seed": 1.5}, id="seed-fractional"),
+            pytest.param({"n_max": 2.5}, id="n_max-fractional"),
+            pytest.param({"N": True}, id="N-bool"),
+            pytest.param({"seed": False}, id="seed-bool"),
+            pytest.param({"k_list": [True, 3]}, id="k_list-bool"),
+            pytest.param({"a_list": [0.0, True]}, id="a_list-bool"),
+            pytest.param({"resolution": float("nan")}, id="resolution-nan"),
+            pytest.param({"delta": float("inf")}, id="delta-inf"),
+            pytest.param({"c": "1.8"}, id="c-string"),
+        ],
+    )
+    def test_invalid_values_rejected(self, tmp_path, override):
+        with pytest.raises(ConfigError):
+            load_config(_write(tmp_path / "c.json", {**SMALL, **override}))
+
+    def test_integral_floats_accepted(self, tmp_path):
+        cfg = load_config(_write(tmp_path / "c.json", {"n_max": 6.0, "k_list": [2.0]}))
+        assert cfg.n_max == 6 and isinstance(cfg.n_max, int)
+        assert cfg.k_list == [2] and isinstance(cfg.k_list[0], int)
 
 
 class TestSplitMix:
@@ -183,29 +200,31 @@ class TestRunner:
 
 
 def test_slice_interval_positions_match_forward_push():
-    # the figure helper composes per-step fiber maps; check positions (not
-    # just lengths) against pushing a dense grid along each orbit
+    # the figure intervals come from the width recursion plus per-leaf
+    # centers; check positions (not just lengths) against pushing a dense
+    # grid along each orbit
     import numpy as np
 
-    from fathorse.cones import _branch_preimage, make_cone_system
+    from fathorse.cones import _branch_preimage, make_cone_system, slice_intervals
     from fathorse.lorenz import branch_value
-    from fathorse.runner import _slice_intervals
 
-    system = make_cone_system(3)
     a, n = 0.42, 4
-    intervals = _slice_intervals(system, a, n)
     level = [a]
     for _ in range(n):
         level = [x for v in level for x in (_branch_preimage(v, -1), _branch_preimage(v, +1))]
     grid = np.linspace(-1.0, 1.0, 10_001)
-    for (lo, hi), x0 in zip(intervals, level):
-        x, y = x0, grid.copy()
-        for _ in range(n):
-            t = abs(x) ** (1.0 / system.k)
-            y = 0.5 * (y * t + 1.0) if x > 0 else 0.5 * (y * t - 1.0)
-            x = branch_value(2.0, x)
-        assert lo == pytest.approx(float(y.min()), abs=1e-12)
-        assert hi == pytest.approx(float(y.max()), abs=1e-12)
+    for k in (2, 3):
+        system = make_cone_system(k)
+        intervals = slice_intervals(system, a, n)
+        assert intervals.shape == (2**n, 2)
+        for (lo, hi), x0 in zip(intervals, level):
+            x, y = x0, grid.copy()
+            for _ in range(n):
+                t = abs(x) ** (1.0 / system.k)
+                y = 0.5 * (y * t + 1.0) if x > 0 else 0.5 * (y * t - 1.0)
+                x = branch_value(2.0, x)
+            assert lo == pytest.approx(float(y.min()), abs=1e-12)
+            assert hi == pytest.approx(float(y.max()), abs=1e-12)
 
 
 class TestCli:
@@ -231,6 +250,12 @@ class TestCli:
         conf = _write(tmp_path / "conf.json", {"nope": 1})
         assert main(["run", "--config", str(conf)]) == 2
         capsys.readouterr()
+
+    def test_invalid_config_value_exits_two(self, tmp_path, capsys):
+        conf = _write(tmp_path / "conf.json", {"N": -1})
+        assert main(["run", "--config", str(conf)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "Traceback" not in err
 
     def test_out_override(self, tmp_path, capsys):
         conf = _write(tmp_path / "conf.json", {**SMALL, "output_dir": str(tmp_path / "ignored")})
