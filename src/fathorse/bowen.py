@@ -38,6 +38,10 @@ _SNAP = 1e-14  # absolute snap distance for exact endpoint semantics
 _TWO_PI = 2.0 * math.pi
 
 
+def _sin(t):
+    return np.sin(t) if isinstance(t, np.ndarray) else math.sin(t)
+
+
 @dataclass(frozen=True)
 class GapDiffeo:
     """Orientation-preserving diffeomorphism between two centered gaps.
@@ -45,7 +49,8 @@ class GapDiffeo:
     Normalized source coordinate t in [0, 1]; the derivative profile is
     phi(t) = 2 + 2 (s - 2) sin^2(pi t) with s the mean slope, so both
     endpoint slopes are exactly 2 and the integral of phi is s, which
-    makes the image cover the target gap exactly.
+    makes the image cover the target gap exactly.  `value` also takes
+    arrays, with one source and target gap per point.
     """
 
     level: int
@@ -62,7 +67,7 @@ class GapDiffeo:
     def _profile_integral(self, t: float) -> float:
         """Integral of phi over [0, t], normalized so that value(1) = 1."""
         s = self.mean_slope
-        return (2.0 * t + (s - 2.0) * (t - math.sin(_TWO_PI * t) / _TWO_PI)) / s
+        return (2.0 * t + (s - 2.0) * (t - _sin(_TWO_PI * t) / _TWO_PI)) / s
 
     def value(self, x: float) -> float:
         t = self._t(x)
@@ -149,6 +154,50 @@ class BowenSystem:
         kind, leaf, *_ = self._walk(x, tol, forward=True)
         return leaf.value(x) if kind == "gap" else leaf
 
+    def base_values(self, xs: np.ndarray, tol: float = 1e-12) -> np.ndarray:
+        """B on an array of points in [b, a], bit-equal to base_value.
+
+        The forward walk of _walk for every point at once, level by level:
+        the same endpoint snap, closed-gap test and deep affine tail, with
+        the half gaps read from the construction's per-level table.
+        """
+        xs = np.asarray(xs, dtype=float)
+        if xs.size:  # the extremes decide, and a NaN reaches both
+            self._check_core(float(xs.min()), tol)
+            self._check_core(float(xs.max()), tol)
+        cc = self.cc
+        out = np.empty_like(xs)
+        (plo, phi), (qlo, qhi) = cc.interval("0"), cc.interval("")
+        # rows: x, probe interval (plo, phi), partner interval (qlo, qhi)
+        state = np.array([xs, np.full_like(xs, plo), np.full_like(xs, phi),
+                          np.full_like(xs, qlo), np.full_like(xs, qhi)])
+        idx = np.arange(xs.size)
+        n = 0
+        while idx.size:
+            x, plo, phi, qlo, qhi = state
+            deep = phi - plo < tol
+            out[idx[deep]] = (qlo + (x - plo) * (qhi - qlo) / (phi - plo))[deep]
+            at_lo = ~deep & (np.abs(x - plo) <= _SNAP)
+            out[idx[at_lo]] = qlo[at_lo]
+            at_hi = ~deep & ~at_lo & (np.abs(x - phi) <= _SNAP)
+            out[idx[at_hi]] = qhi[at_hi]
+            center, half = 0.5 * (plo + phi), cc.half_gap(n + 1)
+            glo, ghi = center - half, center + half
+            center, half = 0.5 * (qlo + qhi), cc.half_gap(n)
+            tlo, thi = center - half, center + half
+            walking = ~(deep | at_lo | at_hi)
+            gap = walking & (glo <= x) & (x <= ghi)
+            if gap.any():
+                diffeo = GapDiffeo(n, (glo[gap], ghi[gap]), (tlo[gap], thi[gap]))
+                out[idx[gap]] = diffeo.value(x[gap])
+            right = x > ghi
+            state = np.array([x, np.where(right, ghi, plo), np.where(right, phi, glo),
+                              np.where(right, thi, qlo), np.where(right, qhi, tlo)])
+            walking &= ~gap
+            state, idx = state[:, walking], idx[walking]
+            n += 1
+        return out
+
     def base_derivative(self, x: float, tol: float = 1e-12) -> float:
         """B'(x): the gap profile inside gaps, exactly 2 at tree endpoints,
         and the interval-length ratio (tending to 2) deep on the Cantor set."""
@@ -178,8 +227,9 @@ class BowenSystem:
 
     # -- spliced map ----------------------------------------------------------
 
-    def _in_left_surgery(self, x: float) -> bool:
-        return self.fb - _SNAP <= x <= -self.m.a + _SNAP
+    def _in_left_surgery(self, x):
+        """Whether x (a float or an array) lies in the closed zone [f(b), -a]."""
+        return (self.fb - _SNAP <= x) & (x <= -self.m.a + _SNAP)
 
     def _core_preimage(self, x: float) -> float:
         """Analytic right-branch preimage in [b, a] of x clamped to [f(b), -a]."""
@@ -202,6 +252,30 @@ class BowenSystem:
         if self._in_left_surgery(-x):
             return -self._surgery(-x)
         return self.m.value(x)
+
+    def modified_values(self, xs: np.ndarray) -> np.ndarray:
+        """The spliced map on an array of points, bit-equal to modified_value."""
+        xs = np.asarray(xs, dtype=float)
+        if (xs == 0.0).any():
+            raise SingularityError("spliced map is undefined at x = 0")
+        if (np.abs(xs) > 1.0).any():
+            raise DomainError(f"x = {xs[np.abs(xs) > 1.0][0]} outside [-1, 1]")
+        c, root = self.m.c, np.sqrt(np.abs(xs))
+        out = np.where(xs > 0.0, c * root - 1.0, -c * root + 1.0)
+        left = self._in_left_surgery(xs)
+        right = ~left & self._in_left_surgery(-xs)
+        out[left] = self._surgery_values(xs[left])
+        out[right] = -self._surgery_values(-xs[right])
+        return out
+
+    def _surgery_values(self, xs: np.ndarray) -> np.ndarray:
+        """h on an array: _core_preimage then B, as in _surgery."""
+        c, a = self.m.c, self.m.a
+        t = (np.minimum(np.clip(xs, self.fb, -a), c - 1.0) + 1.0) / c
+        return self.base_values(np.clip(t * t, self.m.b, a))
+
+    def second_iterates(self, xs: np.ndarray) -> np.ndarray:
+        return self.modified_values(self.modified_values(xs))
 
     def modified_derivative(self, x: float) -> float:
         """One-sided at the splice points: the surgery zones are closed."""
@@ -371,8 +445,8 @@ def verify_surgery(sys: BowenSystem, max_level: int, monotone_grid: int = 100_00
     }
 
     xs = np.linspace(1.0 / monotone_grid, 1.0, monotone_grid)
-    pos = np.array([sys.modified_value(float(x)) for x in xs])
-    neg = np.array([sys.modified_value(float(-x)) for x in xs[::-1]])
+    pos = sys.modified_values(xs)
+    neg = sys.modified_values(-xs[::-1])
     dpos, dneg = np.diff(pos), np.diff(neg)
     monotone_ok = bool(np.all(dpos > 0.0) and np.all(dneg > 0.0))
     max_jump = float(max(np.max(np.abs(dpos)), np.max(np.abs(dneg))))

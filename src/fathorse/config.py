@@ -9,7 +9,7 @@ from pathlib import Path
 
 from .errors import ConfigError
 
-__all__ = ["ExperimentConfig", "load_config"]
+__all__ = ["ExperimentConfig", "load_config", "validate"]
 
 
 @dataclass
@@ -51,9 +51,33 @@ def _integer(key: str, value) -> int:
 
 
 def _nonempty_list(key: str, value, item) -> list:
-    if not isinstance(value, list) or not value:
+    if not isinstance(value, (list, tuple)) or not value:
         raise ConfigError(f"{key} must be a non-empty list")
     return [item(key, v) for v in value]
+
+
+def validate(cfg: ExperimentConfig) -> ExperimentConfig:
+    """Check every field and return a normalized copy, or raise ConfigError.
+
+    Reals become floats and integral numbers become ints, so a config
+    built in Python is held to the same rules as one read from a file.
+    """
+    values = {}
+    for key, value in cfg.to_dict().items():
+        if key in _REALS:
+            value = float(_number(key, value))
+        elif key in _COUNTS or key == "seed":
+            value = _integer(key, value)
+            if key != "seed" and value < 0:
+                raise ConfigError(f"config key {key!r} must be nonnegative, got {value}")
+        elif key == "k_list":
+            value = _nonempty_list(key, value, _integer)
+        elif key == "a_list":
+            value = [float(v) for v in _nonempty_list(key, value, _number)]
+        elif not isinstance(value, str):  # output_dir, the only other key
+            raise ConfigError("output_dir must be a string")
+        values[key] = value
+    return ExperimentConfig(**values)
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
@@ -69,19 +93,4 @@ def load_config(path: str | Path) -> ExperimentConfig:
     unknown = sorted(set(raw) - known)
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
-    cfg = ExperimentConfig()
-    for key, value in raw.items():
-        if key in _REALS:
-            value = float(_number(key, value))
-        elif key in _COUNTS or key == "seed":
-            value = _integer(key, value)
-            if key != "seed" and value < 0:
-                raise ConfigError(f"config key {key!r} must be nonnegative, got {value}")
-        elif key == "k_list":
-            value = _nonempty_list(key, value, _integer)
-        elif key == "a_list":
-            value = [float(v) for v in _nonempty_list(key, value, _number)]
-        elif not isinstance(value, str):  # output_dir, the only other key
-            raise ConfigError("output_dir must be a string")
-        setattr(cfg, key, value)
-    return cfg
+    return validate(ExperimentConfig(**raw))

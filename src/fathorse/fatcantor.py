@@ -89,13 +89,15 @@ class CantorConstruction:
     """Word-indexed interval tree on [-a, a] with centered gaps removed.
 
     The interval cache is append-only and keyed by word; repopulation is
-    idempotent (a word always resolves to the same endpoints).
+    idempotent (a word always resolves to the same endpoints).  So is the
+    per-level half-gap table, which grows to the deepest level asked for.
     """
 
     half_width: float
     gaps: GapLengthSequence
     source_map: LorenzBranchMap
     _cache: dict[str, tuple[float, float]] = field(default_factory=dict, repr=False)
+    _half_gaps: list[float] = field(default_factory=list, repr=False)
 
     def interval(self, word: str) -> tuple[float, float]:
         """Endpoints of I_word; the empty word gives [-a, a]."""
@@ -112,9 +114,17 @@ class CantorConstruction:
         self._cache[word] = result
         return result
 
+    def half_gap(self, level: int) -> float:
+        """Half the length of every gap removed at this level, gap(n)/2^(n+1)."""
+        table = self._half_gaps
+        while len(table) <= level:
+            n = len(table)
+            table.append(0.5 * self.gaps.length(n) / 2.0 ** n)
+        return table[level]
+
     def _gap_from(self, lo: float, hi: float, level: int) -> tuple[float, float]:
         center = 0.5 * (lo + hi)
-        half = 0.5 * self.gaps.length(level) / 2.0 ** level
+        half = self.half_gap(level)
         return center - half, center + half
 
     def gap(self, word: str) -> tuple[float, float]:

@@ -12,14 +12,20 @@ Membership at finite depth N asks two independent questions: does the
 forward second-iterate orbit of x stay inside [-a, -b] u [b, a] for N
 steps (the expanding direction realizes the backward intersection), and
 does y lie in one of the 2^N fiber intervals (the forward contraction
-history).  The grid estimator exploits exactly this separability.
+history).  The grid estimator exploits exactly this separability.  On the
+x axis it records each cell center's exit time, the number of leading
+second-return iterates inside [-a, -b] u [b, a], in one vectorized pass
+per resolution that advances only as far as the deepest depth asked for;
+the x-condition at depth N is then exit >= N for every such N at once.
+On the y axis it binary-searches the sorted fiber cover.
 """
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .bowen import BowenSystem
 from .errors import DomainError, SingularityError, SizeGuardError
@@ -47,9 +53,10 @@ class PoincareSystem:
     epsilon: float = field(init=False)
     strip_halfheight: float = field(init=False)
     _fiber_cache: dict[int, dict[str, tuple[float, float]]] = field(default_factory=dict, repr=False)
-    _cover_cache: dict[int, tuple[list[float], list[tuple[float, float]]]] = field(
+    _cover_cache: dict[int, tuple[np.ndarray, np.ndarray]] = field(
         default_factory=dict, repr=False
     )
+    _exit_cache: dict[float, "ExitTimes"] = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
         m = self.bowen.m
@@ -128,9 +135,11 @@ class PoincareSystem:
         cached = self._fiber_cache.get(depth)
         if cached is not None:
             return cached
+        # continue from the deepest cached cover shallower than this one
+        start = max((d for d in self._fiber_cache if d < depth), default=0)
         a = self.bowen.m.a
-        current = {"": (-a, a)}
-        for _ in range(depth):
+        current = self._fiber_cache.get(start, {"": (-a, a)})
+        for _ in range(depth - start):
             nxt = {}
             for word, (lo, hi) in current.items():
                 for ch, sign in (("-", -1), ("+", +1)):
@@ -139,12 +148,12 @@ class PoincareSystem:
         self._fiber_cache[depth] = current
         return current
 
-    def _cover(self, depth: int) -> tuple[list[float], list[tuple[float, float]]]:
+    def _cover(self, depth: int) -> tuple[np.ndarray, np.ndarray]:
+        """Lower and upper ends of the depth-N fiber intervals, sorted."""
         cached = self._cover_cache.get(depth)
         if cached is None:
-            intervals = sorted(self.fiber_intervals(depth).values())
-            cached = ([iv[0] for iv in intervals], intervals)
-            self._cover_cache[depth] = cached
+            intervals = np.array(sorted(self.fiber_intervals(depth).values()))
+            cached = self._cover_cache[depth] = (intervals[:, 0], intervals[:, 1])
         return cached
 
     def _x_condition(self, x: float, depth: int) -> bool:
@@ -155,10 +164,41 @@ class PoincareSystem:
             x = self.bowen.second_iterate(x)
         return True
 
-    def _y_condition(self, y: float, depth: int) -> bool:
-        los, intervals = self._cover(depth)
-        i = bisect.bisect_right(los, y) - 1
-        return i >= 0 and y <= intervals[i][1]
+    def _y_members(self, ys, depth: int):
+        """Whether y (a float or an array) lies in a depth-N fiber interval."""
+        los, his = self._cover(depth)
+        i = np.searchsorted(los, ys, side="right") - 1
+        return (i >= 0) & (ys <= his[np.maximum(i, 0)])
+
+    def exit_times(self, depth: int, resolution: float) -> "ExitTimes":
+        """The grid's exit times, advanced to at least this depth.
+
+        One grid per resolution is cached; a deeper request continues the
+        surviving orbits from where the last one stopped, so the depths
+        0..N together cost one pass of N second returns.
+        """
+        if depth > MEASURE_DEPTH_CAP:
+            raise SizeGuardError(f"measure depth {depth} exceeds {MEASURE_DEPTH_CAP}")
+        if resolution < MEASURE_RESOLUTION_FLOOR:
+            raise SizeGuardError(f"resolution below the floor {MEASURE_RESOLUTION_FLOOR}")
+        grid = self._exit_cache.get(resolution)
+        if grid is None:
+            a = self.bowen.m.a
+            ncells = int(math.ceil(2.0 * a / resolution))
+            cell = 2.0 * a / ncells
+            centers = -a + (np.arange(ncells) + 0.5) * cell
+            alive = np.arange(ncells)
+            grid = ExitTimes(cell, centers, np.zeros(ncells, dtype=int), centers, alive)
+            self._exit_cache[resolution] = grid
+        a, b = self.bowen.m.a, self.bowen.m.b
+        while grid.steps < depth:
+            if grid.steps:
+                grid.orbit = self.bowen.second_iterates(grid.orbit)
+            inside = (b <= np.abs(grid.orbit)) & (np.abs(grid.orbit) <= a)
+            grid.orbit, grid.alive = grid.orbit[inside], grid.alive[inside]
+            grid.steps += 1
+            grid.exits[grid.alive] = grid.steps
+        return grid
 
     def membership(self, point: tuple[float, float], depth: int) -> bool:
         """Finite-depth horseshoe membership on the core square."""
@@ -166,39 +206,38 @@ class PoincareSystem:
         a = self.bowen.m.a
         if abs(x) > a or abs(y) > a:
             raise DomainError(f"point {point} outside the core square")
-        return self._x_condition(x, depth) and self._y_condition(y, depth)
+        return self._x_condition(x, depth) and bool(self._y_members(y, depth))
+
+    def member_centers(self, depth: int, resolution: float) -> tuple[np.ndarray, np.ndarray]:
+        """Grid centers passing the depth-N x-condition and y-condition.
+
+        The member cells of the grid are their product; both axes share
+        the centers of measure_estimate at the same resolution.
+        """
+        grid = self.exit_times(depth, resolution)
+        centers = grid.centers
+        return centers[grid.exits >= depth], centers[self._y_members(centers, depth)]
 
     def measure_estimate(self, depth: int, resolution: float) -> "HorseshoeEstimate":
         """Cell-center grid estimate of the depth-N horseshoe area.
 
         The membership predicate factors into per-axis conditions, so the
         member-cell count over the grid is the product of the per-axis
-        counts; the envelope 4 h 2^N L_N bounds the cells straddling the
-        2^{N+1} interval endpoints per axis.
+        counts: the centers whose exit time is at least N, from the
+        per-resolution exit-time cache (one orbit pass serves every
+        depth), times the centers inside the depth-N fiber cover.  The
+        envelope 4 h 2^N L_N bounds the cells straddling the 2^{N+1}
+        interval endpoints per axis.
         """
-        if depth > MEASURE_DEPTH_CAP:
-            raise SizeGuardError(f"measure depth {depth} exceeds {MEASURE_DEPTH_CAP}")
-        if resolution < MEASURE_RESOLUTION_FLOOR:
-            raise SizeGuardError(f"resolution below the floor {MEASURE_RESOLUTION_FLOOR}")
-        a = self.bowen.m.a
-        ncells = int(math.ceil(2.0 * a / resolution))
-        cell = 2.0 * a / ncells
-        centers = [-a + (i + 0.5) * cell for i in range(ncells)]
-
-        x_flags = [self._x_condition(x, depth) for x in centers]
-        y_flags = [self._y_condition(y, depth) for y in centers]
-
-        count = sum(x_flags) * sum(y_flags)
+        cell = self.exit_times(depth, resolution).cell
+        xs, ys = self.member_centers(depth, resolution)
         level = self.bowen.cc.level_measure(depth)
         return HorseshoeEstimate(
             depth=depth,
             cell=cell,
-            estimated_area=count * cell * cell,
+            estimated_area=xs.size * ys.size * cell * cell,
             exact_level_area=level * level,
             envelope=4.0 * cell * (2.0 ** depth) * level,
-            centers=centers,
-            x_flags=x_flags,
-            y_flags=y_flags,
         )
 
     # -- witnesses ------------------------------------------------------------
@@ -294,15 +333,31 @@ class PoincareSystem:
 
 
 @dataclass
+class ExitTimes:
+    """Exit times of a grid's cell centers, known through `steps` returns.
+
+    A center's exit time is the number of leading second-return iterates
+    of its orbit inside [-a, -b] u [b, a]; `exits` holds it capped at
+    `steps`, so _x_condition(x, N) holds exactly when exits >= N for every
+    N <= steps.  `orbit` holds the latest iterates of the centers still
+    inside, `alive` their indices.
+    """
+
+    cell: float
+    centers: np.ndarray = field(repr=False)
+    exits: np.ndarray = field(repr=False)
+    orbit: np.ndarray = field(repr=False)
+    alive: np.ndarray = field(repr=False)
+    steps: int = 0
+
+
+@dataclass
 class HorseshoeEstimate:
     depth: int
     cell: float
     estimated_area: float
     exact_level_area: float
     envelope: float
-    centers: list[float] = field(repr=False, default_factory=list)
-    x_flags: list[bool] = field(repr=False, default_factory=list)
-    y_flags: list[bool] = field(repr=False, default_factory=list)
 
     @property
     def within_envelope(self) -> bool:

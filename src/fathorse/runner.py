@@ -25,8 +25,14 @@ from pathlib import Path
 from . import cones as cones_mod
 from . import svgfig
 from .bowen import build_base_map, verify_surgery
-from .config import ExperimentConfig
-from .errors import DomainError, FeasibilityError, InvalidParameterError, SizeGuardError
+from .config import ExperimentConfig, validate
+from .errors import (
+    ConfigError,
+    DomainError,
+    FeasibilityError,
+    InvalidParameterError,
+    SizeGuardError,
+)
 from .fatcantor import make_construction
 from .horseshoe import make_poincare_system, suspension_volume
 from .lorenz import LorenzBranchMap
@@ -291,14 +297,10 @@ def _horseshoe_suite(
         "epsilon": ps.epsilon,
     }
     figures["image"] = _image_dataset(ps)
-    coarse = ps.measure_estimate(cfg.N, max(cfg.resolution, 2.0 * a / 160))
-    points = [
-        [x, y]
-        for x, fx in zip(coarse.centers, coarse.x_flags)
-        if fx
-        for y, fy in zip(coarse.centers, coarse.y_flags)
-        if fy
-    ]
+    coarse_resolution = max(cfg.resolution, 2.0 * a / 160)
+    coarse = ps.measure_estimate(cfg.N, coarse_resolution)
+    xs, ys = ps.member_centers(cfg.N, coarse_resolution)
+    points = [[x, y] for x in xs.tolist() for y in ys.tolist()]
     figures["horseshoe"] = {
         "half_width": a,
         "depth": cfg.N,
@@ -341,6 +343,11 @@ def _image_dataset(ps) -> dict:
 
 def run(cfg: ExperimentConfig, only: str | None = None, out_dir: str | None = None) -> int:
     """Run the enabled suites, write artifacts, return the exit code."""
+    try:
+        cfg = validate(cfg)
+    except ConfigError as exc:
+        print(f"config error: {exc}")
+        return 2
     enabled = SUITES if only is None else (only,)
     if only is not None and only not in SUITES:
         raise InvalidParameterError(f"unknown suite {only!r}; expected one of {SUITES}")

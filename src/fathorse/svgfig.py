@@ -136,8 +136,14 @@ _RENDERERS = {
 
 def render_section_svg(dataset: dict, kind: str) -> str:
     """Render one figure kind from its dataset; empty datasets give the
-    bare canvas with axes."""
+    bare canvas with axes, datasets of the wrong shape a DomainError."""
     if kind not in _RENDERERS:
         raise DomainError(f"unknown figure kind {kind!r}; expected one of {FIGURE_KINDS}")
-    body = _RENDERERS[kind](dataset or {})
+    dataset = dataset or {}
+    if not isinstance(dataset, dict):
+        raise DomainError(f"{kind} dataset must be a JSON object")
+    try:
+        body = _RENDERERS[kind](dataset)
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise DomainError(f"malformed {kind} dataset: {type(exc).__name__}: {exc}") from exc
     return _HEADER + _FRAME + _axes() + "".join(body) + _FOOTER

@@ -1,7 +1,14 @@
-import pytest
+import functools
 
-from fathorse.bowen import verify_surgery
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from fathorse.bowen import _SNAP, build_base_map, verify_surgery
 from fathorse.errors import DomainError, SingularityError
+from fathorse.fatcantor import make_construction
+from fathorse.lorenz import LorenzBranchMap
 from fathorse.rng import SplitMix64
 
 
@@ -218,3 +225,94 @@ class TestVerifySurgery:
                 half = cc.subtree_cover_length("0" + word, level)
                 full = cc.subtree_cover_length(word, level)
                 assert abs(2.0 * half - full) <= 1e-12
+
+
+# -- array kernels against their scalar oracles ------------------------------
+
+PARITY_COEFFICIENTS = (1.7, 1.8, 1.95)
+
+
+@functools.lru_cache(maxsize=None)
+def _system(c):
+    return build_base_map(make_construction(LorenzBranchMap.from_coefficient(c), 2.0))
+
+
+@pytest.fixture(scope="module", params=PARITY_COEFFICIENTS, ids=lambda c: f"c={c}")
+def bowen_c(request):
+    return _system(request.param)
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).view(np.uint64)
+
+
+def _core_probe_points(system):
+    """Random core points, every source-tree endpoint to level 10, points
+    on either side of each endpoint inside and just outside the snap, a and b."""
+    cc, b, a = system.cc, system.m.b, system.m.a
+    ends = {b, a}
+    frontier = ["0"]
+    for _ in range(11):
+        ends.update(v for w in frontier for v in cc.interval(w))
+        frontier = [w + ch for w in frontier for ch in "01"]
+    ends = np.array(sorted(ends))
+    near = [ends + k * _SNAP for k in (-2.0, -1.0, -0.5, 0.5, 1.0, 2.0)]
+    random = b + (a - b) * np.random.default_rng(5).random(2_000)
+    points = np.concatenate([ends, *near, random])
+    return points[(b <= points) & (points <= a)]
+
+
+class TestArrayKernels:
+    def test_base_values_bit_equal(self, bowen_c):
+        xs = _core_probe_points(bowen_c)
+        assert xs.size > 6 * 2**10
+        scalar = [bowen_c.base_value(float(x)) for x in xs]
+        assert np.array_equal(_bits(bowen_c.base_values(xs)), _bits(scalar))
+
+    def test_base_values_domain(self, bowen_c):
+        with pytest.raises(DomainError):
+            bowen_c.base_values(np.array([bowen_c.m.a, bowen_c.m.b / 2.0]))
+        with pytest.raises(DomainError):
+            bowen_c.base_values(np.array([bowen_c.m.a]), tol=1e-14)
+        assert bowen_c.base_values(np.array([])).size == 0
+
+    def test_spliced_map_bit_equal_on_surgery_grid(self, bowen_c):
+        # the monotone grid of verify_surgery, both branches
+        xs = np.linspace(1.0 / 20_000, 1.0, 20_000)
+        for grid in (xs, -xs[::-1]):
+            scalar = [bowen_c.modified_value(float(x)) for x in grid]
+            assert np.array_equal(_bits(bowen_c.modified_values(grid)), _bits(scalar))
+
+    def test_spliced_map_domain(self, bowen_c):
+        with pytest.raises(SingularityError):
+            bowen_c.modified_values(np.array([0.5, 0.0]))
+        with pytest.raises(DomainError):
+            bowen_c.modified_values(np.array([1.5]))
+
+    def test_second_iterates_bit_equal_on_core(self, bowen_c):
+        side = _core_probe_points(bowen_c)[::7]
+        xs = np.concatenate([side, -side])
+        scalar = [bowen_c.second_iterate(float(x)) for x in xs]
+        assert np.array_equal(_bits(bowen_c.second_iterates(xs)), _bits(scalar))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    c=st.sampled_from(PARITY_COEFFICIENTS),
+    ts=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=40),
+    ys=st.lists(st.floats(-1.0, 1.0).filter(bool), min_size=1, max_size=40),
+)
+def test_array_kernels_match_scalar_property(c, ts, ys):
+    """Random core points through B; the same points of both signs and
+    random nonzero points of [-1, 1] through the spliced map."""
+    system = _system(c)
+    b, a = system.m.b, system.m.a
+    xs = np.clip(b + (a - b) * np.array(ts), b, a)
+    assert np.array_equal(
+        _bits(system.base_values(xs)), _bits([system.base_value(float(x)) for x in xs])
+    )
+    spliced = np.concatenate([xs, -xs, ys])
+    assert np.array_equal(
+        _bits(system.modified_values(spliced)),
+        _bits([system.modified_value(float(x)) for x in spliced]),
+    )

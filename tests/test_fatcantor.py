@@ -37,6 +37,13 @@ class TestGapLengthSequence:
         with pytest.raises(InvalidParameterError):
             GapLengthSequence(first_length=0.1, exponent=1.0)
 
+    def test_half_gap_table_matches_formula(self, lorenz18):
+        # a fresh construction, so the table grows here, deepest level first
+        cc = make_construction(lorenz18, 2.0)
+        assert cc.half_gap(60) == 0.5 * cc.gaps.length(60) / 2.0 ** 60
+        for n in range(61):
+            assert cc.half_gap(n) == 0.5 * cc.gaps.length(n) / 2.0 ** n
+
 
 class TestFeasibility:
     def test_c18_p2_feasible(self, lorenz18, construction18):

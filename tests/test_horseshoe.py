@@ -1,7 +1,11 @@
+import bisect
+import math
+
+import numpy as np
 import pytest
 
 from fathorse.errors import DomainError, SingularityError, SizeGuardError
-from fathorse.horseshoe import suspension_volume
+from fathorse.horseshoe import make_poincare_system, suspension_volume
 
 
 class TestSectionMap:
@@ -156,6 +160,69 @@ class TestMeasureEstimate:
             poincare18.measure_estimate(11, 1e-3)
         with pytest.raises(SizeGuardError):
             poincare18.measure_estimate(3, 1e-6)
+
+
+def _scalar_grid(ps, resolution):
+    """Cell size and centers as the per-cell estimator computed them."""
+    a = ps.bowen.m.a
+    ncells = int(math.ceil(2.0 * a / resolution))
+    cell = 2.0 * a / ncells
+    return cell, [-a + (i + 0.5) * cell for i in range(ncells)]
+
+
+def _scalar_y_condition(ps, y, depth):
+    """Bisection over the sorted fiber intervals, as the per-cell estimator did."""
+    intervals = sorted(ps.fiber_intervals(depth).values())
+    i = bisect.bisect_right([lo for lo, _ in intervals], y) - 1
+    return i >= 0 and y <= intervals[i][1]
+
+
+class TestExitTimes:
+    def test_counts_match_scalar_conditions_at_every_depth(self, poincare18):
+        cell, centers = _scalar_grid(poincare18, 1e-3)
+        x_counts = [sum(poincare18._x_condition(x, d) for x in centers) for d in range(11)]
+        for depth in range(11):
+            y_count = sum(_scalar_y_condition(poincare18, y, depth) for y in centers)
+            est = poincare18.measure_estimate(depth, 1e-3)
+            assert est.cell == cell
+            assert est.estimated_area == x_counts[depth] * y_count * cell * cell
+        grid = poincare18.exit_times(10, 1e-3)
+        assert grid.steps == 10 and grid.centers.tolist() == centers
+        assert [np.count_nonzero(grid.exits >= d) for d in range(11)] == x_counts
+
+    def test_coarse_figure_members_unchanged(self, poincare18):
+        # the runner's horseshoe figure: depth N = 6 on a 160-cell grid
+        depth = 6
+        resolution = 2.0 * poincare18.bowen.m.a / 160
+        _, centers = _scalar_grid(poincare18, resolution)
+        expected = [
+            [x, y]
+            for x in centers
+            if poincare18._x_condition(x, depth)
+            for y in centers
+            if _scalar_y_condition(poincare18, y, depth)
+        ]
+        xs, ys = poincare18.member_centers(depth, resolution)
+        assert [[x, y] for x in xs.tolist() for y in ys.tolist()] == expected
+        assert all(poincare18.membership((x, y), depth) for x, y in expected[::97])
+
+    def test_cached_per_resolution(self, poincare18):
+        system = make_poincare_system(poincare18.bowen)
+        fine = system.exit_times(3, 1e-3)
+        coarse = system.exit_times(2, 1e-2)
+        assert (fine.steps, coarse.steps) == (3, 2)
+        assert coarse.centers.size < fine.centers.size
+        # a deeper request continues the same orbits; a shallower one reuses them
+        assert system.exit_times(8, 1e-3) is fine and fine.steps == 8
+        assert system.exit_times(5, 1e-3) is fine and fine.steps == 8
+        shared = poincare18.exit_times(8, 1e-3)  # possibly advanced further
+        assert fine.exits.tolist() == np.minimum(shared.exits, 8).tolist()
+
+    def test_y_members_accept_scalars_and_arrays(self, poincare18):
+        ys = np.linspace(-poincare18.bowen.m.a, poincare18.bowen.m.a, 301)
+        flags = poincare18._y_members(ys, 4)
+        assert flags.tolist() == [bool(poincare18._y_members(float(y), 4)) for y in ys]
+        assert flags.tolist() == [_scalar_y_condition(poincare18, float(y), 4) for y in ys]
 
 
 class TestWitness:

@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 
 from fathorse.cli import main
-from fathorse.config import ExperimentConfig, load_config
+from fathorse.config import ExperimentConfig, load_config, validate
 from fathorse.errors import ConfigError, DomainError
 from fathorse.rng import SplitMix64
 from fathorse.runner import run
@@ -82,6 +82,14 @@ class TestConfig:
     def test_invalid_values_rejected(self, tmp_path, override):
         with pytest.raises(ConfigError):
             load_config(_write(tmp_path / "c.json", {**SMALL, **override}))
+
+    def test_validate_normalizes_python_config(self):
+        cfg = validate(ExperimentConfig(c=2, N=3.0, k_list=(2.0, 3)))
+        assert cfg.c == 2.0 and isinstance(cfg.c, float)
+        assert cfg.N == 3 and isinstance(cfg.N, int)
+        assert cfg.k_list == [2, 3]
+        with pytest.raises(ConfigError):
+            validate(ExperimentConfig(resolution=None))
 
     def test_integral_floats_accepted(self, tmp_path):
         cfg = load_config(_write(tmp_path / "c.json", {"n_max": 6.0, "k_list": [2.0]}))
@@ -188,6 +196,20 @@ class TestRunner:
         cfg = ExperimentConfig(c=2.0, output_dir=str(tmp_path))
         assert run(cfg) == 2
 
+    def test_unvalidated_negative_depth_exits_two(self, tmp_path, capsys):
+        # a config built in Python skips load_config; run validates it itself
+        cfg = ExperimentConfig(N=-1, output_dir=str(tmp_path / "out"))
+        assert run(cfg, only="horseshoe") == 2
+        out = capsys.readouterr().out
+        assert out.count("\n") == 1 and "'N'" in out
+        assert not (tmp_path / "out").exists()
+
+    def test_unvalidated_empty_k_list_exits_two(self, tmp_path, capsys):
+        cfg = ExperimentConfig(k_list=[], output_dir=str(tmp_path / "out"))
+        assert run(cfg, only="cones") == 2
+        out = capsys.readouterr().out
+        assert out.count("\n") == 1 and "k_list" in out
+
     def test_n_zero_single_row(self, tmp_path):
         cfg = ExperimentConfig(
             **{**SMALL, "k_list": [2], "a_list": [0.0], "n_max": 0, "output_dir": str(tmp_path)}
@@ -241,6 +263,21 @@ class TestCli:
         dataset = _write(tmp_path / "d.json", {"b": 0.2, "strip_halfheight": 0.8})
         assert main(["render", "--input", str(dataset), "--kind", "partition"]) == 0
         assert capsys.readouterr().out.startswith("<svg")
+
+    @pytest.mark.parametrize(
+        "kind, dataset",
+        [
+            pytest.param("cones", {"slices": "x"}, id="cones-slices-string"),
+            pytest.param("partition", {"b": "x"}, id="partition-missing-key"),
+            pytest.param("horseshoe", [[0.1, 0.2]], id="top-level-list"),
+        ],
+    )
+    def test_render_malformed_dataset_exits_two(self, tmp_path, capsys, kind, dataset):
+        path = _write(tmp_path / "d.json", dataset)
+        assert main(["render", "--input", str(path), "--kind", kind]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
 
     def test_missing_config(self, tmp_path, capsys):
         assert main(["run", "--config", str(tmp_path / "absent.json")]) == 3
