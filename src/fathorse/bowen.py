@@ -35,6 +35,7 @@ __all__ = [
 ]
 
 _SNAP = 1e-14  # absolute snap distance for exact endpoint semantics
+_TOL = 1e-12  # probe-interval length below which the tree walks go affine
 _TWO_PI = 2.0 * math.pi
 
 
@@ -114,7 +115,7 @@ class BowenSystem:
     def gap_diffeo(self, word: str) -> GapDiffeo:
         return GapDiffeo(level=len(word), source=self.cc.gap("0" + word), target=self.cc.gap(word))
 
-    def _walk(self, x: float, tol: float, forward: bool):
+    def _walk(self, x: float, forward: bool):
         """Walk the paired trees (source I_{0w}, target I_w) toward x.
 
         x lies in the probe tree: the source tree for the base map
@@ -122,7 +123,7 @@ class BowenSystem:
         partner; both descend in lockstep, the source one level below the
         target.  Returns ('endpoint', partner endpoint) when x snaps to a
         probe endpoint, ('gap', diffeo) when x falls in a closed probe gap,
-        or ('deep', value, slope) once the probe interval is below tol,
+        or ('deep', value, slope) once the probe interval is below _TOL,
         with the affine partner-over-probe interpolation at x.
         """
         cc = self.cc
@@ -131,7 +132,7 @@ class BowenSystem:
             (source, target, 1, 0) if forward else (target, source, 0, 1)
         )
         n = 0
-        while phi - plo >= tol:
+        while phi - plo >= _TOL:
             if abs(x - plo) <= _SNAP:
                 return ("endpoint", qlo)
             if abs(x - phi) <= _SNAP:
@@ -148,13 +149,13 @@ class BowenSystem:
             n += 1
         return ("deep", qlo + (x - plo) * (qhi - qlo) / (phi - plo), (qhi - qlo) / (phi - plo))
 
-    def base_value(self, x: float, tol: float = 1e-12) -> float:
-        """B(x) for x in [b, a]: shifted address, evaluated to depth tol."""
-        self._check_core(x, tol)
-        kind, leaf, *_ = self._walk(x, tol, forward=True)
+    def base_value(self, x: float) -> float:
+        """B(x) for x in [b, a]: shifted address, evaluated to depth _TOL."""
+        self._check_core(x)
+        kind, leaf, *_ = self._walk(x, forward=True)
         return leaf.value(x) if kind == "gap" else leaf
 
-    def base_values(self, xs: np.ndarray, tol: float = 1e-12) -> np.ndarray:
+    def base_values(self, xs: np.ndarray) -> np.ndarray:
         """B on an array of points in [b, a], bit-equal to base_value.
 
         The forward walk of _walk for every point at once, level by level:
@@ -163,8 +164,8 @@ class BowenSystem:
         """
         xs = np.asarray(xs, dtype=float)
         if xs.size:  # the extremes decide, and a NaN reaches both
-            self._check_core(float(xs.min()), tol)
-            self._check_core(float(xs.max()), tol)
+            self._check_core(float(xs.min()))
+            self._check_core(float(xs.max()))
         cc = self.cc
         out = np.empty_like(xs)
         (plo, phi), (qlo, qhi) = cc.interval("0"), cc.interval("")
@@ -175,7 +176,7 @@ class BowenSystem:
         n = 0
         while idx.size:
             x, plo, phi, qlo, qhi = state
-            deep = phi - plo < tol
+            deep = phi - plo < _TOL
             out[idx[deep]] = (qlo + (x - plo) * (qhi - qlo) / (phi - plo))[deep]
             at_lo = ~deep & (np.abs(x - plo) <= _SNAP)
             out[idx[at_lo]] = qlo[at_lo]
@@ -198,30 +199,26 @@ class BowenSystem:
             n += 1
         return out
 
-    def base_derivative(self, x: float, tol: float = 1e-12) -> float:
+    def base_derivative(self, x: float) -> float:
         """B'(x): the gap profile inside gaps, exactly 2 at tree endpoints,
         and the interval-length ratio (tending to 2) deep on the Cantor set."""
-        self._check_core(x, tol)
-        kind, *leaf = self._walk(x, tol, forward=True)
+        self._check_core(x)
+        kind, *leaf = self._walk(x, forward=True)
         if kind == "endpoint":
             return 2.0
         if kind == "gap":
             return leaf[0].derivative(x)
         return leaf[1]
 
-    def base_invert(self, v: float, tol: float = 1e-12) -> float:
+    def base_invert(self, v: float) -> float:
         """Inverse of the base map, descending the shifted address tree."""
-        if tol < 1e-12:
-            raise DomainError("tolerance floor is 1e-12")
         a = self.cc.half_width
         if not -a <= v <= a:
             raise DomainError(f"v = {v} outside [-a, a]")
-        kind, leaf, *_ = self._walk(v, tol, forward=False)
+        kind, leaf, *_ = self._walk(v, forward=False)
         return leaf.invert(v) if kind == "gap" else leaf
 
-    def _check_core(self, x: float, tol: float) -> None:
-        if tol < 1e-12:
-            raise DomainError("tolerance floor is 1e-12")
+    def _check_core(self, x: float) -> None:
         if not self.m.b <= x <= self.m.a:
             raise DomainError(f"x = {x} outside the core interval [b, a]")
 
@@ -277,21 +274,6 @@ class BowenSystem:
     def second_iterates(self, xs: np.ndarray) -> np.ndarray:
         return self.modified_values(self.modified_values(xs))
 
-    def modified_derivative(self, x: float) -> float:
-        """One-sided at the splice points: the surgery zones are closed."""
-        if x == 0.0:
-            raise SingularityError("derivative undefined at x = 0")
-        if abs(x) > 1.0:
-            raise DomainError(f"x = {x} outside [-1, 1]")
-        if self._in_left_surgery(x):
-            v = x
-        elif self._in_left_surgery(-x):
-            v = -x  # the right zone is the odd reflection of the left one
-        else:
-            return self.m.derivative(x)
-        u = self._core_preimage(v)
-        return self.base_derivative(u) / self.m.derivative(u)
-
     def invert_right(self, y: float) -> float:
         """Inverse of the spliced map's right branch on (-1, f(1)].
 
@@ -324,7 +306,7 @@ class BowenSystem:
         its image [f(b), -a] lies in the left surgery zone, so the
         second factor is always the h-branch derivative.
         """
-        self._check_core(x, 1e-12)
+        self._check_core(x)
         u = self._core_preimage(self.m.value(x))
         return self.m.derivative(x) * self.base_derivative(u) / self.m.derivative(u)
 
@@ -358,14 +340,23 @@ class SurgeryReport:
         return all(d2 < d1 for d1, d2 in zip(devs[1:], devs[2:]))
 
     @property
-    def all_pass(self) -> bool:
+    def checks(self) -> tuple[tuple[str, float, float, bool], ...]:
+        """One (id, value, bound, pass) record per surgery condition."""
+        formula_err = max(lv.formula_err for lv in self.levels)
+        splice = max(self.splice_margins.values())
+        endpoint = self.endpoint_max_dev
+        decreasing = self.sup_strictly_decreasing
         return (
-            all(lv.formula_err <= 1e-9 for lv in self.levels)
-            and self.endpoint_max_dev <= 1e-9
-            and all(m <= 1e-10 for m in self.splice_margins.values())
-            and self.monotone_ok
-            and self.sup_strictly_decreasing
+            ("surgery_sup_formula", formula_err, 1e-9, formula_err <= 1e-9),
+            ("surgery_endpoint_slope", endpoint, 1e-9, endpoint <= 1e-9),
+            ("surgery_splice_continuity", splice, 1e-10, splice <= 1e-10),
+            ("surgery_monotone", float(self.monotone_ok), 1.0, self.monotone_ok),
+            ("surgery_sup_decreasing", float(decreasing), 1.0, decreasing),
         )
+
+    @property
+    def all_pass(self) -> bool:
+        return all(ok for *_, ok in self.checks)
 
 
 def _sample_words(n: int) -> list[str]:

@@ -12,6 +12,7 @@ approach slope 2 uniformly.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -28,19 +29,20 @@ __all__ = [
 ]
 
 LEVEL_MEASURE_CAP = 30
+ZETA_TERMS = 200_000  # partial-sum length of zeta_value
 
 
-def zeta_value(p: float, terms: int = 200_000) -> float:
+def zeta_value(p: float) -> float:
     """zeta(p) for p > 1 by partial sum plus an Euler-Maclaurin remainder.
 
     The correction integral term M^{1-p}/(p-1) - M^{-p}/2 + p M^{-p-1}/12
     bounds the truncation error by O(M^{-p-3}), far below double rounding
-    for the default number of terms.
+    for M = ZETA_TERMS terms.
     """
     if p <= 1.0:
         raise InvalidParameterError(f"gap exponent must exceed 1 for a summable series, got {p}")
-    partial = math.fsum(m ** -p for m in range(1, terms + 1))
-    m = float(terms)
+    partial = math.fsum(m ** -p for m in range(1, ZETA_TERMS + 1))
+    m = float(ZETA_TERMS)
     remainder = m ** (1.0 - p) / (p - 1.0) - 0.5 * m ** -p + p / 12.0 * m ** (-p - 1.0)
     return partial + remainder
 
@@ -66,8 +68,13 @@ class GapLengthSequence:
     def partial_sum(self, count: int) -> float:
         return math.fsum(self.length(n) for n in range(count))
 
+    @functools.cached_property
+    def zeta(self) -> float:
+        """zeta(exponent), summed once per sequence."""
+        return zeta_value(self.exponent)
+
     def total(self) -> float:
-        return self.first_length * zeta_value(self.exponent)
+        return self.first_length * self.zeta
 
     def ratio(self, n: int) -> float:
         """gap(n+1)/gap(n) = ((n+1)/(n+2))^p, increasing to 1."""
@@ -213,12 +220,12 @@ def make_construction(m: LorenzBranchMap, p: float) -> CantorConstruction:
     Raises FeasibilityError when the gap series would exceed the ambient
     length, i.e. unless zeta(p) < a/b.
     """
-    z = zeta_value(p)
+    gaps = GapLengthSequence(first_length=2.0 * m.b, exponent=p)
+    z = gaps.zeta
     ratio = m.a / m.b
     if z >= ratio:
         raise FeasibilityError(
             f"gap series too long: zeta({p}) = {z:.6f} >= a/b = {ratio:.6f}; "
             f"the construction needs zeta(p) < a/b"
         )
-    gaps = GapLengthSequence(first_length=2.0 * m.b, exponent=p)
     return CantorConstruction(half_width=m.a, gaps=gaps, source_map=m)

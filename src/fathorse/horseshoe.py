@@ -43,6 +43,7 @@ __all__ = [
 FIBER_DEPTH_CAP = 12
 MEASURE_DEPTH_CAP = 10
 MEASURE_RESOLUTION_FLOOR = 1e-5
+WITNESS_SEARCH_LEVEL = 40  # deepest gap level the witness search descends to
 
 
 @dataclass
@@ -243,12 +244,7 @@ class PoincareSystem:
     # -- witnesses ------------------------------------------------------------
 
     def vertical_gap_witness(
-        self,
-        sample_count: int,
-        eps: float,
-        seed: int,
-        depth: int = 6,
-        max_search_level: int = 40,
+        self, sample_count: int, eps: float, seed: int, depth: int = 6
     ) -> "WitnessReport":
         """Certify that no vertical eps-segment lies in the horseshoe.
 
@@ -257,7 +253,9 @@ class PoincareSystem:
         is descended until a removed gap sits within eps, and the nudged
         gap point is re-tested as a non-member (at the gap's own depth if
         that exceeds the sampling depth: the failure certificate concerns
-        the full intersection, whose covers shrink with depth).
+        the full intersection, whose covers shrink with depth).  The
+        sample already passed the x-condition at the sampling depth, so
+        only a deeper gap re-runs the x-orbit.
         """
         b = self.bowen.m.b
         if not eps < b:
@@ -279,7 +277,7 @@ class PoincareSystem:
                 continue
             found = None
             word = ""
-            for level in range(max_search_level + 1):
+            for level in range(WITNESS_SEARCH_LEVEL + 1):
                 glo, ghi = cc.gap(word)
                 if y < glo:
                     dist = glo - y
@@ -290,8 +288,10 @@ class PoincareSystem:
                 else:
                     dist = 0.0
                     inside = min(max(y, glo + 0.25 * (ghi - glo)), ghi - 0.25 * (ghi - glo))
-                if inside is not None and not self.membership(
-                    (x, inside), max(depth, level + 1)
+                deep = max(depth, level + 1)
+                if inside is not None and not (
+                    (deep == depth or self._x_condition(x, deep))
+                    and self._y_members(inside, deep)
                 ):
                     found = WitnessRecord(i, x, y, inside, level, None)
                     max_level_used = max(max_level_used, level)
@@ -360,8 +360,13 @@ class HorseshoeEstimate:
     envelope: float
 
     @property
+    def excess(self) -> float:
+        """How far the estimate's error exceeds the envelope; <= 0 passes."""
+        return abs(self.estimated_area - self.exact_level_area) - self.envelope
+
+    @property
     def within_envelope(self) -> bool:
-        return abs(self.estimated_area - self.exact_level_area) <= self.envelope
+        return self.excess <= 0.0
 
 
 @dataclass(frozen=True)

@@ -17,6 +17,7 @@ digits and LF line endings so repeated runs are byte-identical.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 from fractions import Fraction
@@ -170,22 +171,8 @@ def _fatcantor_suite(cfg: ExperimentConfig, out: Path, checks: _Checks, cc) -> N
 def _bowen_suite(cfg: ExperimentConfig, out: Path, checks: _Checks, cc) -> object:
     system = build_base_map(cc)
     report = verify_surgery(system, max_level=min(10, cfg.level_max), monotone_grid=20_000)
-    formula_err = max(lv.formula_err for lv in report.levels)
-    checks.add("surgery_sup_formula", formula_err, 1e-9, formula_err <= 1e-9)
-    checks.add(
-        "surgery_endpoint_slope", report.endpoint_max_dev, 1e-9, report.endpoint_max_dev <= 1e-9
-    )
-    splice = max(report.splice_margins.values())
-    checks.add("surgery_splice_continuity", splice, 1e-10, splice <= 1e-10)
-    checks.add(
-        "surgery_monotone", 1.0 if report.monotone_ok else 0.0, 1.0, report.monotone_ok
-    )
-    checks.add(
-        "surgery_sup_decreasing",
-        1.0 if report.sup_strictly_decreasing else 0.0,
-        1.0,
-        report.sup_strictly_decreasing,
-    )
+    for record in report.checks:
+        checks.add(*record)
     payload = {
         "constants": {
             "c": system.m.c,
@@ -196,22 +183,7 @@ def _bowen_suite(cfg: ExperimentConfig, out: Path, checks: _Checks, cc) -> objec
             "gap_exponent": cc.gaps.exponent,
             "limit_measure": cc.limit_measure(),
         },
-        "levels": [
-            {
-                "n": lv.n,
-                "sup_dev": lv.sup_dev,
-                "expected_dev": lv.expected_dev,
-                "formula_err": lv.formula_err,
-                "words_sampled": lv.words_sampled,
-            }
-            for lv in report.levels
-        ],
-        "endpoint_count": report.endpoint_count,
-        "endpoint_max_dev": report.endpoint_max_dev,
-        "splice_margins": report.splice_margins,
-        "monotone_ok": report.monotone_ok,
-        "max_grid_jump": report.max_grid_jump,
-        "grid_size": report.grid_size,
+        **dataclasses.asdict(report),
     }
     _write_json(out / "surgery.json", payload)
     return system
@@ -240,9 +212,7 @@ def _horseshoe_suite(
         rows.append(
             [depth, estimate.estimated_area, estimate.exact_level_area, estimate.envelope]
         )
-        worst_gap = max(
-            worst_gap, abs(estimate.estimated_area - estimate.exact_level_area) - estimate.envelope
-        )
+        worst_gap = max(worst_gap, estimate.excess)
         positive = positive and estimate.estimated_area > 0.0
     _write_csv(out / "horseshoe.csv", ["N", "estimate", "exact_product", "envelope"], rows)
     checks.add("horseshoe_envelope_excess", worst_gap, 0.0, worst_gap <= 0.0)
@@ -313,10 +283,8 @@ def _horseshoe_suite(
 def _image_dataset(ps) -> dict:
     bw = ps.bowen
     b, fb, c = bw.m.b, bw.fb, bw.m.c
-    y_cap = ps.strip_halfheight
-    g_top, g_bot = bw.invert_right(y_cap), bw.invert_right(-y_cap)
-    hook_top = g_top + ps._mu_top * (1.0 - y_cap)
-    hook_bot = g_bot - ps._mu_bot * (1.0 - y_cap)
+    g_top, g_bot = ps._g_top, ps._g_bot
+    hook_top, hook_bot = ps._oriented_fiber(1.0), ps._oriented_fiber(-1.0)
     mid = 0.5 * (g_top + g_bot)
     cap = []
     steps = 48

@@ -153,6 +153,7 @@ class TestMeasureEstimate:
     def test_within_envelope(self, poincare18, depth):
         est = poincare18.measure_estimate(depth, 1e-3)
         assert est.within_envelope
+        assert est.excess <= 0.0
         assert est.estimated_area > 0.0
 
     def test_guards(self, poincare18):
@@ -248,6 +249,19 @@ class TestWitness:
     def test_gap_point_trivially_non_member(self, poincare18, construction18):
         glo, ghi = construction18.gap("0")
         assert not poincare18.membership((poincare18.bowen.m.a, 0.5 * (glo + ghi)), 2)
+
+    @pytest.mark.parametrize("depth", [2, 6, 10])
+    def test_witnesses_are_scalar_non_members(self, poincare18, depth):
+        # the search skips the sample's x-orbit at its own depth; the
+        # scalar membership oracle re-runs it
+        eps = poincare18.bowen.cc.gaps.length(3) / 16.0
+        for seed in (1, 2, 3):
+            report = poincare18.vertical_gap_witness(100, eps, seed=seed, depth=depth)
+            assert not report.failures
+            assert len(report.records) == 100
+            for rec in report.records:
+                deep = max(depth, rec.gap_level + 1)
+                assert not poincare18.membership((rec.x, rec.witness_y), deep)
 
     def test_deterministic_given_seed(self, poincare18):
         eps = poincare18.bowen.cc.gaps.length(3) / 16.0

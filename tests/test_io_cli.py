@@ -1,13 +1,19 @@
+import contextlib
+import io
 import json
+import math
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fathorse.cli import main
 from fathorse.config import ExperimentConfig, load_config, validate
 from fathorse.errors import ConfigError, DomainError
 from fathorse.rng import SplitMix64
-from fathorse.runner import run
+from fathorse.runner import SUITES, run
 from fathorse.svgfig import render_section_svg
 
 
@@ -301,3 +307,95 @@ class TestCli:
         assert (override / "fatcantor.csv").is_file()
         assert not (tmp_path / "ignored").exists()
         capsys.readouterr()
+
+
+# -- property tests of the run() contract -------------------------------------
+
+_NON_INTEGRAL = st.floats(-50.0, 50.0).filter(lambda v: v != int(v))
+_NOT_A_NUMBER = st.one_of(
+    st.booleans(), st.none(), st.text(max_size=3), st.sampled_from([math.nan, math.inf, -math.inf])
+)
+
+# (key, value) pairs that config.validate rejects
+_REJECTED = st.one_of(
+    st.tuples(st.sampled_from(("c", "p", "resolution", "delta")), _NOT_A_NUMBER),
+    st.tuples(
+        st.sampled_from(("n_max", "level_max", "N")),
+        st.one_of(st.integers(max_value=-1), _NON_INTEGRAL, _NOT_A_NUMBER),
+    ),
+    st.tuples(st.just("seed"), st.one_of(_NON_INTEGRAL, _NOT_A_NUMBER)),
+    st.tuples(
+        st.sampled_from(("k_list", "a_list")),
+        st.one_of(st.just([]), _NOT_A_NUMBER, st.lists(_NOT_A_NUMBER, min_size=1, max_size=3)),
+    ),
+    st.tuples(st.just("k_list"), st.lists(_NON_INTEGRAL, min_size=1, max_size=3)),
+    st.tuples(st.just("output_dir"), st.one_of(st.integers(), st.none())),
+)
+
+# (suite, key, value) triples that validate accepts but the suite rejects
+_INFEASIBLE = st.one_of(
+    st.tuples(st.just("cones"), st.just("k_list"), st.lists(st.integers(-3, 1), min_size=1, max_size=2)),
+    st.tuples(
+        st.just("cones"),
+        st.just("a_list"),
+        st.lists(st.floats(1.0, 5.0) | st.floats(-5.0, -1.0), min_size=1, max_size=2),
+    ),
+    st.tuples(st.just("fatcantor"), st.just("c"), st.floats(-5.0, 1.5) | st.floats(2.0, 5.0)),
+    st.tuples(st.just("fatcantor"), st.just("p"), st.floats(-5.0, 1.5)),
+)
+
+_SMALL_VALID = st.fixed_dictionaries(
+    {
+        "c": st.floats(1.6, 1.95),
+        "p": st.floats(2.0, 4.0),
+        "k_list": st.lists(st.integers(2, 6), min_size=1, max_size=2),
+        "a_list": st.lists(st.floats(-0.95, 0.95), min_size=1, max_size=2),
+        "n_max": st.integers(0, 6),
+        "level_max": st.integers(0, 20),
+    }
+)
+
+
+def _run_quietly(cfg: ExperimentConfig, only: str, out: Path) -> tuple[int, str]:
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = run(cfg, only=only, out_dir=str(out))
+    return code, buf.getvalue()
+
+
+def _artifacts(out: Path) -> dict[str, bytes]:
+    return {p.relative_to(out).as_posix(): p.read_bytes() for p in out.rglob("*") if p.is_file()}
+
+
+class TestRunProperties:
+    @settings(max_examples=40, deadline=None)
+    @given(_REJECTED, st.sampled_from(SUITES))
+    def test_rejected_config_exits_two_with_one_line(self, override, only):
+        key, value = override
+        with tempfile.TemporaryDirectory() as tmp:
+            out = Path(tmp) / "out"
+            code, printed = _run_quietly(ExperimentConfig(**{**SMALL, key: value}), only, out)
+            assert code == 2
+            assert printed.count("\n") == 1 and printed.startswith("config error:")
+            assert not out.exists()
+
+    @settings(max_examples=15, deadline=None)
+    @given(_INFEASIBLE)
+    def test_infeasible_parameters_exit_two_with_one_line(self, case):
+        only, key, value = case
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg = ExperimentConfig(**{**SMALL, key: value})
+            code, printed = _run_quietly(cfg, only, Path(tmp))
+            assert code == 2
+            assert printed.count("\n") == 1
+
+    @settings(max_examples=10, deadline=None)
+    @given(_SMALL_VALID, st.sampled_from(("cones", "fatcantor")))
+    def test_valid_config_reruns_byte_identical(self, values, only):
+        with tempfile.TemporaryDirectory() as tmp:
+            outs = [Path(tmp) / "first", Path(tmp) / "second"]
+            cfg = ExperimentConfig(**{**SMALL, **values})
+            codes = [_run_quietly(cfg, only, out)[0] for out in outs]
+            assert codes[0] in (0, 1) and codes[1] == codes[0]
+            first = _artifacts(outs[0])
+            assert first and first == _artifacts(outs[1])
