@@ -43,6 +43,10 @@ def _sin(t):
     return np.sin(t) if isinstance(t, np.ndarray) else math.sin(t)
 
 
+def _cos(t):
+    return np.cos(t) if isinstance(t, np.ndarray) else math.cos(t)
+
+
 @dataclass(frozen=True)
 class GapDiffeo:
     """Orientation-preserving diffeomorphism between two centered gaps.
@@ -50,8 +54,8 @@ class GapDiffeo:
     Normalized source coordinate t in [0, 1]; the derivative profile is
     phi(t) = 2 + 2 (s - 2) sin^2(pi t) with s the mean slope, so both
     endpoint slopes are exactly 2 and the integral of phi is s, which
-    makes the image cover the target gap exactly.  `value` also takes
-    arrays, with one source and target gap per point.
+    makes the image cover the target gap exactly.  `value` and `invert`
+    also take arrays, with one source and target gap per point.
     """
 
     level: int
@@ -65,14 +69,9 @@ class GapDiffeo:
     def _t(self, x: float) -> float:
         return (x - self.source[0]) / (self.source[1] - self.source[0])
 
-    def _profile_integral(self, t: float) -> float:
-        """Integral of phi over [0, t], normalized so that value(1) = 1."""
-        s = self.mean_slope
-        return (2.0 * t + (s - 2.0) * (t - _sin(_TWO_PI * t) / _TWO_PI)) / s
-
     def value(self, x: float) -> float:
         t = self._t(x)
-        return self.target[0] + (self.target[1] - self.target[0]) * self._profile_integral(t)
+        return self.target[0] + (self.target[1] - self.target[0]) * _integral(t, self.mean_slope)
 
     def derivative(self, x: float) -> float:
         s = self.mean_slope
@@ -80,22 +79,63 @@ class GapDiffeo:
         return 2.0 + (s - 2.0) * (1.0 - math.cos(_TWO_PI * t))
 
     def invert(self, y: float) -> float:
-        """Newton with a bisection bracket on the normalized coordinate."""
+        """Newton with a bisection bracket on the normalized coordinate.
+
+        The stop |err| < 1e-16 lies below one ulp of tau (2^-53) for
+        tau > 1/2, so there it asks for an exact zero.  An iteration that
+        settles one ulp off never meets it and runs the whole 80-step
+        budget: about 16 % of the calls of fiber_contraction_report.  The
+        budget stays, because a different stop moves report.json.  On
+        arrays each element follows the scalar iteration step by step and
+        leaves it where the scalar loop breaks.
+        """
         s = self.mean_slope
         tau = (y - self.target[0]) / (self.target[1] - self.target[0])
-        t, lo, hi = min(max(tau, 0.0), 1.0), 0.0, 1.0
-        for _ in range(80):
-            err = self._profile_integral(t) - tau
-            if abs(err) < 1e-16:
-                break
-            if err > 0.0:
-                hi = t
-            else:
-                lo = t
-            slope = (2.0 + (s - 2.0) * (1.0 - math.cos(_TWO_PI * t))) / s
-            step = t - err / slope
-            t = step if lo < step < hi else 0.5 * (lo + hi)
+        if isinstance(tau, np.ndarray):
+            t = _invert_profile(s, tau)
+        else:
+            t, lo, hi = min(max(tau, 0.0), 1.0), 0.0, 1.0
+            for _ in range(80):
+                err = _integral(t, s) - tau
+                if abs(err) < 1e-16:
+                    break
+                if err > 0.0:
+                    hi = t
+                else:
+                    lo = t
+                step = t - err / _normalized_slope(t, s)
+                t = step if lo < step < hi else 0.5 * (lo + hi)
         return self.source[0] + (self.source[1] - self.source[0]) * t
+
+
+def _integral(t, s):
+    """Integral of phi over [0, t] divided by the mean slope s, so 1 at t = 1."""
+    return (2.0 * t + (s - 2.0) * (t - _sin(_TWO_PI * t) / _TWO_PI)) / s
+
+
+def _normalized_slope(t, s):
+    return (2.0 + (s - 2.0) * (1.0 - _cos(_TWO_PI * t))) / s
+
+
+def _invert_profile(s: np.ndarray, tau: np.ndarray) -> np.ndarray:
+    """GapDiffeo.invert's Newton-bisection on arrays, one element per gap."""
+    t = np.clip(tau, 0.0, 1.0)
+    out = t.copy()
+    idx = np.arange(t.size)
+    lo, hi = np.zeros_like(t), np.ones_like(t)
+    for _ in range(80):
+        err = _integral(t, s) - tau
+        go = ~(np.abs(err) < 1e-16)
+        out[idx[~go]] = t[~go]
+        t, tau, s, lo, hi, err, idx = t[go], tau[go], s[go], lo[go], hi[go], err[go], idx[go]
+        if not idx.size:
+            return out
+        above = err > 0.0
+        hi, lo = np.where(above, t, hi), np.where(above, lo, t)
+        step = t - err / _normalized_slope(t, s)
+        t = np.where((lo < step) & (step < hi), step, 0.5 * (lo + hi))
+    out[idx] = t
+    return out
 
 
 @dataclass
@@ -156,23 +196,36 @@ class BowenSystem:
         return leaf.value(x) if kind == "gap" else leaf
 
     def base_values(self, xs: np.ndarray) -> np.ndarray:
-        """B on an array of points in [b, a], bit-equal to base_value.
-
-        The forward walk of _walk for every point at once, level by level:
-        the same endpoint snap, closed-gap test and deep affine tail, with
-        the half gaps read from the construction's per-level table.
-        """
+        """B on an array of points in [b, a], bit-equal to base_value."""
         xs = np.asarray(xs, dtype=float)
         if xs.size:  # the extremes decide, and a NaN reaches both
             self._check_core(float(xs.min()))
             self._check_core(float(xs.max()))
+        out, gap, diffeo = self._walks(xs, forward=True)
+        out[gap] = diffeo.value(xs[gap])
+        return out
+
+    def _walks(self, xs: np.ndarray, forward: bool):
+        """_walk for every point of an array at once, level by level.
+
+        The same endpoint snap, closed-gap test and deep affine tail, with
+        the half gaps read from the construction's per-level table.
+        Returns the values of the endpoint and deep points, the indices of
+        the points in gaps, and one GapDiffeo over the gaps of all levels,
+        which the caller applies once.
+        """
         cc = self.cc
         out = np.empty_like(xs)
-        (plo, phi), (qlo, qhi) = cc.interval("0"), cc.interval("")
+        (plo, phi), (qlo, qhi), dp, dq = (
+            (cc.interval("0"), cc.interval(""), 1, 0) if forward
+            else (cc.interval(""), cc.interval("0"), 0, 1)
+        )
         # rows: x, probe interval (plo, phi), partner interval (qlo, qhi)
         state = np.array([xs, np.full_like(xs, plo), np.full_like(xs, phi),
                           np.full_like(xs, qlo), np.full_like(xs, qhi)])
         idx = np.arange(xs.size)
+        # per point in a gap: its level and the probe and partner gap ends
+        levels, ends = np.full(xs.size, -1), np.empty((4, xs.size))
         n = 0
         while idx.size:
             x, plo, phi, qlo, qhi = state
@@ -182,22 +235,24 @@ class BowenSystem:
             out[idx[at_lo]] = qlo[at_lo]
             at_hi = ~deep & ~at_lo & (np.abs(x - phi) <= _SNAP)
             out[idx[at_hi]] = qhi[at_hi]
-            center, half = 0.5 * (plo + phi), cc.half_gap(n + 1)
+            center, half = 0.5 * (plo + phi), cc.half_gap(n + dp)
             glo, ghi = center - half, center + half
-            center, half = 0.5 * (qlo + qhi), cc.half_gap(n)
+            center, half = 0.5 * (qlo + qhi), cc.half_gap(n + dq)
             tlo, thi = center - half, center + half
             walking = ~(deep | at_lo | at_hi)
             gap = walking & (glo <= x) & (x <= ghi)
-            if gap.any():
-                diffeo = GapDiffeo(n, (glo[gap], ghi[gap]), (tlo[gap], thi[gap]))
-                out[idx[gap]] = diffeo.value(x[gap])
+            levels[idx[gap]] = n
+            ends[:, idx[gap]] = np.array([glo, ghi, tlo, thi])[:, gap]
             right = x > ghi
             state = np.array([x, np.where(right, ghi, plo), np.where(right, phi, glo),
                               np.where(right, thi, qlo), np.where(right, qhi, tlo)])
             walking &= ~gap
             state, idx = state[:, walking], idx[walking]
             n += 1
-        return out
+        gap = np.flatnonzero(levels >= 0)
+        plo, phi, qlo, qhi = ends[:, gap]
+        source, target = ((plo, phi), (qlo, qhi)) if forward else ((qlo, qhi), (plo, phi))
+        return out, gap, GapDiffeo(level=levels[gap], source=source, target=target)
 
     def base_derivative(self, x: float) -> float:
         """B'(x): the gap profile inside gaps, exactly 2 at tree endpoints,
@@ -212,15 +267,30 @@ class BowenSystem:
 
     def base_invert(self, v: float) -> float:
         """Inverse of the base map, descending the shifted address tree."""
-        a = self.cc.half_width
-        if not -a <= v <= a:
-            raise DomainError(f"v = {v} outside [-a, a]")
+        self._check_target(v)
         kind, leaf, *_ = self._walk(v, forward=False)
         return leaf.invert(v) if kind == "gap" else leaf
+
+    def base_inverts(self, vs: np.ndarray) -> np.ndarray:
+        """The inverse base map on an array of points in [-a, a], bit-equal
+        to base_invert: the inverse walk of _walks, then one Newton-bisection
+        over the gap hits of every level."""
+        vs = np.asarray(vs, dtype=float)
+        if vs.size:
+            self._check_target(float(vs.min()))
+            self._check_target(float(vs.max()))
+        out, gap, diffeo = self._walks(vs, forward=False)
+        out[gap] = diffeo.invert(vs[gap])
+        return out
 
     def _check_core(self, x: float) -> None:
         if not self.m.b <= x <= self.m.a:
             raise DomainError(f"x = {x} outside the core interval [b, a]")
+
+    def _check_target(self, v: float) -> None:
+        a = self.cc.half_width
+        if not -a <= v <= a:
+            raise DomainError(f"v = {v} outside [-a, a]")
 
     # -- spliced map ----------------------------------------------------------
 
@@ -294,6 +364,22 @@ class BowenSystem:
         if -a < y < a:
             return -self.m.value(self.base_invert(-y))
         return self.m.invert_right(y)
+
+    def invert_rights(self, ys: np.ndarray) -> np.ndarray:
+        """invert_right on an array, bit-equal to it: the analytic branch,
+        the reflected surgery through base_inverts on (-a, a), and the
+        three snapped constants."""
+        ys = np.asarray(ys, dtype=float)
+        c, a, fb = self.m.c, self.m.a, self.fb
+        bad = (ys <= -1.0) | (ys > (c - 1.0) + 1e-12)
+        if bad.any():
+            raise DomainError(f"y = {ys[bad][0]} outside the right-branch range")
+        t = (np.minimum(ys, c - 1.0) + 1.0) / c
+        out = t * t
+        core = (-a < ys) & (ys < a)
+        out[core] = -(c * np.sqrt(self.base_inverts(-ys[core])) - 1.0)
+        snaps = [np.abs(ys + a) <= _SNAP, np.abs(ys - a) <= _SNAP, np.abs(ys - fb) <= _SNAP]
+        return np.select(snaps, [a, -fb, self.m.b], out)
 
     def second_iterate(self, x: float) -> float:
         return self.modified_value(self.modified_value(x))

@@ -17,7 +17,12 @@ x axis it records each cell center's exit time, the number of leading
 second-return iterates inside [-a, -b] u [b, a], in one vectorized pass
 per resolution that advances only as far as the deepest depth asked for;
 the x-condition at depth N is then exit >= N for every such N at once.
-On the y axis it binary-searches the sorted fiber cover.
+On the y axis it binary-searches the sorted fiber cover.  Array
+membership and the vertical-gap witness run their points' exit times
+through the same ExitTimes step, and the fiber contraction report takes
+its central differences through the array inverse of the right branch.
+The scalar membership, _x_condition and fiber_intervals stay as the
+oracles of these array paths.
 """
 
 from __future__ import annotations
@@ -187,27 +192,44 @@ class PoincareSystem:
             a = self.bowen.m.a
             ncells = int(math.ceil(2.0 * a / resolution))
             cell = 2.0 * a / ncells
-            centers = -a + (np.arange(ncells) + 0.5) * cell
-            alive = np.arange(ncells)
-            grid = ExitTimes(cell, centers, np.zeros(ncells, dtype=int), centers, alive)
+            grid = ExitTimes(-a + (np.arange(ncells) + 0.5) * cell, cell)
             self._exit_cache[resolution] = grid
-        a, b = self.bowen.m.a, self.bowen.m.b
-        while grid.steps < depth:
-            if grid.steps:
-                grid.orbit = self.bowen.second_iterates(grid.orbit)
-            inside = (b <= np.abs(grid.orbit)) & (np.abs(grid.orbit) <= a)
-            grid.orbit, grid.alive = grid.orbit[inside], grid.alive[inside]
-            grid.steps += 1
-            grid.exits[grid.alive] = grid.steps
-        return grid
+        return grid.advance(self.bowen, depth)
 
-    def membership(self, point: tuple[float, float], depth: int) -> bool:
-        """Finite-depth horseshoe membership on the core square."""
+    def membership(self, point, depth: int):
+        """Finite-depth horseshoe membership on the core square.
+
+        `point` is (x, y) with floats, or with equal-length arrays, for
+        which the result is a boolean array: the x-orbits advance together
+        through one ExitTimes (x may be an ExitTimes over the points, whose
+        orbits then continue from its last step), and y is tested only
+        where the x-condition holds, as the scalar `and` evaluates.
+        """
         x, y = point
+        orbits = x if isinstance(x, ExitTimes) else None
+        if orbits is not None:
+            x = orbits.centers
         a = self.bowen.m.a
-        if abs(x) > a or abs(y) > a:
-            raise DomainError(f"point {point} outside the core square")
-        return self._x_condition(x, depth) and bool(self._y_members(y, depth))
+        if np.ndim(x) == 0:
+            if abs(x) > a or abs(y) > a:
+                raise DomainError(f"point {point} outside the core square")
+            return self._x_condition(x, depth) and bool(self._y_members(y, depth))
+        x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+        outside = (np.abs(x) > a) | (np.abs(y) > a)
+        if outside.any():
+            i = np.argmax(outside)
+            raise DomainError(f"point {(float(x[i]), float(y[i]))} outside the core square")
+        if orbits is None:
+            orbits = ExitTimes(x)
+        return self._members(orbits, np.arange(x.size), y, depth)
+
+    def _members(self, orbits: "ExitTimes", which: np.ndarray, ys: np.ndarray, depth: int):
+        """Membership of the points (orbits.centers[which], ys): the exit
+        times first, then y where they reach the depth."""
+        ok = orbits.advance(self.bowen, depth).exits[which] >= depth
+        if ok.any():
+            ok[ok] = self._y_members(ys[ok], depth)
+        return ok
 
     def member_centers(self, depth: int, resolution: float) -> tuple[np.ndarray, np.ndarray]:
         """Grid centers passing the depth-N x-condition and y-condition.
@@ -249,65 +271,74 @@ class PoincareSystem:
         """Certify that no vertical eps-segment lies in the horseshoe.
 
         Members of the depth-N set are sampled from the product cover with
-        the seeded splitmix64 stream; for each, the interval tree under y
-        is descended until a removed gap sits within eps, and the nudged
-        gap point is re-tested as a non-member (at the gap's own depth if
-        that exceeds the sampling depth: the failure certificate concerns
-        the full intersection, whose covers shrink with depth).  The
-        sample already passed the x-condition at the sampling depth, so
-        only a deeper gap re-runs the x-orbit.
+        the seeded splitmix64 stream, drawn one sample at a time in stream
+        order and then tested together by one array membership call.  For
+        every member at once, the interval tree under y is descended level
+        by level until a removed gap sits within eps, and the nudged gap
+        point is re-tested as a non-member (at the gap's own depth if that
+        exceeds the sampling depth: the failure certificate concerns the
+        full intersection, whose covers shrink with depth).  A deeper test
+        continues the samples' exit times from the sampling depth.
         """
         b = self.bowen.m.b
         if not eps < b:
             raise DomainError(f"eps = {eps} must stay below the gap scale b = {b}")
         cc = self.bowen.cc
         rng = SplitMix64(seed)
-        records = []
-        failures = []
-        max_level_used = 0
-        for i in range(sample_count):
+        xs, ys = [], []
+        for _ in range(sample_count):
             wx, wy = rng.bits(depth), rng.bits(depth)
             ux, uy = rng.random(), rng.random()
             xlo, xhi = cc.interval(wx)
             ylo, yhi = cc.interval(wy)
-            x = xlo + ux * (xhi - xlo)
-            y = ylo + uy * (yhi - ylo)
-            if not self.membership((x, y), depth):
-                failures.append(WitnessRecord(i, x, y, None, None, "sample not a member"))
-                continue
-            found = None
-            word = ""
-            for level in range(WITNESS_SEARCH_LEVEL + 1):
-                glo, ghi = cc.gap(word)
-                if y < glo:
-                    dist = glo - y
-                    inside = glo + 0.5 * min(ghi - glo, eps - dist) if dist < eps else None
-                elif y > ghi:
-                    dist = y - ghi
-                    inside = ghi - 0.5 * min(ghi - glo, eps - dist) if dist < eps else None
-                else:
-                    dist = 0.0
-                    inside = min(max(y, glo + 0.25 * (ghi - glo)), ghi - 0.25 * (ghi - glo))
+            xs.append(xlo + ux * (xhi - xlo))
+            ys.append(ylo + uy * (yhi - ylo))
+        orbits = ExitTimes(np.array(xs, dtype=float))
+        ys = np.array(ys, dtype=float)
+        member = self.membership((orbits, ys), depth)
+
+        witness_y, gap_level = np.empty(ys.size), np.full(ys.size, -1)
+        pending = np.flatnonzero(member)  # members still descending
+        lo, hi = cc.interval("")
+        lo, hi = np.full(pending.size, lo), np.full(pending.size, hi)
+        for level in range(WITNESS_SEARCH_LEVEL + 1):
+            if not pending.size:
+                break
+            y = ys[pending]
+            center, half = 0.5 * (lo + hi), cc.half_gap(level)
+            glo, ghi = center - half, center + half
+            below, above = y < glo, y > ghi
+            dist = np.where(below, glo - y, y - ghi)
+            nudge, quarter = 0.5 * np.minimum(ghi - glo, eps - dist), 0.25 * (ghi - glo)
+            clamped = np.minimum(np.maximum(y, glo + quarter), ghi - quarter)
+            inside = np.where(below, glo + nudge, np.where(above, ghi - nudge, clamped))
+            near = np.flatnonzero(~(below | above) | (dist < eps))
+            if near.size:
                 deep = max(depth, level + 1)
-                if inside is not None and not (
-                    (deep == depth or self._x_condition(x, deep))
-                    and self._y_members(inside, deep)
-                ):
-                    found = WitnessRecord(i, x, y, inside, level, None)
-                    max_level_used = max(max_level_used, level)
-                    break
-                word += "0" if y > ghi else "1"
-            if found is None:
+                hit = near[~self._members(orbits, pending[near], inside[near], deep)]
+                witness_y[pending[hit]], gap_level[pending[hit]] = inside[hit], level
+                go = np.ones(pending.size, dtype=bool)
+                go[hit] = False
+                pending, lo, hi, glo, ghi, above = (
+                    v[go] for v in (pending, lo, hi, glo, ghi, above))
+            lo, hi = np.where(above, ghi, lo), np.where(above, hi, glo)
+
+        records, failures = [], []
+        for i, (x, y) in enumerate(zip(xs, ys.tolist())):
+            if not member[i]:
+                failures.append(WitnessRecord(i, x, y, None, None, "sample not a member"))
+            elif gap_level[i] < 0:
                 failures.append(WitnessRecord(i, x, y, None, None, "no gap within eps"))
             else:
-                records.append(found)
+                level = int(gap_level[i])
+                records.append(WitnessRecord(i, x, y, float(witness_y[i]), level, None))
         return WitnessReport(
             sample_count=sample_count,
             eps=eps,
             seed=seed,
             depth=depth,
             found_all=not failures,
-            max_level_used=max_level_used,
+            max_level_used=max((r.gap_level for r in records), default=0),
             failures=tuple(failures),
             records=tuple(records),
         )
@@ -315,40 +346,71 @@ class PoincareSystem:
     def fiber_contraction_report(self, samples: int = 2000) -> dict[str, float]:
         """Sampled derivative bounds: the single-return fiber slope on the
         strip (bounded, may slightly exceed 1 after the surgery) and the
-        two-step contraction factor on the core (provably <= 1/2)."""
+        two-step contraction factor on the core (provably <= 1/2).
+
+        Central differences at the sample midpoints, on arrays through
+        invert_rights; each slope is bit-equal to the scalar difference
+        through invert_right and fiber_map(-1, .), and with no samples
+        both maxima are 0.0.
+        """
         y_cap = self.strip_halfheight
         a = self.bowen.m.a
         h = 1e-7
-        strip_max = 0.0
-        for i in range(samples):
-            y = -y_cap + (2.0 * y_cap) * (i + 0.5) / samples
-            d = abs(self.bowen.invert_right(y + h) - self.bowen.invert_right(y - h)) / (2.0 * h)
-            strip_max = max(strip_max, d)
-        core_max = 0.0
-        for i in range(samples):
-            y = -a + (2.0 * a) * (i + 0.5) / samples
-            d = abs(self.fiber_map(-1, y + h) - self.fiber_map(-1, y - h)) / (2.0 * h)
-            core_max = max(core_max, d)
-        return {"strip_fiber_max_slope": strip_max, "core_two_step_max_factor": core_max}
+        inv = self.bowen.invert_rights
+        i = np.arange(samples) + 0.5
+        ys = -y_cap + (2.0 * y_cap) * i / samples
+        strip = inv(np.concatenate([ys + h, ys - h])).reshape(2, -1)
+        ys = -a + (2.0 * a) * i / samples
+        ys = np.concatenate([ys + h, ys - h])
+        bad = np.abs(ys) > a + 1e-12
+        if bad.any():
+            raise DomainError(f"fiber argument {ys[bad][0]} outside [-a, a]")
+        core = inv(-inv(-np.clip(ys, -a, a))).reshape(2, -1)  # fiber_map(-1, y)
+        return {
+            "strip_fiber_max_slope": _max_slope(strip, h),
+            "core_two_step_max_factor": _max_slope(core, h),
+        }
+
+
+def _max_slope(pairs: np.ndarray, h: float) -> float:
+    """Largest |f(y + h) - f(y - h)| / 2h over rows (f(y + h), f(y - h)), or 0.0."""
+    return float(np.max(np.abs(pairs[0] - pairs[1]) / (2.0 * h), initial=0.0))
 
 
 @dataclass
 class ExitTimes:
-    """Exit times of a grid's cell centers, known through `steps` returns.
+    """Exit times of a set of points, known through `steps` returns.
 
-    A center's exit time is the number of leading second-return iterates
-    of its orbit inside [-a, -b] u [b, a]; `exits` holds it capped at
-    `steps`, so _x_condition(x, N) holds exactly when exits >= N for every
-    N <= steps.  `orbit` holds the latest iterates of the centers still
-    inside, `alive` their indices.
+    The points are a grid's cell centers (with the cell size) or the
+    witness samples.  A point's exit time is the number of leading
+    second-return iterates of its orbit inside [-a, -b] u [b, a]; `exits`
+    holds it capped at `steps`, so _x_condition(x, N) holds exactly when
+    exits >= N for every N <= steps.  `orbit` holds the latest iterates of
+    the points still inside, `alive` their indices.
     """
 
-    cell: float
     centers: np.ndarray = field(repr=False)
-    exits: np.ndarray = field(repr=False)
-    orbit: np.ndarray = field(repr=False)
-    alive: np.ndarray = field(repr=False)
+    cell: float = 0.0
+    exits: np.ndarray = field(init=False, repr=False)
+    orbit: np.ndarray = field(init=False, repr=False)
+    alive: np.ndarray = field(init=False, repr=False)
     steps: int = 0
+
+    def __post_init__(self):
+        self.exits = np.zeros(self.centers.size, dtype=int)
+        self.orbit, self.alive = self.centers, np.arange(self.centers.size)
+
+    def advance(self, bowen: BowenSystem, depth: int) -> "ExitTimes":
+        """Run the surviving orbits on to `depth` steps, if not there yet."""
+        a, b = bowen.m.a, bowen.m.b
+        while self.steps < depth:
+            if self.steps:
+                self.orbit = bowen.second_iterates(self.orbit)
+            inside = (b <= np.abs(self.orbit)) & (np.abs(self.orbit) <= a)
+            self.orbit, self.alive = self.orbit[inside], self.alive[inside]
+            self.steps += 1
+            self.exits[self.alive] = self.steps
+        return self
 
 
 @dataclass

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fathorse.bowen import _SNAP, build_base_map, verify_surgery
+from fathorse import bowen
+from fathorse.bowen import _SNAP, GapDiffeo, build_base_map, verify_surgery
 from fathorse.errors import DomainError, SingularityError
 from fathorse.fatcantor import make_construction
 from fathorse.lorenz import LorenzBranchMap
@@ -325,4 +326,96 @@ def test_array_kernels_match_scalar_property(c, ts, ys):
     assert np.array_equal(
         _bits(system.modified_values(spliced)),
         _bits([system.modified_value(float(x)) for x in spliced]),
+    )
+
+
+def _target_probe_points(system):
+    """Random points of [-a, a], every target-tree endpoint to level 10,
+    points on either side of each endpoint inside and just outside the
+    snap, and +-a."""
+    cc, a = system.cc, system.m.a
+    ends = {-a, a}
+    frontier = [""]
+    for _ in range(11):
+        ends.update(v for w in frontier for v in cc.interval(w))
+        frontier = [w + ch for w in frontier for ch in "01"]
+    ends = np.array(sorted(ends))
+    near = [ends + k * _SNAP for k in (-2.0, -1.0, -0.5, 0.5, 1.0, 2.0)]
+    random = -a + 2.0 * a * np.random.default_rng(11).random(2_000)
+    points = np.concatenate([ends, *near, random])
+    return points[np.abs(points) <= a]
+
+
+class TestInverseArrayKernels:
+    def test_gap_diffeo_invert_bit_equal(self, bowen_c, monkeypatch):
+        vs = _target_probe_points(bowen_c)
+        _, gap, diffeo = bowen_c._walks(vs, forward=False)
+        assert gap.size > 1_000
+        scalars = [
+            GapDiffeo(int(n), (s0, s1), (t0, t1))
+            for n, s0, s1, t0, t1 in zip(diffeo.level, *diffeo.source, *diffeo.target)
+        ]
+        # count the Newton steps of each scalar inversion
+        calls = []
+        integral = bowen._integral
+        monkeypatch.setattr(bowen, "_integral", lambda t, s: calls.append(t) or integral(t, s))
+        expected, steps = [], []
+        for d, v in zip(scalars, vs[gap]):
+            calls.clear()
+            expected.append(d.invert(float(v)))
+            steps.append(len(calls))
+        monkeypatch.undo()
+        assert steps.count(80) > 50  # elements that run the whole budget
+        assert np.array_equal(_bits(diffeo.invert(vs[gap])), _bits(expected))
+
+    def test_base_inverts_bit_equal(self, bowen_c):
+        vs = _target_probe_points(bowen_c)
+        assert vs.size > 6 * 2**11
+        scalar = [bowen_c.base_invert(float(v)) for v in vs]
+        assert np.array_equal(_bits(bowen_c.base_inverts(vs)), _bits(scalar))
+
+    def test_base_inverts_domain(self, bowen_c):
+        a = bowen_c.m.a
+        for bad in (a + 1e-9, -a - 1e-9, np.nan):
+            with pytest.raises(DomainError):
+                bowen_c.base_inverts(np.array([0.0, bad]))
+        assert bowen_c.base_inverts(np.array([])).size == 0
+
+    def test_invert_rights_bit_equal(self, bowen_c):
+        m, fb = bowen_c.m, bowen_c.fb
+        top = m.c - 1.0
+        shifts = (-1.5, -1.0, 0.0, 0.5, 1.0, 1.5)
+        snapped = np.array([v + k * _SNAP for v in (-m.a, m.a, fb) for k in shifts])
+        beyond = np.linspace(-0.999, top, 1_001)  # |y| > a on both sides of the core
+        ys = np.concatenate([_target_probe_points(bowen_c)[::4], snapped, beyond, [top + 1e-13]])
+        assert (np.abs(ys) > m.a).sum() > 500
+        scalar = [bowen_c.invert_right(float(y)) for y in ys]
+        assert np.array_equal(_bits(bowen_c.invert_rights(ys)), _bits(scalar))
+        assert bowen_c.invert_rights(np.array([-m.a, m.a, fb])).tolist() == [m.a, -fb, m.b]
+
+    def test_invert_rights_domain(self, bowen_c):
+        for bad in (-1.0, bowen_c.m.c - 1.0 + 1e-9):
+            with pytest.raises(DomainError):
+                bowen_c.invert_rights(np.array([0.0, bad]))
+        assert bowen_c.invert_rights(np.array([])).size == 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    c=st.sampled_from(PARITY_COEFFICIENTS),
+    ts=st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=40),
+    ys=st.lists(st.floats(-1.0, 1.0, exclude_min=True), min_size=1, max_size=40),
+)
+def test_inverse_kernels_match_scalar_property(c, ts, ys):
+    """Random points of [-a, a] through the inverse base map, and random
+    points of the right-branch range through its inverse."""
+    system = _system(c)
+    a = system.m.a
+    vs = np.clip(a * np.array(ts), -a, a)
+    assert np.array_equal(
+        _bits(system.base_inverts(vs)), _bits([system.base_invert(float(v)) for v in vs])
+    )
+    ys = np.minimum(np.array(ys), system.m.c - 1.0)
+    assert np.array_equal(
+        _bits(system.invert_rights(ys)), _bits([system.invert_right(float(y)) for y in ys])
     )

@@ -1,11 +1,29 @@
 import bisect
+import functools
 import math
 
 import numpy as np
 import pytest
 
+from fathorse.bowen import build_base_map
 from fathorse.errors import DomainError, SingularityError, SizeGuardError
-from fathorse.horseshoe import make_poincare_system, suspension_volume
+from fathorse.fatcantor import make_construction
+from fathorse.horseshoe import (
+    WITNESS_SEARCH_LEVEL,
+    ExitTimes,
+    WitnessRecord,
+    WitnessReport,
+    make_poincare_system,
+    suspension_volume,
+)
+from fathorse.lorenz import LorenzBranchMap
+from fathorse.rng import SplitMix64
+
+
+@functools.lru_cache(maxsize=None)
+def _poincare(c):
+    cc = make_construction(LorenzBranchMap.from_coefficient(c), 2.0)
+    return make_poincare_system(build_base_map(cc))
 
 
 class TestSectionMap:
@@ -142,6 +160,32 @@ class TestMembership:
         with pytest.raises(DomainError):
             poincare18.membership((0.5, 0.0), 2)
 
+    @pytest.mark.parametrize("axis", [0, 1])
+    @pytest.mark.parametrize("where", [0, 3, 5])
+    def test_array_domain(self, poincare18, axis, where):
+        # one point outside the core square anywhere in the arrays
+        a = poincare18.bowen.m.a
+        point = [np.linspace(-a, a, 6), np.linspace(a, -a, 6)]
+        point[axis][where] = 1.01 * a * (1.0 if where else -1.0)
+        with pytest.raises(DomainError, match="outside the core square"):
+            poincare18.membership(tuple(point), 2)
+
+    @pytest.mark.parametrize("c", [1.7, 1.8, 1.95])
+    def test_array_matches_scalar_at_every_depth(self, c):
+        ps = _poincare(c)
+        a, b = ps.bowen.m.a, ps.bowen.m.b
+        rng = np.random.default_rng(3)
+        xs = np.concatenate([[a, -a, b, -b, 0.5 * b], -a + 2.0 * a * rng.random(250)])
+        ys = np.concatenate([[a, -a, -b, b, 0.0], -a + 2.0 * a * rng.random(250)])
+        orbits = ExitTimes(xs)
+        for depth in range(11):
+            scalar = [ps.membership((x, y), depth) for x, y in zip(xs.tolist(), ys.tolist())]
+            assert ps.membership((xs, ys), depth).tolist() == scalar
+            # an ExitTimes continues its orbits from the last depth asked
+            assert ps.membership((orbits, ys), depth).tolist() == scalar
+            assert orbits.steps == depth
+        assert ps.membership((xs[:0], ys[:0]), 4).size == 0
+
 
 class TestMeasureEstimate:
     def test_depth_zero_exact(self, poincare18, lorenz18):
@@ -226,7 +270,66 @@ class TestExitTimes:
         assert flags.tolist() == [_scalar_y_condition(poincare18, float(y), 4) for y in ys]
 
 
+def _scalar_witness(ps, sample_count, eps, seed, depth):
+    """vertical_gap_witness as a plain loop over scalar membership: the
+    oracle of the array witness."""
+    cc = ps.bowen.cc
+    rng = SplitMix64(seed)
+    records, failures = [], []
+    for i in range(sample_count):
+        wx, wy = rng.bits(depth), rng.bits(depth)
+        ux, uy = rng.random(), rng.random()
+        xlo, xhi = cc.interval(wx)
+        ylo, yhi = cc.interval(wy)
+        x = xlo + ux * (xhi - xlo)
+        y = ylo + uy * (yhi - ylo)
+        if not ps.membership((x, y), depth):
+            failures.append(WitnessRecord(i, x, y, None, None, "sample not a member"))
+            continue
+        word = ""
+        for level in range(WITNESS_SEARCH_LEVEL + 1):
+            glo, ghi = cc.gap(word)
+            if y < glo:
+                dist = glo - y
+                inside = glo + 0.5 * min(ghi - glo, eps - dist) if dist < eps else None
+            elif y > ghi:
+                dist = y - ghi
+                inside = ghi - 0.5 * min(ghi - glo, eps - dist) if dist < eps else None
+            else:
+                inside = min(max(y, glo + 0.25 * (ghi - glo)), ghi - 0.25 * (ghi - glo))
+            if inside is not None and not ps.membership((x, inside), max(depth, level + 1)):
+                records.append(WitnessRecord(i, x, y, inside, level, None))
+                break
+            word += "0" if y > ghi else "1"
+        else:
+            failures.append(WitnessRecord(i, x, y, None, None, "no gap within eps"))
+    return WitnessReport(
+        sample_count=sample_count,
+        eps=eps,
+        seed=seed,
+        depth=depth,
+        found_all=not failures,
+        max_level_used=max((r.gap_level for r in records), default=0),
+        failures=tuple(failures),
+        records=tuple(records),
+    )
+
+
 class TestWitness:
+    @pytest.mark.parametrize("c", [1.8, 1.95])
+    @pytest.mark.parametrize("depth", [0, 2, 6, 10])
+    def test_matches_scalar_oracle(self, c, depth):
+        ps = _poincare(c)
+        for eps in (ps.bowen.cc.gaps.length(3) / 16.0, 1e-4):
+            for seed in (1, 7):
+                report = ps.vertical_gap_witness(100, eps, seed=seed, depth=depth)
+                assert repr(report) == repr(_scalar_witness(ps, 100, eps, seed, depth))
+
+    def test_no_samples(self, poincare18):
+        report = poincare18.vertical_gap_witness(0, 1e-3, seed=1)
+        assert report == WitnessReport(0, 1e-3, 1, 6, True, 0, (), ())
+        assert report == _scalar_witness(poincare18, 0, 1e-3, 1, 6)
+
     def test_small_run_finds_gaps(self, poincare18):
         eps = poincare18.bowen.cc.gaps.length(3) / 16.0
         report = poincare18.vertical_gap_witness(50, eps, seed=42, depth=6)
@@ -270,7 +373,33 @@ class TestWitness:
         assert r1 == r2
 
 
+def _scalar_contraction_report(ps, samples):
+    """fiber_contraction_report as a scalar loop over invert_right and
+    fiber_map: the oracle of the array report."""
+    y_cap, a, h = ps.strip_halfheight, ps.bowen.m.a, 1e-7
+    inv = ps.bowen.invert_right
+    strip_max = core_max = 0.0
+    for i in range(samples):
+        y = -y_cap + (2.0 * y_cap) * (i + 0.5) / samples
+        strip_max = max(strip_max, abs(inv(y + h) - inv(y - h)) / (2.0 * h))
+    for i in range(samples):
+        y = -a + (2.0 * a) * (i + 0.5) / samples
+        d = abs(ps.fiber_map(-1, y + h) - ps.fiber_map(-1, y - h)) / (2.0 * h)
+        core_max = max(core_max, d)
+    return {"strip_fiber_max_slope": strip_max, "core_two_step_max_factor": core_max}
+
+
 class TestContraction:
+    @pytest.mark.parametrize("c", [1.7, 1.8, 1.95])
+    @pytest.mark.parametrize("samples", [1, 7, 400])
+    def test_matches_scalar_oracle(self, c, samples):
+        ps = _poincare(c)
+        assert ps.fiber_contraction_report(samples) == _scalar_contraction_report(ps, samples)
+
+    def test_no_samples(self, poincare18):
+        report = poincare18.fiber_contraction_report(0)
+        assert report == {"strip_fiber_max_slope": 0.0, "core_two_step_max_factor": 0.0}
+
     def test_two_step_factor_below_half(self, poincare18):
         report = poincare18.fiber_contraction_report(500)
         assert report["core_two_step_max_factor"] <= 0.5 + 1e-6
