@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, SingularityError, SizeGuardError
-from .fatcantor import CantorConstruction
+from .fatcantor import LEVEL_ARRAY_CAP, CantorConstruction
 from .lorenz import LorenzBranchMap
 
 __all__ = [
@@ -81,13 +81,10 @@ class GapDiffeo:
     def invert(self, y: float) -> float:
         """Newton with a bisection bracket on the normalized coordinate.
 
-        The stop |err| < 1e-16 lies below one ulp of tau (2^-53) for
-        tau > 1/2, so there it asks for an exact zero.  An iteration that
-        settles one ulp off never meets it and runs the whole 80-step
-        budget: about 16 % of the calls of fiber_contraction_report.  The
-        budget stays, because a different stop moves report.json.  On
-        arrays each element follows the scalar iteration step by step and
-        leaves it where the scalar loop breaks.
+        It stops at |err| < 1e-16, or at a step that leaves (t, lo, hi)
+        unchanged: the step is a pure function of that state, so the rest
+        of the 80-step budget would change no bit.  On arrays each element
+        follows the scalar iteration and leaves it where the scalar breaks.
         """
         s = self.mean_slope
         tau = (y - self.target[0]) / (self.target[1] - self.target[0])
@@ -99,12 +96,15 @@ class GapDiffeo:
                 err = _integral(t, s) - tau
                 if abs(err) < 1e-16:
                     break
+                state = t, lo, hi
                 if err > 0.0:
                     hi = t
                 else:
                     lo = t
                 step = t - err / _normalized_slope(t, s)
                 t = step if lo < step < hi else 0.5 * (lo + hi)
+                if (t, lo, hi) == state:
+                    break
         return self.source[0] + (self.source[1] - self.source[0]) * t
 
 
@@ -123,17 +123,20 @@ def _invert_profile(s: np.ndarray, tau: np.ndarray) -> np.ndarray:
     out = t.copy()
     idx = np.arange(t.size)
     lo, hi = np.zeros_like(t), np.ones_like(t)
+    moved = np.ones(t.size, dtype=bool)  # whether the last step changed (t, lo, hi)
     for _ in range(80):
         err = _integral(t, s) - tau
-        go = ~(np.abs(err) < 1e-16)
+        go = moved & ~(np.abs(err) < 1e-16)
         out[idx[~go]] = t[~go]
         t, tau, s, lo, hi, err, idx = t[go], tau[go], s[go], lo[go], hi[go], err[go], idx[go]
         if not idx.size:
             return out
+        state = t, lo, hi
         above = err > 0.0
         hi, lo = np.where(above, t, hi), np.where(above, lo, t)
         step = t - err / _normalized_slope(t, s)
         t = np.where((lo < step) & (step < hi), step, 0.5 * (lo + hi))
+        moved = (t != state[0]) | (lo != state[1]) | (hi != state[2])
     out[idx] = t
     return out
 
@@ -235,10 +238,8 @@ class BowenSystem:
             out[idx[at_lo]] = qlo[at_lo]
             at_hi = ~deep & ~at_lo & (np.abs(x - phi) <= _SNAP)
             out[idx[at_hi]] = qhi[at_hi]
-            center, half = 0.5 * (plo + phi), cc.half_gap(n + dp)
-            glo, ghi = center - half, center + half
-            center, half = 0.5 * (qlo + qhi), cc.half_gap(n + dq)
-            tlo, thi = center - half, center + half
+            glo, ghi = cc._gap_from(plo, phi, n + dp)
+            tlo, thi = cc._gap_from(qlo, qhi, n + dq)
             walking = ~(deep | at_lo | at_hi)
             gap = walking & (glo <= x) & (x <= ghi)
             levels[idx[gap]] = n
@@ -475,8 +476,8 @@ def verify_surgery(sys: BowenSystem, max_level: int, monotone_grid: int = 100_00
     comparison is reliable to 1e-9 through level 11 or so and degrades
     gently beyond (the deviation values themselves stay fine).
     """
-    if max_level > 14:
-        raise SizeGuardError("surgery verification capped at level 14")
+    if max_level > LEVEL_ARRAY_CAP:
+        raise SizeGuardError(f"surgery verification capped at level {LEVEL_ARRAY_CAP}")
     gaps = sys.cc.gaps
     ts = [i / 20.0 for i in range(21)]
 
@@ -503,14 +504,10 @@ def verify_surgery(sys: BowenSystem, max_level: int, monotone_grid: int = 100_00
         )
 
     endpoints = {sys.m.b, sys.m.a}
-    frontier = [""]
-    for _ in range(max_level):
-        nxt = []
-        for w in frontier:
-            glo, ghi = sys.cc.gap("0" + w)
-            endpoints.update((glo, ghi))
-            nxt.extend((w + "0", w + "1"))
-        frontier = nxt
+    for n in range(1, max_level + 1):  # source gaps: the right half of each level
+        lo, hi = sys.cc.level(n)
+        glo, ghi = sys.cc._gap_from(lo[2 ** (n - 1):], hi[2 ** (n - 1):], n)
+        endpoints.update(glo.tolist() + ghi.tolist())
     endpoint_max = max(abs(2.0 - sys.core_second_derivative(x)) for x in endpoints)
 
     a, fb = sys.m.a, sys.fb

@@ -148,9 +148,6 @@ class SliceDecomposition:
     def bound(self) -> float:
         return 2.0 / 4.0 ** (self.n / self.k)
 
-    def leaves(self) -> list[tuple[float, float]]:
-        return list(zip(self.r.tolist(), self.widths.tolist()))
-
 
 def slice_measure(sys: ConeSystem, a: float, n: int) -> SliceDecomposition:
     """Exact level-n slice cover via the width recursion."""
@@ -202,8 +199,8 @@ class ConeBoundReport:
 
 def verify_cone_bound(sys: ConeSystem, a: float, n_max: int) -> ConeBoundReport:
     """Tabulate totals against the 2/4^{n/k} bound and the per-level decay."""
-    if n_max < 1:
-        raise DomainError("n_max must be at least 1")
+    if n_max < 0:
+        raise DomainError("n_max must be nonnegative")
     decay = 2.0 ** (-2.0 / sys.k)
     rows = []
     prev = None

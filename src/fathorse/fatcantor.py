@@ -17,6 +17,8 @@ import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
+import numpy as np
+
 from .errors import DomainError, FeasibilityError, InvalidParameterError, SizeGuardError
 from .lorenz import LorenzBranchMap
 
@@ -29,6 +31,7 @@ __all__ = [
 ]
 
 LEVEL_MEASURE_CAP = 30
+LEVEL_ARRAY_CAP = 14  # deepest level array, also the cap of verify_surgery
 ZETA_TERMS = 200_000  # partial-sum length of zeta_value
 
 
@@ -96,8 +99,9 @@ class CantorConstruction:
     """Word-indexed interval tree on [-a, a] with centered gaps removed.
 
     The interval cache is append-only and keyed by word; repopulation is
-    idempotent (a word always resolves to the same endpoints).  So is the
-    per-level half-gap table, which grows to the deepest level asked for.
+    idempotent (a word always resolves to the same endpoints).  So are the
+    per-level half-gap table and the list of level arrays, which grow to
+    the deepest level asked for.
     """
 
     half_width: float
@@ -105,6 +109,7 @@ class CantorConstruction:
     source_map: LorenzBranchMap
     _cache: dict[str, tuple[float, float]] = field(default_factory=dict, repr=False)
     _half_gaps: list[float] = field(default_factory=list, repr=False)
+    _levels: list[tuple[np.ndarray, np.ndarray]] = field(default_factory=list, repr=False)
 
     def interval(self, word: str) -> tuple[float, float]:
         """Endpoints of I_word; the empty word gives [-a, a]."""
@@ -121,6 +126,28 @@ class CantorConstruction:
         self._cache[word] = result
         return result
 
+    def level(self, n: int) -> tuple[np.ndarray, np.ndarray]:
+        """The 2^n level-n intervals as read-only (lo, hi) arrays, left to right.
+
+        Each is bit-equal to interval(word): the children of (lo, hi) are
+        (lo, gap_lo), the word + "1", and (gap_hi, hi), the word + "0".
+        """
+        if n < 0:
+            raise DomainError("level must be nonnegative")
+        if n > LEVEL_ARRAY_CAP:
+            raise SizeGuardError(f"level {n} exceeds the cap {LEVEL_ARRAY_CAP}")
+        levels = self._levels
+        while len(levels) <= n:
+            if levels:
+                lo, hi = levels[-1]
+                glo, ghi = self._gap_from(lo, hi, len(levels) - 1)
+                lo, hi = np.column_stack((lo, ghi)).ravel(), np.column_stack((glo, hi)).ravel()
+            else:
+                lo, hi = np.array([-self.half_width]), np.array([self.half_width])
+            lo.flags.writeable = hi.flags.writeable = False
+            levels.append((lo, hi))
+        return levels[n]
+
     def half_gap(self, level: int) -> float:
         """Half the length of every gap removed at this level, gap(n)/2^(n+1)."""
         table = self._half_gaps
@@ -129,7 +156,7 @@ class CantorConstruction:
             table.append(0.5 * self.gaps.length(n) / 2.0 ** n)
         return table[level]
 
-    def _gap_from(self, lo: float, hi: float, level: int) -> tuple[float, float]:
+    def _gap_from(self, lo, hi, level: int):  # floats or arrays
         center = 0.5 * (lo + hi)
         half = self.half_gap(level)
         return center - half, center + half

@@ -17,12 +17,12 @@ x axis it records each cell center's exit time, the number of leading
 second-return iterates inside [-a, -b] u [b, a], in one vectorized pass
 per resolution that advances only as far as the deepest depth asked for;
 the x-condition at depth N is then exit >= N for every such N at once.
-On the y axis it binary-searches the sorted fiber cover.  Array
+On the y axis it binary-searches the depth-N fiber level array.  Array
 membership and the vertical-gap witness run their points' exit times
 through the same ExitTimes step, and the fiber contraction report takes
 its central differences through the array inverse of the right branch.
-The scalar membership, _x_condition and fiber_intervals stay as the
-oracles of these array paths.
+The scalar membership and _x_condition stay as the oracles of these
+array paths; fiber_intervals builds each level through scalar fiber_map.
 """
 
 from __future__ import annotations
@@ -58,10 +58,7 @@ class PoincareSystem:
     bowen: BowenSystem
     epsilon: float = field(init=False)
     strip_halfheight: float = field(init=False)
-    _fiber_cache: dict[int, dict[str, tuple[float, float]]] = field(default_factory=dict, repr=False)
-    _cover_cache: dict[int, tuple[np.ndarray, np.ndarray]] = field(
-        default_factory=dict, repr=False
-    )
+    _fiber_levels: list[tuple[np.ndarray, np.ndarray]] = field(init=False, repr=False)
     _exit_cache: dict[float, "ExitTimes"] = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
@@ -75,6 +72,7 @@ class PoincareSystem:
         self._mu_top = 0.25 * (1.0 - y_top) / (1.0 - self.strip_halfheight)
         self._mu_bot = 0.25 * (y_bot + 1.0) / (1.0 - self.strip_halfheight)
         self._g_top, self._g_bot = y_top, y_bot
+        self._fiber_levels = [self.bowen.cc.level(0)]
 
     # -- section map -------------------------------------------------------
 
@@ -127,40 +125,25 @@ class PoincareSystem:
 
     # -- product structure ---------------------------------------------------
 
-    def fiber_intervals(self, depth: int) -> dict[str, tuple[float, float]]:
-        """Images of [-a, a] under every sign word of the given length.
+    def fiber_intervals(self, depth: int) -> tuple[np.ndarray, np.ndarray]:
+        """Images of [-a, a] under the 2^depth compositions of fiber maps,
+        as read-only (lo, hi) arrays ordered left to right like the tree's.
 
-        Sign words are strings over '-'/'+' read left to right as the
-        outermost-to-innermost contraction; '-' lands in [b, a] and '+'
-        in [-a, -b], mirroring the interval-tree letters 0 and 1.
+        Level d + 1 is fiber_map(+1, .) of level d followed by
+        fiber_map(-1, .): +1 lands in [-a, -b] and -1 in [b, a], and both
+        maps preserve order, so every level is sorted as built.
         """
         if depth < 0:
             raise DomainError("depth must be nonnegative")
         if depth > FIBER_DEPTH_CAP:
             raise SizeGuardError(f"fiber depth {depth} exceeds {FIBER_DEPTH_CAP}")
-        cached = self._fiber_cache.get(depth)
-        if cached is not None:
-            return cached
-        # continue from the deepest cached cover shallower than this one
-        start = max((d for d in self._fiber_cache if d < depth), default=0)
-        a = self.bowen.m.a
-        current = self._fiber_cache.get(start, {"": (-a, a)})
-        for _ in range(depth - start):
-            nxt = {}
-            for word, (lo, hi) in current.items():
-                for ch, sign in (("-", -1), ("+", +1)):
-                    nxt[ch + word] = (self.fiber_map(sign, lo), self.fiber_map(sign, hi))
-            current = nxt
-        self._fiber_cache[depth] = current
-        return current
-
-    def _cover(self, depth: int) -> tuple[np.ndarray, np.ndarray]:
-        """Lower and upper ends of the depth-N fiber intervals, sorted."""
-        cached = self._cover_cache.get(depth)
-        if cached is None:
-            intervals = np.array(sorted(self.fiber_intervals(depth).values()))
-            cached = self._cover_cache[depth] = (intervals[:, 0], intervals[:, 1])
-        return cached
+        levels = self._fiber_levels
+        while len(levels) <= depth:
+            lo, hi = (np.array([self.fiber_map(sign, y) for sign in (1, -1) for y in ends.tolist()])
+                      for ends in levels[-1])
+            lo.flags.writeable = hi.flags.writeable = False
+            levels.append((lo, hi))
+        return levels[depth]
 
     def _x_condition(self, x: float, depth: int) -> bool:
         a, b = self.bowen.m.a, self.bowen.m.b
@@ -172,7 +155,7 @@ class PoincareSystem:
 
     def _y_members(self, ys, depth: int):
         """Whether y (a float or an array) lies in a depth-N fiber interval."""
-        los, his = self._cover(depth)
+        los, his = self.fiber_intervals(depth)
         i = np.searchsorted(los, ys, side="right") - 1
         return (i >= 0) & (ys <= his[np.maximum(i, 0)])
 
@@ -305,8 +288,7 @@ class PoincareSystem:
             if not pending.size:
                 break
             y = ys[pending]
-            center, half = 0.5 * (lo + hi), cc.half_gap(level)
-            glo, ghi = center - half, center + half
+            glo, ghi = cc._gap_from(lo, hi, level)
             below, above = y < glo, y > ghi
             dist = np.where(below, glo - y, y - ghi)
             nudge, quarter = 0.5 * np.minimum(ghi - glo, eps - dist), 0.25 * (ghi - glo)

@@ -84,14 +84,7 @@ def _cones_suite(cfg: ExperimentConfig, out: Path, checks: _Checks, figures: dic
     for k in cfg.k_list:
         system = cones_mod.make_cone_system(k)
         for a in cfg.a_list:
-            if cfg.n_max >= 1:
-                table = cones_mod.verify_cone_bound(system, a, cfg.n_max).rows
-            else:
-                dec = cones_mod.slice_measure(system, a, 0)
-                table = [
-                    cones_mod.ConeBoundRow(0, dec.total, dec.bound, math.nan, True, True)
-                ]
-            for row in table:
+            for row in cones_mod.verify_cone_bound(system, a, cfg.n_max).rows:
                 rows.append([k, a, row.n, row.total, row.bound, row.ratio])
                 worst_excess = max(worst_excess, row.total - row.bound)
                 if k == 2:
@@ -195,12 +188,9 @@ def _horseshoe_suite(
     ps = make_poincare_system(bowen)
     cc = bowen.cc
 
-    tree_dev = 0.0
     match_depth = min(8, cfg.level_max)
-    for word, (lo, hi) in ps.fiber_intervals(match_depth).items():
-        tword = word.replace("-", "0").replace("+", "1")
-        tlo, thi = cc.interval(tword)
-        tree_dev = max(tree_dev, abs(lo - tlo), abs(hi - thi))
+    fiber, tree = ps.fiber_intervals(match_depth), cc.level(match_depth)
+    tree_dev = max(float(abs(f - t).max()) for f, t in zip(fiber, tree))
     checks.add("horseshoe_fiber_tree_match", tree_dev, 1e-9, tree_dev <= 1e-9)
 
     rows = []
@@ -268,13 +258,12 @@ def _horseshoe_suite(
     }
     figures["image"] = _image_dataset(ps)
     coarse_resolution = max(cfg.resolution, 2.0 * a / 160)
-    coarse = ps.measure_estimate(cfg.N, coarse_resolution)
     xs, ys = ps.member_centers(cfg.N, coarse_resolution)
     points = [[x, y] for x in xs.tolist() for y in ys.tolist()]
     figures["horseshoe"] = {
         "half_width": a,
         "depth": cfg.N,
-        "point_size": coarse.cell / 2.0,
+        "point_size": ps.exit_times(cfg.N, coarse_resolution).cell / 2.0,
         "points": points,
         "tree": cc.to_tree_json(min(4, cfg.level_max)),
     }

@@ -12,6 +12,7 @@ import math
 import time
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from fathorse.bowen import verify_surgery
@@ -182,9 +183,8 @@ def test_c6_product_structure(poincare18, construction18):
     started = time.perf_counter()
     tree_dev = 0.0
     for depth in range(9):
-        for word, (lo, hi) in poincare18.fiber_intervals(depth).items():
-            tlo, thi = construction18.interval(word.replace("-", "0").replace("+", "1"))
-            tree_dev = max(tree_dev, abs(lo - tlo), abs(hi - thi))
+        for fiber, tree in zip(poincare18.fiber_intervals(depth), construction18.level(depth)):
+            tree_dev = max(tree_dev, float(np.max(np.abs(fiber - tree))))
     grid_ok = True
     positive = True
     for depth in range(7):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from fathorse import bowen
 from fathorse.bowen import _SNAP, GapDiffeo, build_base_map, verify_surgery
-from fathorse.errors import DomainError, SingularityError
+from fathorse.errors import DomainError, SingularityError, SizeGuardError
 from fathorse.fatcantor import make_construction
 from fathorse.lorenz import LorenzBranchMap
 from fathorse.rng import SplitMix64
@@ -208,6 +208,19 @@ class TestVerifySurgery:
         assert report.endpoint_max_dev <= 1e-9
         assert report.endpoint_count == 2 + 2 * (2 ** 10 - 1)
 
+    def test_level_cap(self, bowen18):
+        with pytest.raises(SizeGuardError):
+            verify_surgery(bowen18, max_level=15)
+
+    def test_endpoints_match_word_frontier(self, report, bowen18):
+        # the source-gap ends of every word 0w, |w| < 10, from the scalar tree
+        words = [format(i, f"0{n}b") if n else "" for n in range(10) for i in range(2 ** n)]
+        ends = {bowen18.m.b, bowen18.m.a}
+        ends.update(v for w in words for v in bowen18.cc.gap("0" + w))
+        assert report.endpoint_count == len(ends)
+        assert report.endpoint_max_dev == max(
+            abs(2.0 - bowen18.core_second_derivative(x)) for x in ends)
+
     def test_splice_continuity(self, report):
         assert max(report.splice_margins.values()) <= 1e-10
 
@@ -346,8 +359,31 @@ def _target_probe_points(system):
     return points[np.abs(points) <= a]
 
 
+def _full_budget_invert(d, y):
+    """GapDiffeo.invert's scalar loop without the repeated-state stop: it
+    runs the whole 80-step budget unless |err| < 1e-16.  Returns the
+    preimage and whether some step left (t, lo, hi) unchanged."""
+    s = d.mean_slope
+    tau = (y - d.target[0]) / (d.target[1] - d.target[0])
+    t, lo, hi = min(max(tau, 0.0), 1.0), 0.0, 1.0
+    repeated = False
+    for _ in range(80):
+        err = bowen._integral(t, s) - tau
+        if abs(err) < 1e-16:
+            break
+        state = t, lo, hi
+        if err > 0.0:
+            hi = t
+        else:
+            lo = t
+        step = t - err / bowen._normalized_slope(t, s)
+        t = step if lo < step < hi else 0.5 * (lo + hi)
+        repeated = repeated or (t, lo, hi) == state
+    return d.source[0] + (d.source[1] - d.source[0]) * t, repeated
+
+
 class TestInverseArrayKernels:
-    def test_gap_diffeo_invert_bit_equal(self, bowen_c, monkeypatch):
+    def test_gap_diffeo_invert_bit_equal(self, bowen_c):
         vs = _target_probe_points(bowen_c)
         _, gap, diffeo = bowen_c._walks(vs, forward=False)
         assert gap.size > 1_000
@@ -355,18 +391,12 @@ class TestInverseArrayKernels:
             GapDiffeo(int(n), (s0, s1), (t0, t1))
             for n, s0, s1, t0, t1 in zip(diffeo.level, *diffeo.source, *diffeo.target)
         ]
-        # count the Newton steps of each scalar inversion
-        calls = []
-        integral = bowen._integral
-        monkeypatch.setattr(bowen, "_integral", lambda t, s: calls.append(t) or integral(t, s))
-        expected, steps = [], []
-        for d, v in zip(scalars, vs[gap]):
-            calls.clear()
-            expected.append(d.invert(float(v)))
-            steps.append(len(calls))
-        monkeypatch.undo()
-        assert steps.count(80) > 50  # elements that run the whole budget
-        assert np.array_equal(_bits(diffeo.invert(vs[gap])), _bits(expected))
+        full = [_full_budget_invert(d, float(v)) for d, v in zip(scalars, vs[gap])]
+        assert sum(repeated for _, repeated in full) > 50  # elements that stop on a repeat
+        expected = _bits([x for x, _ in full])
+        assert np.array_equal(_bits([d.invert(float(v)) for d, v in zip(scalars, vs[gap])]),
+                              expected)
+        assert np.array_equal(_bits(diffeo.invert(vs[gap])), expected)
 
     def test_base_inverts_bit_equal(self, bowen_c):
         vs = _target_probe_points(bowen_c)

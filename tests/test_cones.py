@@ -196,7 +196,14 @@ class TestConeBound:
 
     def test_nmax_precondition(self, k2):
         with pytest.raises(DomainError):
-            verify_cone_bound(k2, 0.0, 0)
+            verify_cone_bound(k2, 0.0, -1)
+
+    def test_nmax_zero_single_row(self, k3):
+        report = verify_cone_bound(k3, 0.42, 0)
+        assert len(report.rows) == 1 and report.all_pass
+        row = report.rows[0]
+        assert (row.n, row.total, row.bound) == (0, 2.0, 2.0)
+        assert math.isnan(row.ratio)
 
 
 class TestBruteForce:

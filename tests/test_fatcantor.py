@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from scipy.special import zeta as scipy_zeta
 
@@ -8,6 +9,7 @@ from fathorse.errors import DomainError, FeasibilityError, InvalidParameterError
 from fathorse.fatcantor import GapLengthSequence, make_construction, zeta_value
 from fathorse.lorenz import LorenzBranchMap
 
+FLIP = str.maketrans("01", "10")
 SAMPLE_WORDS = ["", "0", "1", "01", "10", "0011", "101010", "000000000001", "011011011011"]
 
 
@@ -199,6 +201,31 @@ class TestCoverDoubling:
             hi - lo for lo, hi in (construction18.interval(w) for w in words)
         )
         assert abs(total - construction18.subtree_cover_length(word, level)) <= 1e-12
+
+
+class TestLevelArrays:
+    @pytest.mark.parametrize("c", [1.7, 1.8, 1.95])
+    def test_bit_equal_to_word_intervals(self, c):
+        cc = make_construction(LorenzBranchMap.from_coefficient(c), 2.0)
+        for n in range(fatcantor.LEVEL_ARRAY_CAP + 1):
+            # left to right: letter 1 is the left child, the first letter the top split
+            words = [format(i, f"0{n}b").translate(FLIP) if n else "" for i in range(2 ** n)]
+            expected = np.array([cc.interval(w) for w in words]).T
+            got = np.array(cc.level(n))
+            assert got.shape == (2, 2 ** n)
+            assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+
+    def test_sorted_and_read_only(self, construction18):
+        lo, hi = construction18.level(8)
+        assert np.all(lo < hi) and np.all(hi[:-1] < lo[1:])
+        with pytest.raises(ValueError):
+            lo[0] = 0.0
+
+    def test_guards(self, construction18):
+        with pytest.raises(DomainError):
+            construction18.level(-1)
+        with pytest.raises(SizeGuardError):
+            construction18.level(fatcantor.LEVEL_ARRAY_CAP + 1)
 
 
 class TestTreeJson:

@@ -9,6 +9,7 @@ from fathorse.bowen import build_base_map
 from fathorse.errors import DomainError, SingularityError, SizeGuardError
 from fathorse.fatcantor import make_construction
 from fathorse.horseshoe import (
+    FIBER_DEPTH_CAP,
     WITNESS_SEARCH_LEVEL,
     ExitTimes,
     WitnessRecord,
@@ -100,34 +101,74 @@ class TestSecondReturn:
             poincare18.second_return((0.01, 0.0))
 
 
+@functools.lru_cache(maxsize=None)
+def _fiber_word_cover(c, depth):
+    """The fiber cover of _poincare(c) as the sign-word recursion over the
+    scalar fiber_map builds it: word -> (lo, hi), read outermost contraction
+    first, '-' landing in [b, a] and '+' in [-a, -b]."""
+    ps = _poincare(c)
+    if depth == 0:
+        a = ps.bowen.m.a
+        return {"": (-a, a)}
+    return {
+        ch + word: (ps.fiber_map(sign, lo), ps.fiber_map(sign, hi))
+        for word, (lo, hi) in _fiber_word_cover(c, depth - 1).items()
+        for ch, sign in (("-", -1), ("+", +1))
+    }
+
+
+@functools.lru_cache(maxsize=None)
+def _sorted_fiber_cover(c, depth):
+    """The word cover's intervals sorted, as the per-cell estimator used them."""
+    return sorted(_fiber_word_cover(c, depth).values())
+
+
 class TestFiberIntervals:
     def test_depth_zero(self, poincare18, lorenz18):
         a = lorenz18.a
-        assert poincare18.fiber_intervals(0) == {"": (-a, a)}
+        lo, hi = poincare18.fiber_intervals(0)
+        assert (lo.tolist(), hi.tolist()) == ([-a], [a])
 
     def test_depth_one(self, poincare18, lorenz18):
         a, b = lorenz18.a, lorenz18.b
-        ivs = poincare18.fiber_intervals(1)
-        assert ivs["-"] == pytest.approx((b, a), abs=1e-9)
-        assert ivs["+"] == pytest.approx((-a, -b), abs=1e-9)
-        total = sum(hi - lo for lo, hi in ivs.values())
-        assert total == pytest.approx(2.0 * a - 2.0 * b, abs=1e-9)
+        lo, hi = poincare18.fiber_intervals(1)
+        assert (lo[0], hi[0]) == pytest.approx((-a, -b), abs=1e-9)
+        assert (lo[1], hi[1]) == pytest.approx((b, a), abs=1e-9)
+        assert np.sum(hi - lo) == pytest.approx(2.0 * a - 2.0 * b, abs=1e-9)
 
     def test_disjoint(self, poincare18):
-        ivs = sorted(poincare18.fiber_intervals(5).values())
-        for (lo1, hi1), (lo2, hi2) in zip(ivs, ivs[1:]):
-            assert hi1 < lo2
+        lo, hi = poincare18.fiber_intervals(5)
+        assert np.all(lo < hi) and np.all(hi[:-1] < lo[1:])
 
     def test_matches_interval_tree(self, poincare18, construction18):
-        worst = 0.0
-        for word, (lo, hi) in poincare18.fiber_intervals(6).items():
-            tlo, thi = construction18.interval(word.replace("-", "0").replace("+", "1"))
-            worst = max(worst, abs(lo - tlo), abs(hi - thi))
+        worst = max(
+            float(np.max(np.abs(f - t)))
+            for f, t in zip(poincare18.fiber_intervals(6), construction18.level(6))
+        )
         assert worst < 1e-9
+
+    @pytest.mark.parametrize("c", [1.7, 1.8, 1.95])
+    def test_bit_equal_to_word_cover(self, c):
+        # the arrays are the word cover in word order, which is its sorted order
+        ps = make_poincare_system(_poincare(c).bowen)
+        for depth in range(FIBER_DEPTH_CAP + 1):
+            words = _fiber_word_cover(c, depth)
+            in_word_order = [words[w] for w in sorted(words)]
+            assert in_word_order == _sorted_fiber_cover(c, depth)
+            expected = np.array(in_word_order).T
+            got = np.array(ps.fiber_intervals(depth))
+            assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+
+    def test_read_only(self, poincare18):
+        lo, _ = poincare18.fiber_intervals(2)
+        with pytest.raises(ValueError):
+            lo[0] = 0.0
 
     def test_depth_guard(self, poincare18):
         with pytest.raises(SizeGuardError):
             poincare18.fiber_intervals(13)
+        with pytest.raises(DomainError):
+            poincare18.fiber_intervals(-1)
 
 
 class TestMembership:
@@ -217,7 +258,7 @@ def _scalar_grid(ps, resolution):
 
 def _scalar_y_condition(ps, y, depth):
     """Bisection over the sorted fiber intervals, as the per-cell estimator did."""
-    intervals = sorted(ps.fiber_intervals(depth).values())
+    intervals = _sorted_fiber_cover(ps.bowen.m.c, depth)
     i = bisect.bisect_right([lo for lo, _ in intervals], y) - 1
     return i >= 0 and y <= intervals[i][1]
 

@@ -3,11 +3,14 @@
 perfbench/tracer.py wraps named functions and methods of the package; a
 kernel change that moves one of them, or stops the default run from
 calling it, leaves a span empty.  This runs a small config under the
-tracer and requires every span to fire.
+tracer and requires every span to fire, and checks the closed form that
+perfbench/selftest.py pins for the cones.slice_measure call count.
 """
 
 import importlib.util
 from pathlib import Path
+
+import pytest
 
 from fathorse import runner
 from fathorse.config import ExperimentConfig
@@ -29,3 +32,15 @@ def test_every_span_fires(tmp_path):
     with tracer.patched():  # KeyError: an entry point moved
         assert runner.run(cfg) == 0
     assert sorted(n for n in tracing.span_names() if tracer.calls[n] == 0) == []
+
+
+@pytest.mark.parametrize("n_max", [0, 2])
+def test_slice_measure_closed_form(tmp_path, n_max):
+    # one call per (k, a, n), 161 for the cones figure sweep, 1 for the oracle sample
+    tracer = _tracer_module().Tracer()
+    cfg = ExperimentConfig(k_list=[2, 3], a_list=[0.0, 0.3, 0.6], n_max=n_max,
+                           output_dir=str(tmp_path))
+    with tracer.patched():
+        assert runner.run(cfg, only="cones") == 0
+    closed_form = len(cfg.k_list) * len(cfg.a_list) * (n_max + 1) + 161 + 1
+    assert tracer.calls["cones.slice_measure"] == closed_form
