@@ -3,7 +3,6 @@
 from .bowen import BowenSystem, GapDiffeo, build_base_map, verify_surgery
 from .cones import (
     ConeSystem,
-    SliceDecomposition,
     brute_force_slice,
     cone_map,
     make_cone_system,

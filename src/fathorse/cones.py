@@ -32,7 +32,6 @@ from .lorenz import LorenzBranchMap, branch_value
 
 __all__ = [
     "ConeSystem",
-    "SliceDecomposition",
     "ConeBoundReport",
     "BruteForceSlice",
     "make_cone_system",
@@ -64,7 +63,7 @@ class ConeSystem:
 
 
 def make_cone_system(k: int) -> ConeSystem:
-    base = LorenzBranchMap.from_coefficient(2.0, boundary_warning=False)
+    base = LorenzBranchMap.from_coefficient(2.0)
     return ConeSystem(k=int(k), base=base)
 
 
@@ -74,10 +73,8 @@ def cone_map(sys: ConeSystem, x: float, y: float) -> tuple[float, float]:
         raise SingularityError("skew product is undefined on the line x = 0")
     if abs(x) > 1.0 or abs(y) > 1.0:
         raise DomainError(f"point ({x}, {y}) outside the section square")
-    factor = abs(x) ** (1.0 / sys.k)
-    if x > 0.0:
-        return 2.0 * math.sqrt(x) - 1.0, 0.5 * (y * factor + 1.0)
-    return -2.0 * math.sqrt(-x) + 1.0, 0.5 * (y * factor - 1.0)
+    push = 1.0 if x > 0.0 else -1.0
+    return sys.base.value(x), 0.5 * (y * abs(x) ** (1.0 / sys.k) + push)
 
 
 def _check_slice(a: float, n: int, cap: int = LEVEL_HARD_CAP) -> None:
@@ -133,28 +130,12 @@ def preimage_level(a: float, n: int) -> np.ndarray:
     return level
 
 
-@dataclass(frozen=True)
-class SliceDecomposition:
-    """Level-n cover of the slice at x = a: leaf preimages and widths."""
-
-    a: float
-    n: int
-    k: int
-    r: np.ndarray
-    widths: np.ndarray
-    total: float
-
-    @property
-    def bound(self) -> float:
-        return 2.0 / 4.0 ** (self.n / self.k)
-
-
-def slice_measure(sys: ConeSystem, a: float, n: int) -> SliceDecomposition:
-    """Exact level-n slice cover via the width recursion."""
-    for r, widths in _levels(sys, a, n):
+def slice_measure(sys: ConeSystem, a: float, n: int) -> float:
+    """Total width of the exact level-n slice cover, via the width recursion."""
+    for _, widths in _levels(sys, a, n):
         pass
     # np.sum reduces pairwise, so the total is schedule-independent
-    return SliceDecomposition(a=a, n=n, k=sys.k, r=r, widths=widths, total=float(np.sum(widths)))
+    return float(np.sum(widths))
 
 
 def slice_intervals(sys: ConeSystem, a: float, n: int) -> np.ndarray:
@@ -205,15 +186,15 @@ def verify_cone_bound(sys: ConeSystem, a: float, n_max: int) -> ConeBoundReport:
     rows = []
     prev = None
     for n in range(n_max + 1):
-        dec = slice_measure(sys, a, n)
-        bound_ok = dec.total <= dec.bound + 1e-12
+        total = slice_measure(sys, a, n)
+        bound = 2.0 / 4.0 ** (n / sys.k)
         if prev is None:
             ratio, decay_ok = math.nan, True
         else:
-            ratio = dec.total / prev
-            decay_ok = dec.total <= prev * decay * (1.0 + 1e-12)
-        rows.append(ConeBoundRow(n, dec.total, dec.bound, ratio, bound_ok, decay_ok))
-        prev = dec.total
+            ratio = total / prev
+            decay_ok = total <= prev * decay * (1.0 + 1e-12)
+        rows.append(ConeBoundRow(n, total, bound, ratio, total <= bound + 1e-12, decay_ok))
+        prev = total
     return ConeBoundReport(k=sys.k, a=a, rows=tuple(rows))
 
 

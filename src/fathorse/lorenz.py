@@ -11,7 +11,6 @@ iterate (f(a) = -a) and the point b in (0, a) with f(f(b)) = -a.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 from .errors import DomainError, InvalidParameterError, SingularityError
@@ -115,14 +114,8 @@ class LorenzBranchMap:
     alpha: float
 
     @classmethod
-    def from_coefficient(cls, c: float, boundary_warning: bool = True) -> "LorenzBranchMap":
+    def from_coefficient(cls, c: float) -> "LorenzBranchMap":
         a, b = derive_constants(c)
-        if c == 2.0 and boundary_warning:
-            warnings.warn(
-                "c = 2 sits on the boundary: f(1) = 1 violates the strict "
-                "axiom f(1) < 1 (accepted for the cone construction)",
-                stacklevel=2,
-            )
         return cls(c=c, a=a, b=b, alpha=c / 2.0)
 
     def value(self, x: float) -> float:

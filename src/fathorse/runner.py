@@ -109,7 +109,7 @@ def _cones_suite(cfg: ExperimentConfig, out: Path, checks: _Checks, figures: dic
     oracle_sys = cones_mod.make_cone_system(oracle_k)
     oracle_a = cfg.a_list[len(cfg.a_list) // 2]
     bf = cones_mod.brute_force_slice(oracle_sys, oracle_a, min(4, cfg.n_max), 1e-3)
-    exact = cones_mod.slice_measure(oracle_sys, oracle_a, min(4, cfg.n_max)).total
+    exact = cones_mod.slice_measure(oracle_sys, oracle_a, min(4, cfg.n_max))
     tol = max(10 * 1e-3, 1e-6)
     checks.add("cone_oracle_sample", abs(bf.total - exact), tol, abs(bf.total - exact) <= tol)
 
@@ -119,9 +119,9 @@ def _cones_suite(cfg: ExperimentConfig, out: Path, checks: _Checks, figures: dic
     slices = []
     for i in range(161):
         a = -0.98 + i * (1.96 / 160)
-        dec = cones_mod.slice_measure(sweep_sys, a, sweep_n)
+        total = cones_mod.slice_measure(sweep_sys, a, sweep_n)
         intervals = cones_mod.slice_intervals(sweep_sys, a, sweep_n).tolist()
-        slices.append({"a": a, "intervals": intervals, "total": dec.total})
+        slices.append({"a": a, "intervals": intervals, "total": total})
     figures["cones"] = {"k": sweep_k, "n": sweep_n, "slices": slices}
 
 
@@ -148,7 +148,7 @@ def _fatcantor_suite(cfg: ExperimentConfig, out: Path, checks: _Checks, cc) -> N
     checks.add("fatcantor_limit_positive", limit, 0.0, limit > 0.0)
 
     try:
-        boundary = LorenzBranchMap.from_coefficient(2.0, boundary_warning=False)
+        boundary = LorenzBranchMap.from_coefficient(2.0)
         make_construction(boundary, 2.0)
         infeasible_detected = False
     except FeasibilityError:
@@ -305,9 +305,10 @@ def run(cfg: ExperimentConfig, only: str | None = None, out_dir: str | None = No
     except ConfigError as exc:
         print(f"config error: {exc}")
         return 2
-    enabled = SUITES if only is None else (only,)
     if only is not None and only not in SUITES:
-        raise InvalidParameterError(f"unknown suite {only!r}; expected one of {SUITES}")
+        print(f"invalid parameters: unknown suite {only!r}; expected one of {SUITES}")
+        return 2
+    enabled = SUITES if only is None else (only,)
     out = Path(out_dir if out_dir is not None else cfg.output_dir)
     checks = _Checks()
     figures: dict[str, dict] = {}
@@ -323,7 +324,7 @@ def run(cfg: ExperimentConfig, only: str | None = None, out_dir: str | None = No
             _cones_suite(cfg, out, checks, figures)
         cc = None
         if {"fatcantor", "bowen", "horseshoe"} & set(enabled):
-            lorenz = LorenzBranchMap.from_coefficient(cfg.c, boundary_warning=False)
+            lorenz = LorenzBranchMap.from_coefficient(cfg.c)
             cc = make_construction(lorenz, cfg.p)
         if "fatcantor" in enabled:
             _fatcantor_suite(cfg, out, checks, cc)

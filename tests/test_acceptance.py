@@ -46,7 +46,7 @@ def test_c1_cone_bound():
     for k in K_VALUES:
         system = make_cone_system(k)
         for n in range(15):
-            totals = [slice_measure(system, a, n).total for a in A_VALUES]
+            totals = [slice_measure(system, a, n) for a in A_VALUES]
             bound = 2.0 / 4.0 ** (n / k)
             worst_excess = max(worst_excess, max(totals) - bound)
             if k == 2:
@@ -76,7 +76,7 @@ def test_c2_oracle_equivalence():
         for a in (0.0, 0.42):
             for n in range(7):
                 estimate = brute_force_slice(system, a, n, resolution).total
-                exact = slice_measure(system, a, n).total
+                exact = slice_measure(system, a, n)
                 worst = max(worst, abs(estimate - exact))
     elapsed = time.perf_counter() - started
     ok = worst <= tol and elapsed < 60.0
@@ -144,7 +144,7 @@ def test_c4b_level20_limit_proximity(construction18, lorenz18):
 
 
 def test_c4c_infeasibility_reported():
-    boundary = LorenzBranchMap.from_coefficient(2.0, boundary_warning=False)
+    boundary = LorenzBranchMap.from_coefficient(2.0)
     with pytest.raises(FeasibilityError):
         make_construction(boundary, 2.0)
     _line("criterion-4c infeasibility at c=2", True, "feasibility error raised")

@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from fathorse import cones
 from fathorse.cones import (
     brute_force_slice,
     cone_map,
@@ -121,39 +123,45 @@ class TestPreimageLevel:
             preimage_level(0.0, 25)
 
 
+def _last_level(system, a, n):
+    """(r, widths) of the deepest level of the slice recursion."""
+    *_, last = cones._levels(system, a, n)
+    return last
+
+
 class TestSliceMeasure:
     def test_level_zero_is_full_fiber(self, k3):
-        assert slice_measure(k3, 0.7, 0).total == 2.0
+        assert slice_measure(k3, 0.7, 0) == 2.0
 
     def test_k2_level_one(self, k2):
-        assert slice_measure(k2, 0.0, 1).total == pytest.approx(1.0, abs=1e-15)
+        assert slice_measure(k2, 0.0, 1) == pytest.approx(1.0, abs=1e-15)
 
     def test_k2_level_two_widths(self, k2):
-        dec = slice_measure(k2, 0.0, 2)
-        assert dec.total == pytest.approx(0.5, abs=1e-15)
-        assert (32.0 * dec.widths).tolist() == pytest.approx([5.0, 3.0, 3.0, 5.0], abs=1e-12)
+        _, widths = _last_level(k2, 0.0, 2)
+        assert slice_measure(k2, 0.0, 2) == pytest.approx(0.5, abs=1e-15)
+        assert (32.0 * widths).tolist() == pytest.approx([5.0, 3.0, 3.0, 5.0], abs=1e-12)
 
     def test_k2_exact_halving(self, k2):
         for n in range(15):
             for a in (-0.9, -0.3, 0.0, 0.42, 0.9):
-                assert abs(slice_measure(k2, a, n).total - 2.0 ** (1 - n)) <= 1e-12
+                assert abs(slice_measure(k2, a, n) - 2.0 ** (1 - n)) <= 1e-12
 
     @pytest.mark.parametrize("k,a", [(2, 0.0), (3, 0.42), (5, -0.9)])
     def test_monotone_decay(self, k, a):
         system = make_cone_system(k)
-        totals = [slice_measure(system, a, n).total for n in range(13)]
+        totals = [slice_measure(system, a, n) for n in range(13)]
         assert all(t2 < t1 for t1, t2 in zip(totals, totals[1:]))
 
     def test_widths_positive_and_sum(self, k3):
-        dec = slice_measure(k3, 0.3, 10)
-        assert np.all(dec.widths > 0.0)
-        assert dec.total == pytest.approx(float(np.sum(dec.widths)), abs=0.0)
-        assert dec.r.size == 2 ** 10
+        r, widths = _last_level(k3, 0.3, 10)
+        assert np.all(widths > 0.0)
+        assert slice_measure(k3, 0.3, 10) == pytest.approx(float(np.sum(widths)), abs=0.0)
+        assert r.size == 2 ** 10
 
     def test_leaves_are_preimage_level(self, k3):
         for a in (-0.9, 0.0, 0.42):
             for n in (0, 1, 9):
-                assert np.array_equal(slice_measure(k3, a, n).r, preimage_level(a, n))
+                assert np.array_equal(_last_level(k3, a, n)[0], preimage_level(a, n))
 
     @pytest.mark.parametrize("k", [2, 3, 5])
     def test_intervals_match_scalar_composite(self, k):
@@ -198,6 +206,21 @@ class TestConeBound:
         with pytest.raises(DomainError):
             verify_cone_bound(k2, 0.0, -1)
 
+    def test_peak_memory_is_one_level(self, k3):
+        # no level's leaf arrays outlive their slice_measure call, so the
+        # whole table peaks no higher than its deepest level alone
+        def traced_peak(fn):
+            tracemalloc.start()
+            try:
+                fn()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        single = traced_peak(lambda: slice_measure(k3, 0.42, 16))
+        table = traced_peak(lambda: verify_cone_bound(k3, 0.42, 16))
+        assert table <= 1.05 * single
+
     def test_nmax_zero_single_row(self, k3):
         report = verify_cone_bound(k3, 0.42, 0)
         assert len(report.rows) == 1 and report.all_pass
@@ -219,7 +242,7 @@ class TestBruteForce:
         for a in (0.0, 0.42):
             for n in (3, 5):
                 est = brute_force_slice(k3, a, n, 1e-5)
-                exact = slice_measure(k3, a, n).total
+                exact = slice_measure(k3, a, n)
                 assert abs(est.total - exact) <= max(10 * 1e-5, 1e-6)
 
     def test_coarse_resolution_warns_in_result(self, k2):

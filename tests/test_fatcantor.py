@@ -65,7 +65,7 @@ class TestFeasibility:
         assert limit == pytest.approx(0.0819, abs=5e-4)
 
     def test_c2_p2_infeasible(self):
-        boundary = LorenzBranchMap.from_coefficient(2.0, boundary_warning=False)
+        boundary = LorenzBranchMap.from_coefficient(2.0)
         with pytest.raises(FeasibilityError) as err:
             make_construction(boundary, 2.0)
         assert "zeta" in str(err.value)

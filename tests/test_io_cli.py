@@ -210,6 +210,13 @@ class TestRunner:
         assert out.count("\n") == 1 and "'N'" in out
         assert not (tmp_path / "out").exists()
 
+    def test_unknown_suite_exits_two(self, tmp_path, capsys):
+        cfg = ExperimentConfig(output_dir=str(tmp_path / "out"))
+        assert run(cfg, only="bogus") == 2
+        out = capsys.readouterr().out
+        assert out.count("\n") == 1 and "unknown suite 'bogus'" in out
+        assert not (tmp_path / "out").exists()
+
     def test_unvalidated_empty_k_list_exits_two(self, tmp_path, capsys):
         cfg = ExperimentConfig(k_list=[], output_dir=str(tmp_path / "out"))
         assert run(cfg, only="cones") == 2

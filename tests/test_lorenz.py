@@ -4,7 +4,6 @@ import pytest
 
 from fathorse.errors import DomainError, InvalidParameterError, SingularityError
 from fathorse.lorenz import (
-    LorenzBranchMap,
     branch_derivative,
     branch_value,
     derive_constants,
@@ -116,10 +115,6 @@ class TestDerivedConstants:
             derive_constants(1.0)
         with pytest.raises(InvalidParameterError):
             derive_constants(2.1)
-
-    def test_boundary_warning_at_c2(self):
-        with pytest.warns(UserWarning):
-            LorenzBranchMap.from_coefficient(2.0)
 
 
 class TestAxiomReport:

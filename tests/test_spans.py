@@ -2,9 +2,11 @@
 
 perfbench/tracer.py wraps named functions and methods of the package; a
 kernel change that moves one of them, or stops the default run from
-calling it, leaves a span empty.  This runs a small config under the
-tracer and requires every span to fire, and checks the closed form that
-perfbench/selftest.py pins for the cones.slice_measure call count.
+calling it, leaves a span empty.  This runs a small config twice, each
+run under its own tracer, and requires every span to fire and every count
+metric to repeat, as perfbench/selftest.py does on the benchmark
+workloads.  It also checks the closed form that the selftest pins for
+the cones.slice_measure call count.
 """
 
 import importlib.util
@@ -27,11 +29,16 @@ def _tracer_module():
 
 def test_every_span_fires(tmp_path):
     tracing = _tracer_module()
-    tracer = tracing.Tracer()
     cfg = ExperimentConfig(N=2, n_max=2, level_max=4, output_dir=str(tmp_path))
-    with tracer.patched():  # KeyError: an entry point moved
-        assert runner.run(cfg) == 0
-    assert sorted(n for n in tracing.span_names() if tracer.calls[n] == 0) == []
+    counts = []
+    for _ in range(2):
+        tracer = tracing.Tracer()
+        with tracer.patched():  # KeyError: an entry point moved
+            assert runner.run(cfg) == 0
+        assert sorted(n for n in tracing.span_names() if tracer.calls[n] == 0) == []
+        metrics = tracing.layer_metrics(tracer)
+        counts.append({name: metrics[name] for name in tracing.COUNT_METRICS})
+    assert counts[0] == counts[1]
 
 
 @pytest.mark.parametrize("n_max", [0, 2])
