@@ -22,7 +22,7 @@ preimages by bisection and pushes dense fiber grids forward.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -50,10 +50,16 @@ BRUTE_FORCE_LEVEL_CAP = 8
 
 @dataclass(frozen=True)
 class ConeSystem:
-    """Fiber-contraction exponent k >= 2 over the c = 2 branch map."""
+    """Fiber-contraction exponent k >= 2 over the c = 2 branch map.
+
+    The system owns the scratch of its width recursion: one buffer for
+    the preimages and one for the widths, grown to the deepest level
+    asked for and reused by every later call.
+    """
 
     k: int
     base: LorenzBranchMap
+    _scratch: list[np.ndarray] = field(default_factory=list, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if int(self.k) != self.k or self.k < 2:
@@ -79,7 +85,7 @@ def cone_map(sys: ConeSystem, x: float, y: float) -> tuple[float, float]:
 
 def _check_slice(a: float, n: int, cap: int = LEVEL_HARD_CAP) -> None:
     """Shared argument guard of the slice recursions."""
-    if abs(a) >= 1.0:
+    if not abs(a) < 1.0:  # also rejects NaN
         raise DomainError(f"slice abscissa must satisfy |a| < 1, got {a}")
     if n < 0:
         raise DomainError("level must be nonnegative")
@@ -87,36 +93,51 @@ def _check_slice(a: float, n: int, cap: int = LEVEL_HARD_CAP) -> None:
         raise SizeGuardError(f"level {n} exceeds the cap {cap}")
 
 
-def _children(r: np.ndarray) -> np.ndarray:
-    """One preimage step: parent j (1-based) has children m = 2j-1 and 2j.
+def _children(r: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """One preimage step into out: parent j (1-based) has children m = 2j-1 and 2j.
 
     Odd m takes the negative branch preimage -((r-1)/2)^2, even m the
     positive one ((r+1)/2)^2, so signs alternate -,+,-,+ along the level.
     """
-    child = np.empty(2 * r.size, dtype=float)
-    child[0::2] = -(((r - 1.0) / 2.0) ** 2)
-    child[1::2] = ((r + 1.0) / 2.0) ** 2
-    return child
+    neg = out[0::2]
+    np.subtract(r, 1.0, out=neg)
+    np.add(r, 1.0, out=out[1::2])
+    out /= 2.0
+    np.square(out, out=out)
+    np.negative(neg, out=neg)
+    return out
 
 
 def _levels(sys: ConeSystem, a: float, n: int):
     """Yield (r, widths) for levels 0..n of the slice cover at x = a.
 
     width(n, m) = |r(n, m)|^{1/k}/2 * width(n-1, ceil(m/2)), starting
-    from the full fiber width 2 at level 0.
+    from the full fiber width 2 at level 0.  The yielded arrays are views
+    into the system's scratch: level L sits at offset 0 when n - L is
+    even and at offset 2^n otherwise, so a level and its parent never
+    overlap.  A level is overwritten two levels later, and every level
+    by the next _levels call on the same system.
     """
     _check_slice(a, n)
-    r = np.array([a], dtype=float)
-    widths = np.array([2.0], dtype=float)
+    size = 3 * 2**n // 2
+    scratch = sys._scratch
+    if not scratch or scratch[0].size < size:
+        scratch.clear()  # free the old buffers before allocating the new ones
+        scratch += [np.empty(size), np.empty(size)]
+    r_buf, w_buf = scratch
     inv_k = 1.0 / sys.k
+    at = 0 if n % 2 == 0 else 2**n
+    r, widths = r_buf[at : at + 1], w_buf[at : at + 1]
+    r[0], widths[0] = a, 2.0
     yield r, widths
-    for _ in range(n):
-        r = _children(r)
-        child_w = np.abs(r)  # width step, in place: |r|^{1/k}/2 times the parent width
+    for level in range(1, n + 1):
+        at = 0 if (n - level) % 2 == 0 else 2**n
+        r = _children(r, r_buf[at : at + 2**level])
+        child_w = np.abs(r, out=w_buf[at : at + 2**level])  # |r|^{1/k}/2 times the parent width
         child_w **= inv_k
         child_w *= 0.5
-        pairs = child_w.reshape(-1, 2)
-        pairs *= widths[:, None]
+        child_w[0::2] *= widths
+        child_w[1::2] *= widths
         widths = child_w
         yield r, widths
 
@@ -126,7 +147,7 @@ def preimage_level(a: float, n: int) -> np.ndarray:
     _check_slice(a, n)
     level = np.array([a], dtype=float)
     for _ in range(n):
-        level = _children(level)
+        level = _children(level, np.empty(2 * level.size))
     return level
 
 
@@ -134,7 +155,7 @@ def slice_measure(sys: ConeSystem, a: float, n: int) -> float:
     """Total width of the exact level-n slice cover, via the width recursion."""
     for _, widths in _levels(sys, a, n):
         pass
-    # np.sum reduces pairwise, so the total is schedule-independent
+    # one np.sum over the final level array
     return float(np.sum(widths))
 
 
@@ -182,6 +203,7 @@ def verify_cone_bound(sys: ConeSystem, a: float, n_max: int) -> ConeBoundReport:
     """Tabulate totals against the 2/4^{n/k} bound and the per-level decay."""
     if n_max < 0:
         raise DomainError("n_max must be nonnegative")
+    _check_slice(a, n_max)  # before the first level, not after level LEVEL_HARD_CAP
     decay = 2.0 ** (-2.0 / sys.k)
     rows = []
     prev = None

@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fathorse import cones
 from fathorse.cones import (
@@ -185,6 +187,15 @@ class TestSliceMeasure:
             assert np.allclose(got, expected, rtol=0.0, atol=4 * n * np.finfo(float).eps)
 
 
+def _traced_peak(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestConeBound:
     def test_k2_equality_case(self, k2):
         report = verify_cone_bound(k2, 0.0, 14)
@@ -206,20 +217,26 @@ class TestConeBound:
         with pytest.raises(DomainError):
             verify_cone_bound(k2, 0.0, -1)
 
-    def test_peak_memory_is_one_level(self, k3):
-        # no level's leaf arrays outlive their slice_measure call, so the
-        # whole table peaks no higher than its deepest level alone
-        def traced_peak(fn):
-            tracemalloc.start()
-            try:
-                fn()
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+    def test_cap_fails_before_the_first_level(self, k2, monkeypatch):
+        calls = []
+        monkeypatch.setattr(cones, "slice_measure", lambda *args: calls.append(args))
+        with pytest.raises(SizeGuardError):
+            verify_cone_bound(k2, 0.0, cones.LEVEL_HARD_CAP + 1)
+        assert calls == []
 
-        single = traced_peak(lambda: slice_measure(k3, 0.42, 16))
-        table = traced_peak(lambda: verify_cone_bound(k3, 0.42, 16))
+    def test_peak_memory_is_one_level(self):
+        # the scratch grows by freeing the old buffers first, so the whole
+        # table peaks no higher than its deepest level alone; each side
+        # gets a fresh system, whose scratch has not yet been grown
+        single = _traced_peak(lambda: slice_measure(make_cone_system(3), 0.42, 16))
+        table = _traced_peak(lambda: verify_cone_bound(make_cone_system(3), 0.42, 16))
         assert table <= 1.05 * single
+
+    def test_warm_system_allocates_no_levels(self):
+        system = make_cone_system(3)
+        cold = _traced_peak(lambda: verify_cone_bound(system, 0.42, 16))
+        warm = _traced_peak(lambda: verify_cone_bound(system, 0.42, 16))
+        assert warm < 0.05 * cold
 
     def test_nmax_zero_single_row(self, k3):
         report = verify_cone_bound(k3, 0.42, 0)
@@ -252,3 +269,86 @@ class TestBruteForce:
     def test_cost_guard(self, k2):
         with pytest.raises(SizeGuardError):
             brute_force_slice(k2, 0.0, 9, 1e-4)
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        lambda a: preimage_level(a, 3),
+        lambda a: slice_measure(make_cone_system(3), a, 3),
+        lambda a: slice_intervals(make_cone_system(3), a, 3),
+        lambda a: verify_cone_bound(make_cone_system(3), a, 3),
+        lambda a: brute_force_slice(make_cone_system(3), a, 3, 1e-3),
+    ],
+    ids=["preimage_level", "slice_measure", "slice_intervals", "verify_cone_bound", "brute_force_slice"],
+)
+def test_nan_abscissa_is_a_domain_error(entry):
+    # match the message: SingularityError, which brute_force_slice raised, is a DomainError
+    with pytest.raises(DomainError, match="abscissa"):
+        entry(math.nan)
+
+
+def _allocating_levels(k, a, n):
+    """The width recursion as it was before the scratch: fresh arrays per level."""
+    r = np.array([a], dtype=float)
+    widths = np.array([2.0], dtype=float)
+    yield r, widths
+    for _ in range(n):
+        child = np.empty(2 * r.size, dtype=float)
+        child[0::2] = -(((r - 1.0) / 2.0) ** 2)
+        child[1::2] = ((r + 1.0) / 2.0) ** 2
+        r = child
+        child_w = np.abs(r)
+        child_w **= 1.0 / k
+        child_w *= 0.5
+        pairs = child_w.reshape(-1, 2)
+        pairs *= widths[:, None]
+        widths = child_w
+        yield r, widths
+
+
+def _assert_levels_bit_equal(system, a, n):
+    # tobytes() equality, so a zero of the wrong sign would count
+    count = 0
+    for (r, w), (r0, w0) in zip(cones._levels(system, a, n), _allocating_levels(system.k, a, n)):
+        assert r.tobytes() == r0.tobytes() and w.tobytes() == w0.tobytes()
+        count += 1
+    assert count == n + 1
+
+
+WIDE_K = (2, 3, 4, 5, 6, 7)
+WIDE_A = (-0.9, -0.6, -0.3, 0.0, 0.2, 0.42, 0.6, 0.75, 0.9)
+
+
+@pytest.fixture(scope="module")
+def warm_systems():
+    # shared by every hypothesis example, so each runs on a used scratch
+    return {k: make_cone_system(k) for k in range(2, 8)}
+
+
+class TestScratchParity:
+    @pytest.mark.parametrize("k", WIDE_K)
+    def test_levels_match_allocating_recursion(self, k):
+        # one shared system, deep then shallow then the next abscissa, so
+        # stale scratch contents from an earlier call would show
+        system = make_cone_system(k)
+        for a in WIDE_A:
+            for n in (16, 0, 2, 7, 1):
+                _assert_levels_bit_equal(system, a, n)
+
+    @pytest.mark.parametrize("k", (2, 3, 7))
+    def test_intervals_on_warm_system_match_fresh(self, k):
+        warm = make_cone_system(k)
+        verify_cone_bound(warm, -0.6, 12)
+        for a in (-0.9, 0.0, 0.42):
+            got = slice_intervals(warm, a, 7)
+            assert got.tobytes() == slice_intervals(make_cone_system(k), a, 7).tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.floats(-1.0, 1.0, exclude_min=True, exclude_max=True),
+        st.integers(2, 7),
+        st.integers(0, 12),
+    )
+    def test_levels_property(self, warm_systems, a, k, n):
+        _assert_levels_bit_equal(warm_systems[k], a, n)
