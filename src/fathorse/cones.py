@@ -28,7 +28,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import DomainError, InvalidParameterError, SingularityError, SizeGuardError
-from .lorenz import LorenzBranchMap, branch_value
+from .lorenz import branch_value
 
 __all__ = [
     "ConeSystem",
@@ -50,37 +50,35 @@ BRUTE_FORCE_LEVEL_CAP = 8
 
 @dataclass(frozen=True)
 class ConeSystem:
-    """Fiber-contraction exponent k >= 2 over the c = 2 branch map.
+    """Fiber-contraction exponent k >= 2 of the skew product.
 
+    The base is always the c = 2 branch map, so k is the only parameter.
     The system owns the scratch of its width recursion: one buffer for
     the preimages and one for the widths, grown to the deepest level
-    asked for and reused by every later call.
+    asked for and reused by every later call, so one system per k serves
+    every slice, table and figure of that exponent.
     """
 
     k: int
-    base: LorenzBranchMap
     _scratch: list[np.ndarray] = field(default_factory=list, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if int(self.k) != self.k or self.k < 2:
             raise InvalidParameterError(f"fiber exponent k must be an integer >= 2, got {self.k}")
-        if self.base.c != 2.0:
-            raise InvalidParameterError("cone construction requires the c = 2 base map")
 
 
 def make_cone_system(k: int) -> ConeSystem:
-    base = LorenzBranchMap.from_coefficient(2.0)
-    return ConeSystem(k=int(k), base=base)
+    return ConeSystem(k=int(k))
 
 
-def cone_map(sys: ConeSystem, x: float, y: float) -> tuple[float, float]:
-    """One application of the skew product at (x, y), x != 0."""
+def cone_map(sys: ConeSystem, x: float, y):
+    """One application of the skew product at (x, y), x != 0; y may be an array on one fiber."""
     if x == 0.0:
         raise SingularityError("skew product is undefined on the line x = 0")
-    if abs(x) > 1.0 or abs(y) > 1.0:
+    if abs(x) > 1.0 or np.any(np.abs(y) > 1.0):
         raise DomainError(f"point ({x}, {y}) outside the section square")
     push = 1.0 if x > 0.0 else -1.0
-    return sys.base.value(x), 0.5 * (y * abs(x) ** (1.0 / sys.k) + push)
+    return branch_value(2.0, x), 0.5 * (y * abs(x) ** (1.0 / sys.k) + push)
 
 
 def _check_slice(a: float, n: int, cap: int = LEVEL_HARD_CAP) -> None:
@@ -270,17 +268,11 @@ def brute_force_slice(sys: ConeSystem, a: float, n: int, resolution: float) -> B
 
     npts = int(math.ceil(2.0 / resolution)) + 1
     ygrid = np.linspace(-1.0, 1.0, npts)
-    inv_k = 1.0 / sys.k
     intervals = []
     for x0 in level:
-        x, y = x0, ygrid.copy()
+        x, y = x0, ygrid
         for _ in range(n):
-            factor = abs(x) ** inv_k
-            if x > 0.0:
-                y = 0.5 * (y * factor + 1.0)
-            else:
-                y = 0.5 * (y * factor - 1.0)
-            x = branch_value(2.0, x)
+            x, y = cone_map(sys, x, y)
         intervals.append((float(y.min()), float(y.max())))
 
     intervals.sort()

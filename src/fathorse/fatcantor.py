@@ -98,33 +98,25 @@ def _check_word(word: str) -> None:
 class CantorConstruction:
     """Word-indexed interval tree on [-a, a] with centered gaps removed.
 
-    The interval cache is append-only and keyed by word; repopulation is
-    idempotent (a word always resolves to the same endpoints).  So are the
-    per-level half-gap table and the list of level arrays, which grow to
-    the deepest level asked for.
+    The level arrays are the tree's only cache: they grow to the deepest
+    level asked for, as does the per-level half-gap table.  A single word
+    is read by descent from [-a, a], one centered gap per letter.
     """
 
     half_width: float
     gaps: GapLengthSequence
     source_map: LorenzBranchMap
-    _cache: dict[str, tuple[float, float]] = field(default_factory=dict, repr=False)
     _half_gaps: list[float] = field(default_factory=list, repr=False)
     _levels: list[tuple[np.ndarray, np.ndarray]] = field(default_factory=list, repr=False)
 
     def interval(self, word: str) -> tuple[float, float]:
         """Endpoints of I_word; the empty word gives [-a, a]."""
         _check_word(word)
-        cached = self._cache.get(word)
-        if cached is not None:
-            return cached
-        if word == "":
-            result = (-self.half_width, self.half_width)
-        else:
-            parent_lo, parent_hi = self.interval(word[:-1])
-            gap_lo, gap_hi = self._gap_from(parent_lo, parent_hi, len(word) - 1)
-            result = (gap_hi, parent_hi) if word[-1] == "0" else (parent_lo, gap_lo)
-        self._cache[word] = result
-        return result
+        lo, hi = -self.half_width, self.half_width
+        for n, letter in enumerate(word):
+            gap_lo, gap_hi = self._gap_from(lo, hi, n)
+            lo, hi = (gap_hi, hi) if letter == "0" else (lo, gap_lo)
+        return lo, hi
 
     def level(self, n: int) -> tuple[np.ndarray, np.ndarray]:
         """The 2^n level-n intervals as read-only (lo, hi) arrays, left to right.
@@ -200,12 +192,15 @@ class CantorConstruction:
             raise DomainError("depth must be at least 1")
         if not -self.half_width <= x <= self.half_width:
             raise DomainError(f"x = {x} outside [-a, a]")
-        word = ""
-        while len(word) < depth:
-            gap_lo, gap_hi = self.gap(word)
+        word, lo, hi = "", -self.half_width, self.half_width
+        for n in range(depth):
+            gap_lo, gap_hi = self._gap_from(lo, hi, n)
             if gap_lo <= x <= gap_hi:
                 return Address("gap", word)
-            word += "0" if x > gap_hi else "1"
+            if x > gap_hi:
+                word, lo = word + "0", gap_hi
+            else:
+                word, hi = word + "1", gap_lo
         return Address("interval", word)
 
     def subtree_cover_length(self, word: str, level: int) -> float:

@@ -255,7 +255,8 @@ class PoincareSystem:
 
         Members of the depth-N set are sampled from the product cover with
         the seeded splitmix64 stream, drawn one sample at a time in stream
-        order and then tested together by one array membership call.  For
+        order, placed in their cells of the depth-N level arrays and then
+        tested together by one array membership call.  For
         every member at once, the interval tree under y is descended level
         by level until a removed gap sits within eps, and the nudged gap
         point is re-tested as a non-member (at the gap's own depth if that
@@ -268,16 +269,15 @@ class PoincareSystem:
             raise DomainError(f"eps = {eps} must stay below the gap scale b = {b}")
         cc = self.bowen.cc
         rng = SplitMix64(seed)
-        xs, ys = [], []
+        words, us = [], []
         for _ in range(sample_count):
-            wx, wy = rng.bits(depth), rng.bits(depth)
-            ux, uy = rng.random(), rng.random()
-            xlo, xhi = cc.interval(wx)
-            ylo, yhi = cc.interval(wy)
-            xs.append(xlo + ux * (xhi - xlo))
-            ys.append(ylo + uy * (yhi - ylo))
-        orbits = ExitTimes(np.array(xs, dtype=float))
-        ys = np.array(ys, dtype=float)
+            words += rng.bits(depth), rng.bits(depth)
+            us += rng.random(), rng.random()
+        lo, hi = cc.level(depth) if words else (np.empty(0), np.empty(0))
+        cells = [2**depth - 1 - int("0" + w, 2) for w in words]  # "0" is the right child
+        samples = lo[cells] + np.array(us) * (hi[cells] - lo[cells])  # x, y, x, y, ...
+        xs, ys = samples[0::2].tolist(), samples[1::2]
+        orbits = ExitTimes(samples[0::2])
         member = self.membership((orbits, ys), depth)
 
         witness_y, gap_level = np.empty(ys.size), np.full(ys.size, -1)

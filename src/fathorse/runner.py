@@ -78,17 +78,36 @@ class _Checks:
 
 
 def _cones_suite(cfg: ExperimentConfig, out: Path, checks: _Checks, figures: dict) -> None:
+    # One system per k_list entry, in config order, so a repeated k gets its
+    # own block.  Each is made as its block starts and dropped after it, so
+    # one scratch of n_max levels is alive at a time.  The first system also
+    # serves the oracle sample and the figure sweep, before its block.
+    systems = map(cones_mod.make_cone_system, cfg.k_list)
+    system = next(systems)
+    oracle_a = cfg.a_list[len(cfg.a_list) // 2]
+    bf = cones_mod.brute_force_slice(system, oracle_a, min(4, cfg.n_max), 1e-3)
+    oracle_dev = abs(bf.total - cones_mod.slice_measure(system, oracle_a, min(4, cfg.n_max)))
+
+    sweep_n = min(6, cfg.n_max)
+    slices = []
+    for i in range(161):
+        a = -0.98 + i * (1.96 / 160)
+        total = cones_mod.slice_measure(system, a, sweep_n)
+        intervals = cones_mod.slice_intervals(system, a, sweep_n).tolist()
+        slices.append({"a": a, "intervals": intervals, "total": total})
+    figures["cones"] = {"k": system.k, "n": sweep_n, "slices": slices}
+
     rows = []
     worst_excess = -math.inf
     k2_dev = 0.0
-    for k in cfg.k_list:
-        system = cones_mod.make_cone_system(k)
+    while system is not None:
         for a in cfg.a_list:
             for row in cones_mod.verify_cone_bound(system, a, cfg.n_max).rows:
-                rows.append([k, a, row.n, row.total, row.bound, row.ratio])
+                rows.append([system.k, a, row.n, row.total, row.bound, row.ratio])
                 worst_excess = max(worst_excess, row.total - row.bound)
-                if k == 2:
+                if system.k == 2:
                     k2_dev = max(k2_dev, abs(row.total - 2.0 ** (1 - row.n)))
+        system = next(systems, None)
     _write_csv(out / "cones.csv", ["k", "a", "n", "total", "bound", "ratio"], rows)
     checks.add("cone_bound_excess", worst_excess, 1e-12, worst_excess <= 1e-12)
     if 2 in cfg.k_list:
@@ -104,25 +123,8 @@ def _cones_suite(cfg: ExperimentConfig, out: Path, checks: _Checks, figures: dic
             for r, val in zip(floats, levels[n])
         )
     checks.add("cone_integer_spotcheck", 1.0 if spot_ok else 0.0, 1.0, spot_ok)
-
-    oracle_k = cfg.k_list[0]
-    oracle_sys = cones_mod.make_cone_system(oracle_k)
-    oracle_a = cfg.a_list[len(cfg.a_list) // 2]
-    bf = cones_mod.brute_force_slice(oracle_sys, oracle_a, min(4, cfg.n_max), 1e-3)
-    exact = cones_mod.slice_measure(oracle_sys, oracle_a, min(4, cfg.n_max))
     tol = max(10 * 1e-3, 1e-6)
-    checks.add("cone_oracle_sample", abs(bf.total - exact), tol, abs(bf.total - exact) <= tol)
-
-    sweep_k = cfg.k_list[0]
-    sweep_sys = cones_mod.make_cone_system(sweep_k)
-    sweep_n = min(6, cfg.n_max)
-    slices = []
-    for i in range(161):
-        a = -0.98 + i * (1.96 / 160)
-        total = cones_mod.slice_measure(sweep_sys, a, sweep_n)
-        intervals = cones_mod.slice_intervals(sweep_sys, a, sweep_n).tolist()
-        slices.append({"a": a, "intervals": intervals, "total": total})
-    figures["cones"] = {"k": sweep_k, "n": sweep_n, "slices": slices}
+    checks.add("cone_oracle_sample", oracle_dev, tol, oracle_dev <= tol)
 
 
 def _fatcantor_suite(cfg: ExperimentConfig, out: Path, checks: _Checks, cc) -> None:

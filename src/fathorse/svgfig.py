@@ -135,8 +135,9 @@ _RENDERERS = {
 
 
 def render_section_svg(dataset: dict, kind: str) -> str:
-    """Render one figure kind from its dataset; empty datasets give the
-    bare canvas with axes, datasets of the wrong shape a DomainError."""
+    """Render one figure kind from its dataset, or raise DomainError if it is
+    malformed.  Empty image, cones and horseshoe datasets give the bare
+    canvas with axes; a partition needs `b` and `strip_halfheight`."""
     if kind not in _RENDERERS:
         raise DomainError(f"unknown figure kind {kind!r}; expected one of {FIGURE_KINDS}")
     dataset = dataset or {}

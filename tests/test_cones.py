@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 from fractions import Fraction
@@ -19,6 +20,7 @@ from fathorse.cones import (
     verify_cone_bound,
 )
 from fathorse.errors import DomainError, InvalidParameterError, SingularityError, SizeGuardError
+from fathorse.lorenz import branch_value
 
 
 @pytest.fixture(scope="module")
@@ -352,3 +354,65 @@ class TestScratchParity:
     )
     def test_levels_property(self, warm_systems, a, k, n):
         _assert_levels_bit_equal(warm_systems[k], a, n)
+
+
+def _inline_brute_force_total(k, a, n, resolution):
+    """brute_force_slice's total with its own copy of the fiber step, as
+    it was before the y-grids went through cone_map."""
+    level = [a]
+    for _ in range(n):
+        level = [x for v in level
+                 for x in (cones._branch_preimage(v, -1), cones._branch_preimage(v, +1))]
+    ygrid = np.linspace(-1.0, 1.0, int(math.ceil(2.0 / resolution)) + 1)
+    inv_k = 1.0 / k
+    intervals = []
+    for x0 in level:
+        x, y = x0, ygrid.copy()
+        for _ in range(n):
+            factor = abs(x) ** inv_k
+            if x > 0.0:
+                y = 0.5 * (y * factor + 1.0)
+            else:
+                y = 0.5 * (y * factor - 1.0)
+            x = branch_value(2.0, x)
+        intervals.append((float(y.min()), float(y.max())))
+    intervals.sort()
+    pieces = []
+    cur_lo, cur_hi = intervals[0]
+    for lo, hi in intervals[1:]:
+        if lo <= cur_hi:
+            cur_hi = max(cur_hi, hi)
+        else:
+            pieces.append(cur_hi - cur_lo)
+            cur_lo, cur_hi = lo, hi
+    pieces.append(cur_hi - cur_lo)
+    return math.fsum(pieces)
+
+
+class TestOneSkewProduct:
+    def test_k_is_the_only_parameter(self):
+        assert [f.name for f in dataclasses.fields(cones.ConeSystem)] == ["k", "_scratch"]
+        assert make_cone_system(3) == cones.ConeSystem(3)
+
+    @pytest.mark.parametrize("k", WIDE_K)
+    def test_brute_force_matches_inline_fiber_step(self, k):
+        system = make_cone_system(k)
+        for a in WIDE_A:
+            for n in range(5):
+                got = brute_force_slice(system, a, n, 1e-3).total
+                assert got.hex() == _inline_brute_force_total(k, a, n, 1e-3).hex()
+
+    @pytest.mark.parametrize("k", WIDE_K)
+    def test_array_fiber_matches_scalar(self, k):
+        system = make_cone_system(k)
+        ys = np.concatenate([np.linspace(-1.0, 1.0, 201), [-0.0, 1e-300, -0.3333333333333333]])
+        for x in (-1.0, -0.6, -1e-9, 2.0 ** -40, 0.42, 0.75, 1.0):
+            xa, ya = cone_map(system, x, ys)
+            assert ya.shape == ys.shape
+            for y, got in zip(ys.tolist(), ya.tolist()):
+                xs, want = cone_map(system, x, y)
+                assert (xa.hex(), got.hex()) == (xs.hex(), want.hex())
+
+    def test_array_outside_square(self, k2):
+        with pytest.raises(DomainError):
+            cone_map(k2, 0.5, np.array([0.0, 1.2]))

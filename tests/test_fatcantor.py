@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import zeta as scipy_zeta
 
 from fathorse import fatcantor
@@ -11,6 +13,7 @@ from fathorse.lorenz import LorenzBranchMap
 
 FLIP = str.maketrans("01", "10")
 SAMPLE_WORDS = ["", "0", "1", "01", "10", "0011", "101010", "000000000001", "011011011011"]
+A18 = LorenzBranchMap.from_coefficient(1.8).a
 
 
 class TestZeta:
@@ -237,3 +240,77 @@ class TestTreeJson:
     def test_depth_guard(self, construction18):
         with pytest.raises(SizeGuardError):
             construction18.to_tree_json(13)
+
+
+def _memo_interval(cc, word, cache):
+    """The word-keyed memoized recursion that once backed interval(): the
+    oracle of the descent from the root."""
+    cached = cache.get(word)
+    if cached is not None:
+        return cached
+    if word == "":
+        result = (-cc.half_width, cc.half_width)
+    else:
+        parent_lo, parent_hi = _memo_interval(cc, word[:-1], cache)
+        gap_lo, gap_hi = _memo_gap_from(cc, parent_lo, parent_hi, len(word) - 1)
+        result = (gap_hi, parent_hi) if word[-1] == "0" else (parent_lo, gap_lo)
+    cache[word] = result
+    return result
+
+
+def _memo_gap_from(cc, lo, hi, level):
+    center = 0.5 * (lo + hi)
+    half = 0.5 * cc.gaps.length(level) / 2.0 ** level
+    return center - half, center + half
+
+
+def _memo_gap(cc, word, cache):
+    return _memo_gap_from(cc, *_memo_interval(cc, word, cache), len(word))
+
+
+def _per_letter_locate(cc, x, depth, cache):
+    """locate as the per-letter gap(word) loop over the memoized tree."""
+    word = ""
+    while len(word) < depth:
+        gap_lo, gap_hi = _memo_gap(cc, word, cache)
+        if gap_lo <= x <= gap_hi:
+            return ("gap", word)
+        word += "0" if x > gap_hi else "1"
+    return ("interval", word)
+
+
+def _hex(pair):
+    return tuple(v.hex() for v in pair)
+
+
+@pytest.fixture(scope="module")
+def memo_cache():
+    # shared by every example, as the construction's own cache once was
+    return {}
+
+
+class TestTreeParity:
+    @settings(max_examples=300, deadline=None)
+    @given(st.text(alphabet="01", max_size=40))
+    def test_word_reads_match_memoized_recursion(self, construction18, memo_cache, word):
+        assert _hex(construction18.interval(word)) == _hex(_memo_interval(construction18, word, memo_cache))
+        assert _hex(construction18.gap(word)) == _hex(_memo_gap(construction18, word, memo_cache))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.floats(-A18, A18), st.integers(1, 20))
+    def test_locate_matches_per_letter_loop(self, construction18, memo_cache, x, depth):
+        assert construction18.locate(x, depth) == _per_letter_locate(construction18, x, depth, memo_cache)
+
+    @pytest.mark.parametrize("depth", [1, 2, 5, 8, 20])
+    def test_locate_at_interval_ends_and_gap_edges(self, construction18, memo_cache, depth):
+        cc = construction18
+        for n in range(8):
+            los, his = cc.level(n)
+            glos, ghis = cc._gap_from(los, his, n)
+            for x in np.concatenate([los, his, glos, ghis]).tolist():
+                assert cc.locate(x, depth) == _per_letter_locate(cc, x, depth, memo_cache)
+            if n < depth:
+                # a gap edge is also the end of its neighbor interval: the tie goes to the gap
+                words = [format(i, f"0{n}b").translate(FLIP) if n else "" for i in range(2 ** n)]
+                for word, glo, ghi in zip(words, glos.tolist(), ghis.tolist()):
+                    assert cc.locate(glo, depth) == cc.locate(ghi, depth) == ("gap", word)

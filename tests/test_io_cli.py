@@ -139,6 +139,16 @@ class TestSvg:
         assert "polygon" not in svg
         assert svg.count("<line") >= 2
 
+    @pytest.mark.parametrize("kind", ["image", "horseshoe"])
+    def test_empty_dataset_renders_bare_canvas(self, kind):
+        svg = render_section_svg({}, kind)
+        assert svg.count("<rect") == 1 and "<polygon" not in svg  # the frame only
+        assert svg.count("<line") >= 2  # the axes
+
+    def test_empty_partition_is_malformed(self):
+        with pytest.raises(DomainError, match="malformed partition dataset"):
+            render_section_svg({}, "partition")
+
     def test_unknown_kind(self):
         with pytest.raises(DomainError):
             render_section_svg({}, "sections")
@@ -223,6 +233,58 @@ class TestRunner:
         out = capsys.readouterr().out
         assert out.count("\n") == 1 and "k_list" in out
 
+    def test_repeated_k_gets_its_own_block(self, tmp_path, monkeypatch):
+        # one system per k_list entry, in config order; the first one also
+        # serves the oracle sample and the figure sweep, and every figure
+        # equals the one a fresh system gives
+        from fathorse import cones
+
+        make, built = cones.make_cone_system, []
+        monkeypatch.setattr(cones, "make_cone_system", lambda k: built.append(k) or make(k))
+        k_list, a_list, n_max = [3, 2, 3], [-0.6, 0.0, 0.42], 5
+        cfg = ExperimentConfig(**{**SMALL, "k_list": k_list, "a_list": a_list,
+                                  "n_max": n_max, "output_dir": str(tmp_path)})
+        assert run(cfg, only="cones") == 0
+        assert built == k_list
+        _, *rows = (tmp_path / "cones.csv").read_text().strip().split("\n")
+        expected = [
+            (str(k), a.hex(), str(row.n), row.total.hex(), row.bound.hex(), row.ratio.hex())
+            for k in k_list for a in a_list
+            for row in cones.verify_cone_bound(make(k), a, n_max).rows
+        ]
+        got = [line.split(",") for line in rows]
+        assert [(r[0], float(r[1]).hex(), r[2], *(float(v).hex() for v in r[3:])) for r in got] == expected
+
+        report = {rec["id"]: rec for rec in json.loads((tmp_path / "report.json").read_text())["criteria"]}
+        a, n = a_list[1], min(4, n_max)
+        oracle = abs(cones.brute_force_slice(make(3), a, n, 1e-3).total - cones.slice_measure(make(3), a, n))
+        assert report["cone_oracle_sample"]["value"].hex() == oracle.hex()
+        sweep = json.loads((tmp_path / "figures" / "cones.json").read_text())
+        assert (sweep["k"], sweep["n"], len(sweep["slices"])) == (3, 5, 161)
+        for entry in sweep["slices"]:
+            assert entry["total"].hex() == cones.slice_measure(make(3), entry["a"], 5).hex()
+            assert entry["intervals"] == cones.slice_intervals(make(3), entry["a"], 5).tolist()
+
+    def test_cones_suite_holds_one_scratch(self, tmp_path):
+        # each system is dropped after its block, so the suite's traced peak
+        # stays near one n_max scratch, not one scratch per k_list entry
+        import tracemalloc
+
+        from fathorse import cones
+
+        def peak(fn):
+            tracemalloc.start()
+            try:
+                fn()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        cfg = ExperimentConfig(**{**SMALL, "k_list": [3, 3, 3, 3], "a_list": [0.42],
+                                  "n_max": 18, "output_dir": str(tmp_path)})
+        single = peak(lambda: cones.verify_cone_bound(cones.make_cone_system(3), 0.42, 18))
+        assert peak(lambda: run(cfg, only="cones")) < 1.5 * single
+
     def test_n_zero_single_row(self, tmp_path):
         cfg = ExperimentConfig(
             **{**SMALL, "k_list": [2], "a_list": [0.0], "n_max": 0, "output_dir": str(tmp_path)}
@@ -282,6 +344,7 @@ class TestCli:
         [
             pytest.param("cones", {"slices": "x"}, id="cones-slices-string"),
             pytest.param("partition", {"b": "x"}, id="partition-missing-key"),
+            pytest.param("partition", {}, id="partition-empty"),
             pytest.param("horseshoe", [[0.1, 0.2]], id="top-level-list"),
         ],
     )
