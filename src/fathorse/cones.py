@@ -203,10 +203,11 @@ def verify_cone_bound(sys: ConeSystem, a: float, n_max: int) -> ConeBoundReport:
         raise DomainError("n_max must be nonnegative")
     _check_slice(a, n_max)  # before the first level, not after level LEVEL_HARD_CAP
     decay = 2.0 ** (-2.0 / sys.k)
+    # deepest level first, so the scratch is sized once for the whole table
+    totals = [slice_measure(sys, a, n) for n in range(n_max, -1, -1)][::-1]
     rows = []
     prev = None
-    for n in range(n_max + 1):
-        total = slice_measure(sys, a, n)
+    for n, total in enumerate(totals):
         bound = 2.0 / 4.0 ** (n / sys.k)
         if prev is None:
             ratio, decay_ok = math.nan, True

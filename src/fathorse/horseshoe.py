@@ -17,12 +17,13 @@ x axis it records each cell center's exit time, the number of leading
 second-return iterates inside [-a, -b] u [b, a], in one vectorized pass
 per resolution that advances only as far as the deepest depth asked for;
 the x-condition at depth N is then exit >= N for every such N at once.
-On the y axis it binary-searches the depth-N fiber level array.  Array
-membership and the vertical-gap witness run their points' exit times
-through the same ExitTimes step, and the fiber contraction report takes
-its central differences through the array inverse of the right branch.
-The scalar membership and _x_condition stay as the oracles of these
-array paths; fiber_intervals builds each level through scalar fiber_map.
+On the y axis it binary-searches the depth-N fiber level array.
+Membership and the vertical-gap witness run their points' exit times
+through the same ExitTimes step, and fiber_intervals builds each level
+with one fiber_map call per sign.  Each map has one entry point, which
+takes a float or an array and runs the array body of the base-map
+kernels; the per-point code (fiber_map, the x-condition, membership) is
+kept in tests/oracles.py as the oracle of the parity tests.
 """
 
 from __future__ import annotations
@@ -76,52 +77,61 @@ class PoincareSystem:
 
     # -- section map -------------------------------------------------------
 
-    def _oriented_fiber(self, u: float) -> float:
-        """Fiber image for the positive-x frame: the strip uses the right
+    def _oriented_fiber(self, us: np.ndarray) -> np.ndarray:
+        """Fiber images for the positive-x frame: the strip uses the right
         branch inverse, beyond it an affine contraction into the hooks."""
         y_cap = self.strip_halfheight
-        if -y_cap <= u <= y_cap:
-            return self.bowen.invert_right(u)
-        if u > y_cap:
-            return self._g_top + self._mu_top * (u - y_cap)
-        return self._g_bot + self._mu_bot * (u + y_cap)
+        g = np.where(us > y_cap, self._g_top + self._mu_top * (us - y_cap),
+                     self._g_bot + self._mu_bot * (us + y_cap))
+        strip = (-y_cap <= us) & (us <= y_cap)
+        if strip.any():
+            g[strip] = self.bowen.invert_right(us[strip])
+        return g
 
-    def section_map(self, point: tuple[float, float]) -> tuple[float, float]:
-        """One return: x through the spliced map, y through the fiber."""
+    def section_map(self, point):
+        """One return: x through the spliced map, y through the fiber.
+
+        `point` is (x, y) with floats, or with equal-length arrays for
+        which the images are arrays.
+        """
         x, y = point
-        if x == 0.0:
+        xs, ys = _points(x), _points(y)
+        if (xs == 0.0).any():
             raise SingularityError("section map undefined on the line x = 0")
-        if abs(x) > 1.0 or abs(y) > 1.0:
-            raise DomainError(f"point {point} outside the section square")
-        sign = 1.0 if x > 0.0 else -1.0
-        u = sign * y
-        g = self._oriented_fiber(u)
-        if abs(x) < self.bowen.m.b:
-            # inner rectangles: squeeze toward the strip-image midline so the
-            # images taper into the hook caps and stay inside the square
-            mid = 0.5 * (self._g_top + self._g_bot)
-            g = mid + math.sqrt(abs(x) / self.bowen.m.b) * (g - mid)
-        return self.bowen.modified_value(x), sign * g
+        _check_square(xs, ys, 1.0, "section square")
+        sign = np.where(xs > 0.0, 1.0, -1.0)
+        g = self._oriented_fiber(sign * ys)
+        b = self.bowen.m.b
+        inner = np.abs(xs) < b
+        # inner rectangles: squeeze toward the strip-image midline so the
+        # images taper into the hook caps and stay inside the square
+        mid = 0.5 * (self._g_top + self._g_bot)
+        g[inner] = mid + np.sqrt(np.abs(xs[inner]) / b) * (g[inner] - mid)
+        return _like(x, self.bowen.modified_value(xs)), _like(x, sign * g)
 
-    def second_return(self, point: tuple[float, float]) -> tuple[float, float]:
-        """Closed-form second return on [-a, -b] u [b, a] x [-a, a]."""
+    def second_return(self, point):
+        """Closed-form second return on [-a, -b] u [b, a] x [-a, a], for a
+        point of floats or of equal-length arrays."""
         x, y = point
+        xs, ys = _points(x), _points(y)
         a, b = self.bowen.m.a, self.bowen.m.b
-        if not (b <= abs(x) <= a) or abs(y) > a:
-            raise DomainError(f"point {point} outside the core domain")
-        if x > 0.0:
-            return self.bowen.base_value(x), self.fiber_map(1, y)
-        return -self.bowen.base_value(-x), self.fiber_map(-1, y)
+        _check_square(xs, ys, a, "core domain", inner=b)
+        right = xs > 0.0
+        sign = np.where(right, 1.0, -1.0)
+        fy = np.empty_like(ys)
+        fy[right], fy[~right] = self.fiber_map(1, ys[right]), self.fiber_map(-1, ys[~right])
+        return _like(x, sign * self.bowen.base_value(sign * xs)), _like(x, fy)
 
-    def fiber_map(self, sign: int, y: float) -> float:
-        """One second-return fiber contraction for the given sign of x."""
+    def fiber_map(self, sign: int, y):
+        """One second-return fiber contraction for the given sign of x, on
+        a float or an array."""
         a = self.bowen.m.a
-        if abs(y) > a + 1e-12:
-            raise DomainError(f"fiber argument {y} outside [-a, a]")
-        y = min(max(y, -a), a)
+        bad = np.abs(y) > a + 1e-12
+        if np.any(bad):
+            raise DomainError(f"fiber argument {np.extract(bad, y)[0]} outside [-a, a]")
         s = 1.0 if sign > 0 else -1.0
         inv = self.bowen.invert_right
-        return -s * inv(-inv(s * y))
+        return -s * inv(-inv(s * np.clip(y, -a, a)))
 
     # -- product structure ---------------------------------------------------
 
@@ -131,7 +141,8 @@ class PoincareSystem:
 
         Level d + 1 is fiber_map(+1, .) of level d followed by
         fiber_map(-1, .): +1 lands in [-a, -b] and -1 in [b, a], and both
-        maps preserve order, so every level is sorted as built.
+        maps preserve order, so every level is sorted as built.  Each sign
+        maps the level's lo and hi arrays in one call.
         """
         if depth < 0:
             raise DomainError("depth must be nonnegative")
@@ -139,19 +150,12 @@ class PoincareSystem:
             raise SizeGuardError(f"fiber depth {depth} exceeds {FIBER_DEPTH_CAP}")
         levels = self._fiber_levels
         while len(levels) <= depth:
-            lo, hi = (np.array([self.fiber_map(sign, y) for sign in (1, -1) for y in ends.tolist()])
-                      for ends in levels[-1])
+            ends = np.concatenate(levels[-1])  # lo then hi
+            images = [self.fiber_map(sign, ends).reshape(2, -1) for sign in (1, -1)]
+            lo, hi = np.concatenate(images, axis=1)
             lo.flags.writeable = hi.flags.writeable = False
             levels.append((lo, hi))
         return levels[depth]
-
-    def _x_condition(self, x: float, depth: int) -> bool:
-        a, b = self.bowen.m.a, self.bowen.m.b
-        for _ in range(depth):
-            if not b <= abs(x) <= a:
-                return False
-            x = self.bowen.second_iterate(x)
-        return True
 
     def _y_members(self, ys, depth: int):
         """Whether y (a float or an array) lies in a depth-N fiber interval."""
@@ -182,29 +186,22 @@ class PoincareSystem:
     def membership(self, point, depth: int):
         """Finite-depth horseshoe membership on the core square.
 
-        `point` is (x, y) with floats, or with equal-length arrays, for
-        which the result is a boolean array: the x-orbits advance together
+        `point` is (x, y) with floats, for which the result is a bool, or
+        with equal-length arrays, for which it is a boolean array; a float
+        point runs as one-element arrays.  The x-orbits advance together
         through one ExitTimes (x may be an ExitTimes over the points, whose
         orbits then continue from its last step), and y is tested only
-        where the x-condition holds, as the scalar `and` evaluates.
+        where the x-condition holds.
         """
         x, y = point
         orbits = x if isinstance(x, ExitTimes) else None
         if orbits is not None:
             x = orbits.centers
-        a = self.bowen.m.a
-        if np.ndim(x) == 0:
-            if abs(x) > a or abs(y) > a:
-                raise DomainError(f"point {point} outside the core square")
-            return self._x_condition(x, depth) and bool(self._y_members(y, depth))
-        x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
-        outside = (np.abs(x) > a) | (np.abs(y) > a)
-        if outside.any():
-            i = np.argmax(outside)
-            raise DomainError(f"point {(float(x[i]), float(y[i]))} outside the core square")
+        xs, ys = _points(x), _points(y)
+        _check_square(xs, ys, self.bowen.m.a, "core square")
         if orbits is None:
-            orbits = ExitTimes(x)
-        return self._members(orbits, np.arange(x.size), y, depth)
+            orbits = ExitTimes(xs)
+        return _like(x, self._members(orbits, np.arange(xs.size), ys, depth))
 
     def _members(self, orbits: "ExitTimes", which: np.ndarray, ys: np.ndarray, depth: int):
         """Membership of the points (orbits.centers[which], ys): the exit
@@ -330,28 +327,44 @@ class PoincareSystem:
         strip (bounded, may slightly exceed 1 after the surgery) and the
         two-step contraction factor on the core (provably <= 1/2).
 
-        Central differences at the sample midpoints, on arrays through
-        invert_rights; each slope is bit-equal to the scalar difference
-        through invert_right and fiber_map(-1, .), and with no samples
-        both maxima are 0.0.
+        Central differences at the sample midpoints, all samples through
+        one invert_right call for the strip and one fiber_map(-1, .) call
+        for the core; each slope is bit-equal to the per-point difference
+        of the oracles in tests/oracles.py, and with no samples both
+        maxima are 0.0.
         """
         y_cap = self.strip_halfheight
         a = self.bowen.m.a
         h = 1e-7
-        inv = self.bowen.invert_rights
         i = np.arange(samples) + 0.5
         ys = -y_cap + (2.0 * y_cap) * i / samples
-        strip = inv(np.concatenate([ys + h, ys - h])).reshape(2, -1)
+        strip = self.bowen.invert_right(np.concatenate([ys + h, ys - h])).reshape(2, -1)
         ys = -a + (2.0 * a) * i / samples
-        ys = np.concatenate([ys + h, ys - h])
-        bad = np.abs(ys) > a + 1e-12
-        if bad.any():
-            raise DomainError(f"fiber argument {ys[bad][0]} outside [-a, a]")
-        core = inv(-inv(-np.clip(ys, -a, a))).reshape(2, -1)  # fiber_map(-1, y)
+        core = self.fiber_map(-1, np.concatenate([ys + h, ys - h])).reshape(2, -1)
         return {
             "strip_fiber_max_slope": _max_slope(strip, h),
             "core_two_step_max_factor": _max_slope(core, h),
         }
+
+
+def _points(v) -> np.ndarray:
+    """A float or an array of them as a 1-D float array."""
+    return np.atleast_1d(np.asarray(v, dtype=float))
+
+
+def _like(x, values: np.ndarray):
+    """values for an array x; for a float x, its one element as a Python scalar."""
+    return values if np.ndim(x) else values[0].item()
+
+
+def _check_square(xs: np.ndarray, ys: np.ndarray, half: float, name: str, inner=None):
+    """Raise at the first point with |x| or |y| above half, or |x| not at least inner."""
+    outside = (np.abs(xs) > half) | (np.abs(ys) > half)
+    if inner is not None:
+        outside |= ~(np.abs(xs) >= inner)
+    if outside.any():
+        i = np.argmax(outside)
+        raise DomainError(f"point {(float(xs[i]), float(ys[i]))} outside the {name}")
 
 
 def _max_slope(pairs: np.ndarray, h: float) -> float:
@@ -366,8 +379,8 @@ class ExitTimes:
     The points are a grid's cell centers (with the cell size) or the
     witness samples.  A point's exit time is the number of leading
     second-return iterates of its orbit inside [-a, -b] u [b, a]; `exits`
-    holds it capped at `steps`, so _x_condition(x, N) holds exactly when
-    exits >= N for every N <= steps.  `orbit` holds the latest iterates of
+    holds it capped at `steps`, so the x-condition at depth N holds
+    exactly when exits >= N for every N <= steps.  `orbit` holds the latest iterates of
     the points still inside, `alive` their indices.
     """
 
@@ -387,7 +400,7 @@ class ExitTimes:
         a, b = bowen.m.a, bowen.m.b
         while self.steps < depth:
             if self.steps:
-                self.orbit = bowen.second_iterates(self.orbit)
+                self.orbit = bowen.second_iterate(self.orbit)
             inside = (b <= np.abs(self.orbit)) & (np.abs(self.orbit) <= a)
             self.orbit, self.alive = self.orbit[inside], self.alive[inside]
             self.steps += 1

@@ -23,6 +23,8 @@ import math
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
+
 from . import cones as cones_mod
 from . import svgfig
 from .bowen import build_base_map, verify_surgery
@@ -275,16 +277,14 @@ def _image_dataset(ps) -> dict:
     bw = ps.bowen
     b, fb, c = bw.m.b, bw.fb, bw.m.c
     g_top, g_bot = ps._g_top, ps._g_bot
-    hook_top, hook_bot = ps._oriented_fiber(1.0), ps._oriented_fiber(-1.0)
+    hook_top, hook_bot = ps._oriented_fiber(np.array([1.0, -1.0])).tolist()
     mid = 0.5 * (g_top + g_bot)
-    cap = []
     steps = 48
-    for i in range(steps + 1):
-        x = b * (1.0 - i / steps) ** 2 + 1e-9
+    xs = [b * (1.0 - i / steps) ** 2 + 1e-9 for i in range(steps + 1)]
+    cap = []
+    for x, fx in zip(xs, bw.modified_value(np.array(xs)).tolist()):
         rho = math.sqrt(x / b)
-        cap.append(
-            [bw.modified_value(x), mid + rho * (hook_bot - mid), mid + rho * (hook_top - mid)]
-        )
+        cap.append([fx, mid + rho * (hook_bot - mid), mid + rho * (hook_top - mid)])
     upper = {
         "x_range": [fb, c - 1.0],
         "strip_y": [g_bot, g_top],

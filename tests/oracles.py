@@ -1,0 +1,256 @@
+"""Scalar oracles of the base-map and horseshoe array kernels.
+
+Each function is the per-point code that fathorse.bowen and
+fathorse.horseshoe ran before their kernels took arrays, written as a
+function of the system: the paired-tree walk, the base map with its
+inverse and derivative, the gap profile with its Newton-bisection
+inverse, the spliced map, the right-branch inverse, the second-iterate
+derivative, the fiber maps with their sign-word cover, and finite-depth
+membership.  They use math, not numpy, and call no array kernel of the
+package (BowenSystem._walks, bowen._invert_profile), so a parity test
+against them compares the array code with independent per-point code.
+"""
+
+from __future__ import annotations
+
+import bisect
+import math
+
+from fathorse.bowen import _SNAP, _TOL, _TWO_PI, GapDiffeo
+from fathorse.errors import DomainError, SingularityError
+
+# -- gap diffeomorphisms -------------------------------------------------------
+
+
+def _integral(t, s):
+    """Integral of phi over [0, t] divided by the mean slope s, so 1 at t = 1."""
+    return (2.0 * t + (s - 2.0) * (t - math.sin(_TWO_PI * t) / _TWO_PI)) / s
+
+
+def _normalized_slope(t, s):
+    return (2.0 + (s - 2.0) * (1.0 - math.cos(_TWO_PI * t))) / s
+
+
+def _gap_t(d: GapDiffeo, x: float) -> float:
+    return (x - d.source[0]) / (d.source[1] - d.source[0])
+
+
+def gap_value(d: GapDiffeo, x: float) -> float:
+    return d.target[0] + (d.target[1] - d.target[0]) * _integral(_gap_t(d, x), d.mean_slope)
+
+
+def gap_derivative(d: GapDiffeo, x: float) -> float:
+    s = d.mean_slope
+    return 2.0 + (s - 2.0) * (1.0 - math.cos(_TWO_PI * _gap_t(d, x)))
+
+
+def gap_invert(d: GapDiffeo, y: float) -> float:
+    """Newton with a bisection bracket on the normalized coordinate.
+
+    It stops at |err| < 1e-16, or at a step that leaves (t, lo, hi)
+    unchanged: the step is a pure function of that state, so the rest
+    of the 80-step budget would change no bit.
+    """
+    s = d.mean_slope
+    tau = (y - d.target[0]) / (d.target[1] - d.target[0])
+    t, lo, hi = min(max(tau, 0.0), 1.0), 0.0, 1.0
+    for _ in range(80):
+        err = _integral(t, s) - tau
+        if abs(err) < 1e-16:
+            break
+        state = t, lo, hi
+        if err > 0.0:
+            hi = t
+        else:
+            lo = t
+        step = t - err / _normalized_slope(t, s)
+        t = step if lo < step < hi else 0.5 * (lo + hi)
+        if (t, lo, hi) == state:
+            break
+    return d.source[0] + (d.source[1] - d.source[0]) * t
+
+
+# -- base map ------------------------------------------------------------------
+
+
+def walk(sys, x: float, forward: bool):
+    """Walk the paired trees (source I_{0w}, target I_w) toward x.
+
+    x lies in the probe tree: the source tree for the base map
+    (forward), the target tree for its inverse.  The other tree is the
+    partner; both descend in lockstep, the source one level below the
+    target.  Returns ('endpoint', partner endpoint) when x snaps to a
+    probe endpoint, ('gap', diffeo) when x falls in a closed probe gap,
+    or ('deep', value, slope) once the probe interval is below _TOL,
+    with the affine partner-over-probe interpolation at x.
+    """
+    cc = sys.cc
+    source, target = cc.interval("0"), cc.interval("")
+    (plo, phi), (qlo, qhi), dp, dq = (
+        (source, target, 1, 0) if forward else (target, source, 0, 1)
+    )
+    n = 0
+    while phi - plo >= _TOL:
+        if abs(x - plo) <= _SNAP:
+            return ("endpoint", qlo)
+        if abs(x - phi) <= _SNAP:
+            return ("endpoint", qhi)
+        gp = cc._gap_from(plo, phi, n + dp)
+        gq = cc._gap_from(qlo, qhi, n + dq)
+        if gp[0] <= x <= gp[1]:
+            source, target = (gp, gq) if forward else (gq, gp)
+            return ("gap", GapDiffeo(level=n, source=source, target=target))
+        if x > gp[1]:
+            plo, qlo = gp[1], gq[1]
+        else:
+            phi, qhi = gp[0], gq[0]
+        n += 1
+    return ("deep", qlo + (x - plo) * (qhi - qlo) / (phi - plo), (qhi - qlo) / (phi - plo))
+
+
+def base_value(sys, x: float) -> float:
+    """B(x) for x in [b, a]: shifted address, evaluated to depth _TOL."""
+    sys._check_core(x)
+    kind, leaf, *_ = walk(sys, x, forward=True)
+    return gap_value(leaf, x) if kind == "gap" else leaf
+
+
+def base_derivative(sys, x: float) -> float:
+    """B'(x): the gap profile inside gaps, exactly 2 at tree endpoints,
+    and the interval-length ratio (tending to 2) deep on the Cantor set."""
+    sys._check_core(x)
+    kind, *leaf = walk(sys, x, forward=True)
+    if kind == "endpoint":
+        return 2.0
+    if kind == "gap":
+        return gap_derivative(leaf[0], x)
+    return leaf[1]
+
+
+def base_invert(sys, v: float) -> float:
+    """Inverse of the base map, descending the shifted address tree."""
+    sys._check_target(v)
+    kind, leaf, *_ = walk(sys, v, forward=False)
+    return gap_invert(leaf, v) if kind == "gap" else leaf
+
+
+# -- spliced map ---------------------------------------------------------------
+
+
+def core_preimage(sys, x: float) -> float:
+    """Analytic right-branch preimage in [b, a] of x clamped to [f(b), -a]."""
+    u = sys.m.invert_right(min(max(x, sys.fb), -sys.m.a))
+    return min(max(u, sys.m.b), sys.m.a)
+
+
+def surgery(sys, x: float) -> float:
+    """h(x) = B applied to the analytic right-branch preimage of x."""
+    return base_value(sys, core_preimage(sys, x))
+
+
+def modified_value(sys, x: float) -> float:
+    """The spliced map: analytic outside [f(b), -a] u [a, -f(b)],
+    h on the left zone, odd reflection -h(-x) on the right zone."""
+    if x == 0.0:
+        raise SingularityError("spliced map is undefined at x = 0")
+    if abs(x) > 1.0:
+        raise DomainError(f"x = {x} outside [-1, 1]")
+    if sys._in_left_surgery(x):
+        return surgery(sys, x)
+    if sys._in_left_surgery(-x):
+        return -surgery(sys, -x)
+    return sys.m.value(x)
+
+
+def second_iterate(sys, x: float) -> float:
+    return modified_value(sys, modified_value(sys, x))
+
+
+def invert_right(sys, y: float) -> float:
+    """Inverse of the spliced map's right branch on (-1, f(1)].
+
+    Analytic for |y| > a; for y in [-a, a] the branch runs through the
+    reflected surgery, so x = -f(B^{-1}(-y)).  The three preimages that
+    are derived constants (of -a, a and f(b)) are returned exactly.
+    """
+    if y <= -1.0 or y > (sys.m.c - 1.0) + 1e-12:
+        raise DomainError(f"y = {y} outside the right-branch range")
+    a = sys.m.a
+    if abs(y + a) <= _SNAP:
+        return a
+    if abs(y - a) <= _SNAP:
+        return -sys.fb
+    if abs(y - sys.fb) <= _SNAP:
+        return sys.m.b
+    if -a < y < a:
+        return -sys.m.value(base_invert(sys, -y))
+    return sys.m.invert_right(y)
+
+
+def core_second_derivative(sys, x: float) -> float:
+    """(f^2)'(x) for x in [b, a]: the chain f'(x) h'(f(x))."""
+    sys._check_core(x)
+    u = core_preimage(sys, sys.m.value(x))
+    return sys.m.derivative(x) * base_derivative(sys, u) / sys.m.derivative(u)
+
+
+# -- horseshoe -----------------------------------------------------------------
+
+
+def fiber_map(ps, sign: int, y: float) -> float:
+    """One second-return fiber contraction for the given sign of x."""
+    a = ps.bowen.m.a
+    if abs(y) > a + 1e-12:
+        raise DomainError(f"fiber argument {y} outside [-a, a]")
+    y = min(max(y, -a), a)
+    s = 1.0 if sign > 0 else -1.0
+    return -s * invert_right(ps.bowen, -invert_right(ps.bowen, s * y))
+
+
+_COVERS: dict[int, tuple] = {}  # id(ps) -> (ps, word covers by depth, sorted covers by depth)
+
+
+def fiber_cover(ps, depth: int) -> dict[str, tuple[float, float]]:
+    """The depth-N fiber cover as the sign-word recursion over fiber_map
+    builds it: word -> (lo, hi), read outermost contraction first, '-'
+    landing in [b, a] and '+' in [-a, -b].  Cached per system."""
+    a = ps.bowen.m.a
+    _, covers, _ = _COVERS.setdefault(id(ps), (ps, [{"": (-a, a)}], {}))
+    while len(covers) <= depth:
+        covers.append({
+            ch + word: (fiber_map(ps, sign, lo), fiber_map(ps, sign, hi))
+            for word, (lo, hi) in covers[-1].items()
+            for ch, sign in (("-", -1), ("+", +1))
+        })
+    return covers[depth]
+
+
+def y_condition(ps, y: float, depth: int) -> bool:
+    """Bisection over the sorted fiber cover, as the per-cell estimator did."""
+    cover = fiber_cover(ps, depth)
+    ordered = _COVERS[id(ps)][2]
+    if depth not in ordered:
+        intervals = sorted(cover.values())
+        ordered[depth] = [lo for lo, _ in intervals], [hi for _, hi in intervals]
+    los, his = ordered[depth]
+    i = bisect.bisect_right(los, y) - 1
+    return i >= 0 and y <= his[i]
+
+
+def x_condition(ps, x: float, depth: int) -> bool:
+    """Whether the first `depth` second-return iterates of x stay in [-a, -b] u [b, a]."""
+    a, b = ps.bowen.m.a, ps.bowen.m.b
+    for _ in range(depth):
+        if not b <= abs(x) <= a:
+            return False
+        x = second_iterate(ps.bowen, x)
+    return True
+
+
+def membership(ps, point, depth: int) -> bool:
+    """Finite-depth horseshoe membership of one point of the core square."""
+    x, y = point
+    a = ps.bowen.m.a
+    if abs(x) > a or abs(y) > a:
+        raise DomainError(f"point {point} outside the core square")
+    return x_condition(ps, x, depth) and y_condition(ps, y, depth)

@@ -2,12 +2,12 @@ import dataclasses
 import functools
 
 import numpy as np
+import oracles
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fathorse import bowen
-from fathorse.bowen import _SNAP, GapDiffeo, build_base_map, verify_surgery
+from fathorse.bowen import _SNAP, GapDiffeo, _sample_words, build_base_map, verify_surgery
 from fathorse.errors import DomainError, SingularityError, SizeGuardError
 from fathorse.fatcantor import make_construction
 from fathorse.lorenz import LorenzBranchMap
@@ -130,10 +130,8 @@ class TestBaseInverse:
 
     def test_round_trip(self, bowen18, lorenz18):
         a = lorenz18.a
-        worst = 0.0
-        for i in range(2_001):
-            v = -a + 2.0 * a * i / 2_000
-            worst = max(worst, abs(bowen18.base_value(bowen18.base_invert(v)) - v))
+        vs = -a + 2.0 * a * np.arange(2_001) / 2_000
+        worst = np.max(np.abs(bowen18.base_value(bowen18.base_invert(vs)) - vs))
         assert worst < 1e-9
 
 
@@ -150,19 +148,14 @@ class TestSplicedMap:
             bowen18.modified_value(0.0)
 
     def test_odd_symmetry(self, bowen18):
-        for i in range(1, 400):
-            x = i / 400
-            assert bowen18.modified_value(-x) == pytest.approx(
-                -bowen18.modified_value(x), abs=1e-13
-            )
+        xs = np.arange(1, 400) / 400
+        assert bowen18.modified_value(-xs) == pytest.approx(-bowen18.modified_value(xs), abs=1e-13)
 
     def test_second_iterate_factors_through_base(self, bowen18, lorenz18):
         rng = SplitMix64(11)
         b, a = lorenz18.b, lorenz18.a
-        worst = 0.0
-        for _ in range(10_000):
-            x = b + rng.random() * (a - b)
-            worst = max(worst, abs(bowen18.second_iterate(x) - bowen18.base_value(x)))
+        xs = np.array([b + rng.random() * (a - b) for _ in range(10_000)])
+        worst = np.max(np.abs(bowen18.second_iterate(xs) - bowen18.base_value(xs)))
         assert worst < 1e-9
 
     def test_inverse_splice_values(self, bowen18, lorenz18):
@@ -177,11 +170,8 @@ class TestSplicedMap:
         assert bowen18.invert_right(0.0) == pytest.approx(expected, abs=1e-13)
 
     def test_inverse_round_trip(self, bowen18, lorenz18):
-        worst = 0.0
-        for i in range(5_000):
-            y = -0.999 + i * (0.8 + 0.999) / 4_999
-            x = bowen18.invert_right(y)
-            worst = max(worst, abs(bowen18.modified_value(x) - y))
+        ys = -0.999 + np.arange(5_000) * (0.8 + 0.999) / 4_999
+        worst = np.max(np.abs(bowen18.modified_value(bowen18.invert_right(ys)) - ys))
         assert worst < 1e-9
 
     def test_inverse_domain(self, bowen18):
@@ -219,7 +209,7 @@ class TestVerifySurgery:
         ends.update(v for w in words for v in bowen18.cc.gap("0" + w))
         assert report.endpoint_count == len(ends)
         assert report.endpoint_max_dev == max(
-            abs(2.0 - bowen18.core_second_derivative(x)) for x in ends)
+            abs(2.0 - oracles.core_second_derivative(bowen18, x)) for x in ends)
 
     def test_splice_continuity(self, report):
         assert max(report.splice_margins.values()) <= 1e-10
@@ -288,36 +278,114 @@ def _core_probe_points(system):
     return points[(b <= points) & (points <= a)]
 
 
+def _surgery_points(system, max_level=10):
+    """The points verify_surgery(system, max_level) evaluates: 21 per sampled
+    source gap of each level, and the source-gap ends with b and a."""
+    ts = [i / 20.0 for i in range(21)]
+    sampled = [system.cc.gap("0" + w) for n in range(max_level + 1) for w in _sample_words(n)]
+    words = [format(i, f"0{n}b") if n else "" for n in range(max_level) for i in range(2 ** n)]
+    ends = {system.m.b, system.m.a}
+    ends.update(v for w in words for v in system.cc.gap("0" + w))
+    points = np.array([glo + t * (ghi - glo) for glo, ghi in sampled for t in ts])
+    return points, np.array(sorted(ends))
+
+
 class TestArrayKernels:
     def test_base_values_bit_equal(self, bowen_c):
         xs = _core_probe_points(bowen_c)
         assert xs.size > 6 * 2**10
-        scalar = [bowen_c.base_value(float(x)) for x in xs]
-        assert np.array_equal(_bits(bowen_c.base_values(xs)), _bits(scalar))
+        scalar = [oracles.base_value(bowen_c, float(x)) for x in xs]
+        assert np.array_equal(_bits(bowen_c.base_value(xs)), _bits(scalar))
 
     def test_base_values_domain(self, bowen_c):
         with pytest.raises(DomainError):
-            bowen_c.base_values(np.array([bowen_c.m.a, bowen_c.m.b / 2.0]))
-        assert bowen_c.base_values(np.array([])).size == 0
+            bowen_c.base_value(np.array([bowen_c.m.a, bowen_c.m.b / 2.0]))
+        with pytest.raises(DomainError):
+            bowen_c.base_value(bowen_c.m.b / 2.0)
+        assert bowen_c.base_value(np.array([])).size == 0
+
+    def test_base_derivative_bit_equal(self, bowen_c):
+        xs = np.concatenate([_core_probe_points(bowen_c), *_surgery_points(bowen_c)])
+        scalar = [oracles.base_derivative(bowen_c, float(x)) for x in xs]
+        assert np.array_equal(_bits(bowen_c.base_derivative(xs)), _bits(scalar))
+
+    def test_base_derivative_exactly_two_at_snapped_endpoints(self, bowen_c):
+        cc, b, a = bowen_c.cc, bowen_c.m.b, bowen_c.m.a
+        ends = {b, a}
+        frontier = ["0"]
+        for _ in range(11):
+            ends.update(v for w in frontier for v in cc.interval(w))
+            frontier = [w + ch for w in frontier for ch in "01"]
+        ends = np.array(sorted(ends))
+        for points in (ends, np.clip(ends + 0.5 * _SNAP, b, a), np.clip(ends - 0.5 * _SNAP, b, a)):
+            assert bowen_c.base_derivative(points).tolist() == [2.0] * ends.size
+
+    def test_base_derivative_domain(self, bowen_c):
+        with pytest.raises(DomainError):
+            bowen_c.base_derivative(np.array([bowen_c.m.a, 1.0]))
+        with pytest.raises(DomainError):
+            bowen_c.base_derivative(np.nan)
+        assert bowen_c.base_derivative(np.array([])).size == 0
+
+    def test_core_second_derivative_bit_equal(self, bowen_c):
+        for xs in (_core_probe_points(bowen_c), *_surgery_points(bowen_c)):
+            scalar = [oracles.core_second_derivative(bowen_c, float(x)) for x in xs]
+            assert np.array_equal(_bits(bowen_c.core_second_derivative(xs)), _bits(scalar))
+        with pytest.raises(DomainError):
+            bowen_c.core_second_derivative(np.array([bowen_c.m.b, -bowen_c.m.b]))
+
+    def test_surgery_points_are_the_checked_points(self, bowen_c):
+        gap_points, ends = _surgery_points(bowen_c)
+        report = verify_surgery(bowen_c, max_level=10, monotone_grid=200)
+        assert gap_points.size == 21 * sum(lv.words_sampled for lv in report.levels)
+        assert ends.size == report.endpoint_count
+        assert gap_points.size + ends.size == 3_245
+        devs = np.abs(2.0 - bowen_c.core_second_derivative(gap_points)).reshape(-1, 21)
+        assert max(lv.sup_dev for lv in report.levels) == devs.max()
 
     def test_spliced_map_bit_equal_on_surgery_grid(self, bowen_c):
         # the monotone grid of verify_surgery, both branches
         xs = np.linspace(1.0 / 20_000, 1.0, 20_000)
         for grid in (xs, -xs[::-1]):
-            scalar = [bowen_c.modified_value(float(x)) for x in grid]
-            assert np.array_equal(_bits(bowen_c.modified_values(grid)), _bits(scalar))
+            scalar = [oracles.modified_value(bowen_c, float(x)) for x in grid]
+            assert np.array_equal(_bits(bowen_c.modified_value(grid)), _bits(scalar))
+
+    def test_surgery_bit_equal_at_splice_abscissas(self, bowen_c):
+        zone = np.array([bowen_c.fb, -bowen_c.m.a])
+        scalar = [oracles.surgery(bowen_c, float(x)) for x in zone]
+        assert np.array_equal(_bits(bowen_c._surgery(zone)), _bits(scalar))
 
     def test_spliced_map_domain(self, bowen_c):
         with pytest.raises(SingularityError):
-            bowen_c.modified_values(np.array([0.5, 0.0]))
+            bowen_c.modified_value(np.array([0.5, 0.0]))
         with pytest.raises(DomainError):
-            bowen_c.modified_values(np.array([1.5]))
+            bowen_c.modified_value(np.array([1.5]))
+        with pytest.raises(DomainError):
+            bowen_c.second_iterate(-1.5)
 
     def test_second_iterates_bit_equal_on_core(self, bowen_c):
         side = _core_probe_points(bowen_c)[::7]
         xs = np.concatenate([side, -side])
-        scalar = [bowen_c.second_iterate(float(x)) for x in xs]
-        assert np.array_equal(_bits(bowen_c.second_iterates(xs)), _bits(scalar))
+        scalar = [oracles.second_iterate(bowen_c, float(x)) for x in xs]
+        assert np.array_equal(_bits(bowen_c.second_iterate(xs)), _bits(scalar))
+
+    def test_float_in_float_out(self, bowen_c):
+        b, a, fb = bowen_c.m.b, bowen_c.m.a, bowen_c.fb
+        x = 0.5 * (a + b) + 1e-3
+        pairs = [
+            (bowen_c.base_value(x), oracles.base_value(bowen_c, x)),
+            (bowen_c.base_derivative(x), oracles.base_derivative(bowen_c, x)),
+            (bowen_c.base_invert(0.1), oracles.base_invert(bowen_c, 0.1)),
+            (bowen_c.invert_right(0.1), oracles.invert_right(bowen_c, 0.1)),
+            (bowen_c.invert_right(0.7), oracles.invert_right(bowen_c, 0.7)),
+            (bowen_c.modified_value(-0.3), oracles.modified_value(bowen_c, -0.3)),
+            (bowen_c.second_iterate(x), oracles.second_iterate(bowen_c, x)),
+            (bowen_c.core_second_derivative(x), oracles.core_second_derivative(bowen_c, x)),
+            (bowen_c._surgery(fb), oracles.surgery(bowen_c, fb)),
+        ]
+        for merged, scalar in pairs:
+            assert type(merged) is float
+            assert merged.hex() == scalar.hex()
 
 
 @settings(max_examples=60, deadline=None)
@@ -333,12 +401,12 @@ def test_array_kernels_match_scalar_property(c, ts, ys):
     b, a = system.m.b, system.m.a
     xs = np.clip(b + (a - b) * np.array(ts), b, a)
     assert np.array_equal(
-        _bits(system.base_values(xs)), _bits([system.base_value(float(x)) for x in xs])
+        _bits(system.base_value(xs)), _bits([oracles.base_value(system, float(x)) for x in xs])
     )
     spliced = np.concatenate([xs, -xs, ys])
     assert np.array_equal(
-        _bits(system.modified_values(spliced)),
-        _bits([system.modified_value(float(x)) for x in spliced]),
+        _bits(system.modified_value(spliced)),
+        _bits([oracles.modified_value(system, float(x)) for x in spliced]),
     )
 
 
@@ -368,7 +436,7 @@ def _full_budget_invert(d, y):
     t, lo, hi = min(max(tau, 0.0), 1.0), 0.0, 1.0
     repeated = False
     for _ in range(80):
-        err = bowen._integral(t, s) - tau
+        err = oracles._integral(t, s) - tau
         if abs(err) < 1e-16:
             break
         state = t, lo, hi
@@ -376,7 +444,7 @@ def _full_budget_invert(d, y):
             hi = t
         else:
             lo = t
-        step = t - err / bowen._normalized_slope(t, s)
+        step = t - err / oracles._normalized_slope(t, s)
         t = step if lo < step < hi else 0.5 * (lo + hi)
         repeated = repeated or (t, lo, hi) == state
     return d.source[0] + (d.source[1] - d.source[0]) * t, repeated
@@ -385,7 +453,7 @@ def _full_budget_invert(d, y):
 class TestInverseArrayKernels:
     def test_gap_diffeo_invert_bit_equal(self, bowen_c):
         vs = _target_probe_points(bowen_c)
-        _, gap, diffeo = bowen_c._walks(vs, forward=False)
+        _, _, gap, diffeo = bowen_c._walks(vs, forward=False)
         assert gap.size > 1_000
         scalars = [
             GapDiffeo(int(n), (s0, s1), (t0, t1))
@@ -394,22 +462,24 @@ class TestInverseArrayKernels:
         full = [_full_budget_invert(d, float(v)) for d, v in zip(scalars, vs[gap])]
         assert sum(repeated for _, repeated in full) > 50  # elements that stop on a repeat
         expected = _bits([x for x, _ in full])
-        assert np.array_equal(_bits([d.invert(float(v)) for d, v in zip(scalars, vs[gap])]),
-                              expected)
+        assert np.array_equal(
+            _bits([oracles.gap_invert(d, float(v)) for d, v in zip(scalars, vs[gap])]), expected)
         assert np.array_equal(_bits(diffeo.invert(vs[gap])), expected)
 
     def test_base_inverts_bit_equal(self, bowen_c):
         vs = _target_probe_points(bowen_c)
         assert vs.size > 6 * 2**11
-        scalar = [bowen_c.base_invert(float(v)) for v in vs]
-        assert np.array_equal(_bits(bowen_c.base_inverts(vs)), _bits(scalar))
+        scalar = [oracles.base_invert(bowen_c, float(v)) for v in vs]
+        assert np.array_equal(_bits(bowen_c.base_invert(vs)), _bits(scalar))
 
     def test_base_inverts_domain(self, bowen_c):
         a = bowen_c.m.a
         for bad in (a + 1e-9, -a - 1e-9, np.nan):
             with pytest.raises(DomainError):
-                bowen_c.base_inverts(np.array([0.0, bad]))
-        assert bowen_c.base_inverts(np.array([])).size == 0
+                bowen_c.base_invert(np.array([0.0, bad]))
+            with pytest.raises(DomainError):
+                bowen_c.base_invert(bad)
+        assert bowen_c.base_invert(np.array([])).size == 0
 
     def test_invert_rights_bit_equal(self, bowen_c):
         m, fb = bowen_c.m, bowen_c.fb
@@ -419,15 +489,17 @@ class TestInverseArrayKernels:
         beyond = np.linspace(-0.999, top, 1_001)  # |y| > a on both sides of the core
         ys = np.concatenate([_target_probe_points(bowen_c)[::4], snapped, beyond, [top + 1e-13]])
         assert (np.abs(ys) > m.a).sum() > 500
-        scalar = [bowen_c.invert_right(float(y)) for y in ys]
-        assert np.array_equal(_bits(bowen_c.invert_rights(ys)), _bits(scalar))
-        assert bowen_c.invert_rights(np.array([-m.a, m.a, fb])).tolist() == [m.a, -fb, m.b]
+        scalar = [oracles.invert_right(bowen_c, float(y)) for y in ys]
+        assert np.array_equal(_bits(bowen_c.invert_right(ys)), _bits(scalar))
+        assert bowen_c.invert_right(np.array([-m.a, m.a, fb])).tolist() == [m.a, -fb, m.b]
 
     def test_invert_rights_domain(self, bowen_c):
         for bad in (-1.0, bowen_c.m.c - 1.0 + 1e-9):
             with pytest.raises(DomainError):
-                bowen_c.invert_rights(np.array([0.0, bad]))
-        assert bowen_c.invert_rights(np.array([])).size == 0
+                bowen_c.invert_right(np.array([0.0, bad]))
+            with pytest.raises(DomainError):
+                bowen_c.invert_right(bad)
+        assert bowen_c.invert_right(np.array([])).size == 0
 
 
 @settings(max_examples=60, deadline=None)
@@ -443,9 +515,10 @@ def test_inverse_kernels_match_scalar_property(c, ts, ys):
     a = system.m.a
     vs = np.clip(a * np.array(ts), -a, a)
     assert np.array_equal(
-        _bits(system.base_inverts(vs)), _bits([system.base_invert(float(v)) for v in vs])
+        _bits(system.base_invert(vs)), _bits([oracles.base_invert(system, float(v)) for v in vs])
     )
     ys = np.minimum(np.array(ys), system.m.c - 1.0)
     assert np.array_equal(
-        _bits(system.invert_rights(ys)), _bits([system.invert_right(float(y)) for y in ys])
+        _bits(system.invert_right(ys)),
+        _bits([oracles.invert_right(system, float(y)) for y in ys]),
     )

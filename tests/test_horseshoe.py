@@ -1,8 +1,8 @@
-import bisect
 import functools
 import math
 
 import numpy as np
+import oracles
 import pytest
 
 from fathorse.bowen import build_base_map
@@ -53,17 +53,12 @@ class TestSectionMap:
         )
 
     def test_images_stay_in_square(self, poincare18):
-        pts = 0
-        for i in range(-40, 41):
-            x = i / 40
-            if x == 0.0:
-                continue
-            for j in range(-10, 11):
-                y = j / 10
-                xe, ye = poincare18.section_map((x, y))
-                assert abs(xe) <= 1.0 and abs(ye) <= 1.0
-                pts += 1
-        assert pts == 80 * 21
+        i, j = np.meshgrid(np.arange(-40, 41), np.arange(-10, 11), indexing="ij")
+        x, y = i / 40, j / 10
+        off_gamma = x != 0.0
+        xe, ye = poincare18.section_map((x[off_gamma], y[off_gamma]))
+        assert np.all(np.abs(xe) <= 1.0) and np.all(np.abs(ye) <= 1.0)
+        assert xe.size == 80 * 21
 
     def test_odd_equivariance(self, poincare18):
         for x, y in ((0.5, 0.3), (0.9, -0.95), (0.1, 0.7), (0.25, 0.0)):
@@ -85,15 +80,15 @@ class TestSecondReturn:
 
     def test_matches_composition(self, poincare18, lorenz18):
         a, b = lorenz18.a, lorenz18.b
+        i, j = (v.ravel() for v in np.meshgrid(np.arange(50), np.arange(100), indexing="ij"))
         worst = 0.0
-        for i in range(50):
-            for side in (1.0, -1.0):
-                x = side * (b + (a - b) * (i + 0.5) / 50)
-                for j in range(100):
-                    y = -a + 2.0 * a * (j + 0.5) / 100
-                    direct = poincare18.second_return((x, y))
-                    via = poincare18.section_map(poincare18.section_map((x, y)))
-                    worst = max(worst, abs(direct[0] - via[0]), abs(direct[1] - via[1]))
+        for side in (1.0, -1.0):
+            x = side * (b + (a - b) * (i + 0.5) / 50)
+            y = -a + 2.0 * a * (j + 0.5) / 100
+            direct = poincare18.second_return((x, y))
+            via = poincare18.section_map(poincare18.section_map((x, y)))
+            for d, v in zip(direct, via):
+                worst = max(worst, np.max(np.abs(d - v)))
         assert worst < 1e-9
 
     def test_domain(self, poincare18, lorenz18):
@@ -101,26 +96,51 @@ class TestSecondReturn:
             poincare18.second_return((0.01, 0.0))
 
 
-@functools.lru_cache(maxsize=None)
 def _fiber_word_cover(c, depth):
     """The fiber cover of _poincare(c) as the sign-word recursion over the
-    scalar fiber_map builds it: word -> (lo, hi), read outermost contraction
-    first, '-' landing in [b, a] and '+' in [-a, -b]."""
-    ps = _poincare(c)
-    if depth == 0:
-        a = ps.bowen.m.a
-        return {"": (-a, a)}
-    return {
-        ch + word: (ps.fiber_map(sign, lo), ps.fiber_map(sign, hi))
-        for word, (lo, hi) in _fiber_word_cover(c, depth - 1).items()
-        for ch, sign in (("-", -1), ("+", +1))
-    }
+    scalar oracle fiber_map builds it: word -> (lo, hi)."""
+    return oracles.fiber_cover(_poincare(c), depth)
 
 
 @functools.lru_cache(maxsize=None)
 def _sorted_fiber_cover(c, depth):
     """The word cover's intervals sorted, as the per-cell estimator used them."""
     return sorted(_fiber_word_cover(c, depth).values())
+
+
+class TestFiberMap:
+    @pytest.mark.parametrize("c", [1.7, 1.8, 1.95])
+    def test_bit_equal_to_scalar_oracle(self, c):
+        ps = _poincare(c)
+        a = ps.bowen.m.a
+        ys = np.concatenate([[-a, a, -ps.bowen.m.b, ps.bowen.m.b, 0.0, a + 1e-13],
+                             -a + 2.0 * a * np.random.default_rng(2).random(500)])
+        for sign in (1, -1):
+            scalar = [oracles.fiber_map(ps, sign, y) for y in ys.tolist()]
+            assert ps.fiber_map(sign, ys).view(np.uint64).tolist() == np.array(scalar).view(
+                np.uint64).tolist()
+
+    def test_domain(self, poincare18):
+        a = poincare18.bowen.m.a
+        with pytest.raises(DomainError, match="fiber argument"):
+            poincare18.fiber_map(1, np.array([0.0, a + 1e-9]))
+        with pytest.raises(DomainError, match="fiber argument"):
+            poincare18.fiber_map(-1, -a - 1e-9)
+        assert poincare18.fiber_map(1, np.array([])).size == 0
+
+    def test_float_in_float_out(self, poincare18, lorenz18):
+        a, b = lorenz18.a, lorenz18.b
+        for sign in (1, -1):
+            got = poincare18.fiber_map(sign, 0.1)
+            assert type(got) is float and got == oracles.fiber_map(poincare18, sign, 0.1)
+        member = poincare18.membership((a, a), 3)
+        assert type(member) is bool and member == oracles.membership(poincare18, (a, a), 3)
+        for point in ((b, -a), (-a, 0.1)):
+            direct = poincare18.second_return(point)
+            assert [type(v) for v in direct] == [float, float]
+            assert [type(v) for v in poincare18.section_map(point)] == [float, float]
+            arrays = poincare18.second_return(tuple(np.array([v]) for v in point))
+            assert [v.tolist() for v in arrays] == [[v] for v in direct]
 
 
 class TestFiberIntervals:
@@ -190,12 +210,11 @@ class TestMembership:
 
     def test_nesting(self, poincare18, lorenz18):
         a = lorenz18.a
-        grid = [-a + 2.0 * a * (i + 0.5) / 60 for i in range(60)]
+        grid = np.array([-a + 2.0 * a * (i + 0.5) / 60 for i in range(60)])
+        x, y = (v.ravel() for v in np.meshgrid(grid, grid[::3], indexing="ij"))
         for depth in range(5):
-            for x in grid:
-                for y in grid[::3]:
-                    if poincare18.membership((x, y), depth + 1):
-                        assert poincare18.membership((x, y), depth)
+            deeper = poincare18.membership((x, y), depth + 1)
+            assert np.all(poincare18.membership((x, y), depth)[deeper])
 
     def test_domain(self, poincare18):
         with pytest.raises(DomainError):
@@ -220,7 +239,8 @@ class TestMembership:
         ys = np.concatenate([[a, -a, -b, b, 0.0], -a + 2.0 * a * rng.random(250)])
         orbits = ExitTimes(xs)
         for depth in range(11):
-            scalar = [ps.membership((x, y), depth) for x, y in zip(xs.tolist(), ys.tolist())]
+            scalar = [oracles.membership(ps, (x, y), depth)
+                      for x, y in zip(xs.tolist(), ys.tolist())]
             assert ps.membership((xs, ys), depth).tolist() == scalar
             # an ExitTimes continues its orbits from the last depth asked
             assert ps.membership((orbits, ys), depth).tolist() == scalar
@@ -257,16 +277,15 @@ def _scalar_grid(ps, resolution):
 
 
 def _scalar_y_condition(ps, y, depth):
-    """Bisection over the sorted fiber intervals, as the per-cell estimator did."""
-    intervals = _sorted_fiber_cover(ps.bowen.m.c, depth)
-    i = bisect.bisect_right([lo for lo, _ in intervals], y) - 1
-    return i >= 0 and y <= intervals[i][1]
+    """Bisection over the sorted oracle fiber cover, as the per-cell estimator did."""
+    return oracles.y_condition(ps, y, depth)
 
 
 class TestExitTimes:
     def test_counts_match_scalar_conditions_at_every_depth(self, poincare18):
         cell, centers = _scalar_grid(poincare18, 1e-3)
-        x_counts = [sum(poincare18._x_condition(x, d) for x in centers) for d in range(11)]
+        x_counts = [sum(oracles.x_condition(poincare18, x, d) for x in centers)
+                    for d in range(11)]
         for depth in range(11):
             y_count = sum(_scalar_y_condition(poincare18, y, depth) for y in centers)
             est = poincare18.measure_estimate(depth, 1e-3)
@@ -284,7 +303,7 @@ class TestExitTimes:
         expected = [
             [x, y]
             for x in centers
-            if poincare18._x_condition(x, depth)
+            if oracles.x_condition(poincare18, x, depth)
             for y in centers
             if _scalar_y_condition(poincare18, y, depth)
         ]
@@ -324,7 +343,7 @@ def _scalar_witness(ps, sample_count, eps, seed, depth):
         ylo, yhi = cc.interval(wy)
         x = xlo + ux * (xhi - xlo)
         y = ylo + uy * (yhi - ylo)
-        if not ps.membership((x, y), depth):
+        if not oracles.membership(ps, (x, y), depth):
             failures.append(WitnessRecord(i, x, y, None, None, "sample not a member"))
             continue
         word = ""
@@ -338,7 +357,8 @@ def _scalar_witness(ps, sample_count, eps, seed, depth):
                 inside = ghi - 0.5 * min(ghi - glo, eps - dist) if dist < eps else None
             else:
                 inside = min(max(y, glo + 0.25 * (ghi - glo)), ghi - 0.25 * (ghi - glo))
-            if inside is not None and not ps.membership((x, inside), max(depth, level + 1)):
+            deep = max(depth, level + 1)
+            if inside is not None and not oracles.membership(ps, (x, inside), deep):
                 records.append(WitnessRecord(i, x, y, inside, level, None))
                 break
             word += "0" if y > ghi else "1"
@@ -405,7 +425,7 @@ class TestWitness:
             assert len(report.records) == 100
             for rec in report.records:
                 deep = max(depth, rec.gap_level + 1)
-                assert not poincare18.membership((rec.x, rec.witness_y), deep)
+                assert not oracles.membership(poincare18, (rec.x, rec.witness_y), deep)
 
     def test_deterministic_given_seed(self, poincare18):
         eps = poincare18.bowen.cc.gaps.length(3) / 16.0
@@ -415,17 +435,17 @@ class TestWitness:
 
 
 def _scalar_contraction_report(ps, samples):
-    """fiber_contraction_report as a scalar loop over invert_right and
-    fiber_map: the oracle of the array report."""
+    """fiber_contraction_report as a scalar loop over the oracle
+    invert_right and fiber_map: the oracle of the array report."""
     y_cap, a, h = ps.strip_halfheight, ps.bowen.m.a, 1e-7
-    inv = ps.bowen.invert_right
+    inv = functools.partial(oracles.invert_right, ps.bowen)
     strip_max = core_max = 0.0
     for i in range(samples):
         y = -y_cap + (2.0 * y_cap) * (i + 0.5) / samples
         strip_max = max(strip_max, abs(inv(y + h) - inv(y - h)) / (2.0 * h))
     for i in range(samples):
         y = -a + (2.0 * a) * (i + 0.5) / samples
-        d = abs(ps.fiber_map(-1, y + h) - ps.fiber_map(-1, y - h)) / (2.0 * h)
+        d = abs(oracles.fiber_map(ps, -1, y + h) - oracles.fiber_map(ps, -1, y - h)) / (2.0 * h)
         core_max = max(core_max, d)
     return {"strip_fiber_max_slope": strip_max, "core_two_step_max_factor": core_max}
 

@@ -1,0 +1,62 @@
+"""The scalar oracles stand apart from the array kernels they check.
+
+Every function of tests/oracles.py runs here with the array walk of the
+paired trees and the array Newton-bisection patched to raise, so no
+oracle can reach the code that its parity tests compare it with.
+"""
+
+import inspect
+
+import oracles
+import pytest
+
+from fathorse import bowen
+from fathorse.bowen import BowenSystem, build_base_map
+from fathorse.fatcantor import make_construction
+from fathorse.horseshoe import make_poincare_system
+from fathorse.lorenz import LorenzBranchMap
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("an oracle reached an array kernel")
+
+
+def test_oracles_reach_no_array_kernel(monkeypatch):
+    # a fresh system, so no fiber cover of the oracles is cached yet
+    ps = make_poincare_system(build_base_map(
+        make_construction(LorenzBranchMap.from_coefficient(1.8), 2.0)))
+    monkeypatch.setattr(BowenSystem, "_walks", _refuse)
+    monkeypatch.setattr(bowen, "_invert_profile", _refuse)
+    system = ps.bowen
+    b, a, fb = system.m.b, system.m.a, system.fb
+    core = [b, a, 0.5 * (a + b), b + 0.3 * (a - b), system.cc.interval("0" + "01" * 12)[0]]
+    target = [-a, a, 0.0, 0.3 * a, -0.77 * a]
+    line = [-0.9, -0.3, 0.2, 0.7, system.m.c - 1.0]
+    source = system.gap_diffeo("01")
+    runs = {
+        "gap_value": [oracles.gap_value(source, x) for x in source.source],
+        "gap_derivative": [oracles.gap_derivative(source, x) for x in source.source],
+        "gap_invert": [oracles.gap_invert(source, y) for y in source.target],
+        "walk": [oracles.walk(system, x, forward) for x in core for forward in (True, False)],
+        "base_value": [oracles.base_value(system, x) for x in core],
+        "base_derivative": [oracles.base_derivative(system, x) for x in core],
+        "base_invert": [oracles.base_invert(system, v) for v in target],
+        "core_preimage": [oracles.core_preimage(system, x) for x in (fb, -a, 0.5 * (fb - a))],
+        "surgery": [oracles.surgery(system, x) for x in (fb, -a, 0.5 * (fb - a))],
+        "modified_value": [oracles.modified_value(system, x) for x in line],
+        "second_iterate": [oracles.second_iterate(system, x) for x in core],
+        "invert_right": [oracles.invert_right(system, y) for y in line + target],
+        "core_second_derivative": [oracles.core_second_derivative(system, x) for x in core],
+        "fiber_map": [oracles.fiber_map(ps, s, y) for y in target for s in (1, -1)],
+        "fiber_cover": [oracles.fiber_cover(ps, 4)],
+        "y_condition": [oracles.y_condition(ps, y, 4) for y in target],
+        "x_condition": [oracles.x_condition(ps, x, 4) for x in core],
+        "membership": [oracles.membership(ps, (x, y), 4) for x in core for y in target],
+    }
+    public = {name for name, f in vars(oracles).items()
+              if inspect.isfunction(f) and f.__module__ == oracles.__name__
+              and not name.startswith("_")}
+    assert set(runs) == public
+    assert all(runs.values())
+    with pytest.raises(AssertionError, match="array kernel"):
+        system.base_value(a)

@@ -6,7 +6,8 @@ calling it, leaves a span empty.  This runs a small config twice, each
 run under its own tracer, and requires every span to fire and every count
 metric to repeat, as perfbench/selftest.py does on the benchmark
 workloads.  It also checks the closed form that the selftest pins for
-the cones.slice_measure call count.
+the cones.slice_measure call count, and that the grid estimator's
+base-map work shows in the tracer's grid entries.
 """
 
 import importlib.util
@@ -51,3 +52,13 @@ def test_slice_measure_closed_form(tmp_path, n_max):
         assert runner.run(cfg, only="cones") == 0
     closed_form = len(cfg.k_list) * len(cfg.a_list) * (n_max + 1) + 161 + 1
     assert tracer.calls["cones.slice_measure"] == closed_form
+
+
+def test_grid_records_base_map_calls(tmp_path):
+    # the exit-time pass of the grid runs the traced base map from depth 2 on
+    tracer = _tracer_module().Tracer()
+    cfg = ExperimentConfig(N=3, level_max=4, output_dir=str(tmp_path))
+    with tracer.patched():
+        assert runner.run(cfg, only="horseshoe") == 0
+    assert [depth for depth, *_ in tracer.grid] == [0, 1, 2, 3]
+    assert sum(calls for *_, calls in tracer.grid) > 0
