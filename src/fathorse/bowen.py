@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, SingularityError, SizeGuardError
-from .fatcantor import LEVEL_ARRAY_CAP, CantorConstruction
+from .fatcantor import LEVEL_ARRAY_CAP, CantorConstruction, word_cell
 from .lorenz import LorenzBranchMap
 
 __all__ = [
@@ -152,9 +152,6 @@ class BowenSystem:
 
     # -- base map -----------------------------------------------------------
 
-    def gap_diffeo(self, word: str) -> GapDiffeo:
-        return GapDiffeo(level=len(word), source=self.cc.gap("0" + word), target=self.cc.gap(word))
-
     def _walks(self, xs: np.ndarray, forward: bool):
         """Walk the paired trees (source I_{0w}, target I_w) toward every
         point of xs at once, level by level.
@@ -172,10 +169,9 @@ class BowenSystem:
         """
         cc = self.cc
         out, slope = np.empty_like(xs), np.empty_like(xs)
-        (plo, phi), (qlo, qhi), dp, dq = (
-            (cc.interval("0"), cc.interval(""), 1, 0) if forward
-            else (cc.interval(""), cc.interval("0"), 0, 1)
-        )
+        lo, hi = cc.level(1)
+        root, right = (-cc.half_width, cc.half_width), (lo[1], hi[1])  # I and I_0
+        (plo, phi), (qlo, qhi), dp, dq = (right, root, 1, 0) if forward else (root, right, 0, 1)
         # rows: x, probe interval (plo, phi), partner interval (qlo, qhi)
         state = np.array([xs, np.full_like(xs, plo), np.full_like(xs, phi),
                           np.full_like(xs, qlo), np.full_like(xs, qhi)])
@@ -400,16 +396,21 @@ def verify_surgery(sys: BowenSystem, max_level: int, monotone_grid: int = 100_00
     comparison is reliable to 1e-9 through level 11 or so and degrades
     gently beyond (the deviation values themselves stay fine).
     """
-    if max_level > LEVEL_ARRAY_CAP:
-        raise SizeGuardError(f"surgery verification capped at level {LEVEL_ARRAY_CAP}")
-    gaps = sys.cc.gaps
-    ts = [i / 20.0 for i in range(21)]
+    if max_level >= LEVEL_ARRAY_CAP:
+        raise SizeGuardError(f"surgery verification capped at level {LEVEL_ARRAY_CAP - 1}")
+    cc, gaps = sys.cc, sys.cc.gaps
+    ts = np.arange(21) / 20.0
 
     # every sampled source-gap point of every level through one derivative call
     words = [_sample_words(n) for n in range(max_level + 1)]
-    sampled = [sys.cc.gap("0" + w) for ws in words for w in ws]
-    points = np.array([glo + t * (ghi - glo) for glo, ghi in sampled for t in ts])
-    devs = np.abs(2.0 - sys.core_second_derivative(points)).reshape(len(sampled), len(ts))
+    points = []
+    for n, ws in enumerate(words):  # the source gap of I_{0w} is removed at level n + 1
+        lo, hi = cc.level(n + 1)
+        cells = [word_cell("0" + w) for w in ws]
+        glo, ghi = cc._gap_from(lo[cells], hi[cells], n + 1)
+        points.append(glo[:, None] + ts * (ghi - glo)[:, None])
+    devs = np.abs(2.0 - sys.core_second_derivative(np.concatenate(points, axis=None)))
+    devs = devs.reshape(-1, ts.size)
     levels = []
     for n, level_devs in enumerate(np.split(devs, np.cumsum([len(ws) for ws in words])[:-1])):
         s_n = 2.0 * gaps.length(n) / gaps.length(n + 1)
@@ -427,8 +428,8 @@ def verify_surgery(sys: BowenSystem, max_level: int, monotone_grid: int = 100_00
 
     endpoints = {sys.m.b, sys.m.a}
     for n in range(1, max_level + 1):  # source gaps: the right half of each level
-        lo, hi = sys.cc.level(n)
-        glo, ghi = sys.cc._gap_from(lo[2 ** (n - 1):], hi[2 ** (n - 1):], n)
+        lo, hi = cc.level(n)
+        glo, ghi = cc._gap_from(lo[2 ** (n - 1):], hi[2 ** (n - 1):], n)
         endpoints.update(glo.tolist() + ghi.tolist())
     endpoint_devs = np.abs(2.0 - sys.core_second_derivative(np.array(sorted(endpoints))))
     endpoint_max = float(endpoint_devs.max())

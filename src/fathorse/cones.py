@@ -259,6 +259,8 @@ def brute_force_slice(sys: ConeSystem, a: float, n: int, resolution: float) -> B
     max(10 * resolution, 1e-6).
     """
     _check_slice(a, n, BRUTE_FORCE_LEVEL_CAP)
+    if not 0.0 < resolution < math.inf:  # also rejects NaN
+        raise DomainError(f"resolution must be positive and finite, got {resolution}")
     warning = None
     if resolution > 1e-3:
         warning = f"resolution {resolution} coarser than 1e-3; estimate may be imprecise"

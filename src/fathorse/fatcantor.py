@@ -3,7 +3,9 @@
 Level-n intervals are indexed by binary words.  Word w keeps the interval
 I_w; the closed gap removed from its middle has length gap(n)/2^n where
 n is the word length, and the right and left remainders become I_{w0}
-and I_{w1}.  With gap lengths gap(n) = 2b/(n+1)^p, p > 1, the removed
+and I_{w1}.  The tree is kept as (lo, hi) arrays per level, I_w at cell
+word_cell(w); the word descent from [-a, a] in tests/oracles.py is their
+oracle.  With gap lengths gap(n) = 2b/(n+1)^p, p > 1, the removed
 total 2b*zeta(p) stays below 2a exactly when zeta(p) < a/b, and the
 limit set keeps measure 2a - 2b*zeta(p) > 0.  Consecutive gap ratios
 ((n+1)/(n+2))^p increase to 1, which is what lets the downstream surgery
@@ -15,7 +17,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
@@ -25,13 +26,13 @@ from .lorenz import LorenzBranchMap
 __all__ = [
     "GapLengthSequence",
     "CantorConstruction",
-    "Address",
+    "word_cell",
     "zeta_value",
     "make_construction",
 ]
 
 LEVEL_MEASURE_CAP = 30
-LEVEL_ARRAY_CAP = 14  # deepest level array, also the cap of verify_surgery
+LEVEL_ARRAY_CAP = 15  # deepest level array; verify_surgery samples one level below its max_level
 ZETA_TERMS = 200_000  # partial-sum length of zeta_value
 
 
@@ -84,23 +85,18 @@ class GapLengthSequence:
         return ((n + 1.0) / (n + 2.0)) ** self.exponent
 
 
-class Address(NamedTuple):
-    kind: str  # "interval" or "gap"
-    word: str
-
-
-def _check_word(word: str) -> None:
-    if any(ch not in "01" for ch in word):
-        raise DomainError(f"word must be a 0/1 string, got {word!r}")
+def word_cell(word: str) -> int:
+    """Position of I_word in level(len(word)), where letter 0 is the right child."""
+    return 2 ** len(word) - 1 - int("0" + word, 2)
 
 
 @dataclass
 class CantorConstruction:
     """Word-indexed interval tree on [-a, a] with centered gaps removed.
 
-    The level arrays are the tree's only cache: they grow to the deepest
-    level asked for, as does the per-level half-gap table.  A single word
-    is read by descent from [-a, a], one centered gap per letter.
+    The level arrays are the tree's only store and its only read path:
+    they grow to the deepest level asked for, as does the per-level
+    half-gap table, and I_w is cell word_cell(w) of level(len(w)).
     """
 
     half_width: float
@@ -109,20 +105,11 @@ class CantorConstruction:
     _half_gaps: list[float] = field(default_factory=list, repr=False)
     _levels: list[tuple[np.ndarray, np.ndarray]] = field(default_factory=list, repr=False)
 
-    def interval(self, word: str) -> tuple[float, float]:
-        """Endpoints of I_word; the empty word gives [-a, a]."""
-        _check_word(word)
-        lo, hi = -self.half_width, self.half_width
-        for n, letter in enumerate(word):
-            gap_lo, gap_hi = self._gap_from(lo, hi, n)
-            lo, hi = (gap_hi, hi) if letter == "0" else (lo, gap_lo)
-        return lo, hi
-
     def level(self, n: int) -> tuple[np.ndarray, np.ndarray]:
         """The 2^n level-n intervals as read-only (lo, hi) arrays, left to right.
 
-        Each is bit-equal to interval(word): the children of (lo, hi) are
-        (lo, gap_lo), the word + "1", and (gap_hi, hi), the word + "0".
+        The children of (lo, hi) are (lo, gap_lo), the word + "1", and
+        (gap_hi, hi), the word + "0".
         """
         if n < 0:
             raise DomainError("level must be nonnegative")
@@ -153,21 +140,11 @@ class CantorConstruction:
         half = self.half_gap(level)
         return center - half, center + half
 
-    def gap(self, word: str) -> tuple[float, float]:
-        """The closed centered gap removed from I_word."""
-        lo, hi = self.interval(word)
-        return self._gap_from(lo, hi, len(word))
-
-    def level_interval_length(self, n: int) -> float:
-        """Closed form (2a - sum of gap lengths below n) / 2^n."""
-        return (2.0 * self.half_width - self.gaps.partial_sum(n)) / 2.0 ** n
-
     def level_measure(self, n: int) -> float:
         """Total length of the 2^n level-n intervals.
 
         All intervals at one level share one length, so the sum reduces to
-        the per-level length recursion; the closed form above is the
-        cross-check, not the implementation.
+        the per-level length recursion.
         """
         if n < 0:
             raise DomainError("level must be nonnegative")
@@ -181,52 +158,21 @@ class CantorConstruction:
     def limit_measure(self) -> float:
         return 2.0 * self.half_width - self.gaps.total()
 
-    def locate(self, x: float, depth: int) -> Address:
-        """Descend the tree at x down to the given depth.
-
-        Returns the first gap word whose closed gap contains x, or the
-        depth-length interval word otherwise.  Gaps are closed and share
-        endpoints with their neighbor intervals; the tie goes to the gap.
-        """
-        if depth < 1:
-            raise DomainError("depth must be at least 1")
-        if not -self.half_width <= x <= self.half_width:
-            raise DomainError(f"x = {x} outside [-a, a]")
-        word, lo, hi = "", -self.half_width, self.half_width
-        for n in range(depth):
-            gap_lo, gap_hi = self._gap_from(lo, hi, n)
-            if gap_lo <= x <= gap_hi:
-                return Address("gap", word)
-            if x > gap_hi:
-                word, lo = word + "0", gap_hi
-            else:
-                word, hi = word + "1", gap_lo
-        return Address("interval", word)
-
-    def subtree_cover_length(self, word: str, level: int) -> float:
-        """Length of the absolute level-`level` cover inside I_word."""
-        n = len(word)
-        if level < n:
-            raise DomainError("cover level must be at least the word length")
-        lo, hi = self.interval(word)
-        removed = math.fsum(self.gaps.length(j) / 2.0 ** n for j in range(n, level))
-        return (hi - lo) - removed
-
     def to_tree_json(self, depth: int) -> dict:
-        """Words, interval endpoints and gaps down to a fixed depth."""
+        """Words, interval endpoints and gaps down to a fixed depth, read
+        level by level from the level arrays."""
         if depth < 0:
             raise DomainError("depth must be nonnegative")
         if depth > 12:
             raise SizeGuardError("tree dump limited to depth 12")
-        nodes = {}
-        frontier = [""]
-        while frontier:
-            w = frontier.pop()
-            lo, hi = self.interval(w)
-            glo, ghi = self.gap(w)
-            nodes[w] = {"interval": [lo, hi], "gap": [glo, ghi]}
-            if len(w) < depth:
-                frontier.extend((w + "0", w + "1"))
+        nodes, words = {}, [""]
+        for n in range(depth + 1):
+            lo, hi = self.level(n)
+            rows = np.column_stack((lo, hi, *self._gap_from(lo, hi, n))).tolist()
+            for w in words:
+                row = rows[word_cell(w)]
+                nodes[w] = {"interval": row[:2], "gap": row[2:]}
+            words = [w + ch for w in words for ch in "01"]
         return {
             "half_width": self.half_width,
             "exponent": self.gaps.exponent,

@@ -35,6 +35,7 @@ import numpy as np
 
 from .bowen import BowenSystem
 from .errors import DomainError, SingularityError, SizeGuardError
+from .fatcantor import word_cell
 from .rng import SplitMix64
 
 __all__ = [
@@ -262,8 +263,8 @@ class PoincareSystem:
         continues the samples' exit times from the sampling depth.
         """
         b = self.bowen.m.b
-        if not eps < b:
-            raise DomainError(f"eps = {eps} must stay below the gap scale b = {b}")
+        if not 0.0 < eps < b:  # also rejects NaN
+            raise DomainError(f"eps = {eps} must lie between 0 and the gap scale b = {b}")
         cc = self.bowen.cc
         rng = SplitMix64(seed)
         words, us = [], []
@@ -271,7 +272,7 @@ class PoincareSystem:
             words += rng.bits(depth), rng.bits(depth)
             us += rng.random(), rng.random()
         lo, hi = cc.level(depth) if words else (np.empty(0), np.empty(0))
-        cells = [2**depth - 1 - int("0" + w, 2) for w in words]  # "0" is the right child
+        cells = [word_cell(w) for w in words]
         samples = lo[cells] + np.array(us) * (hi[cells] - lo[cells])  # x, y, x, y, ...
         xs, ys = samples[0::2].tolist(), samples[1::2]
         orbits = ExitTimes(samples[0::2])
@@ -279,8 +280,7 @@ class PoincareSystem:
 
         witness_y, gap_level = np.empty(ys.size), np.full(ys.size, -1)
         pending = np.flatnonzero(member)  # members still descending
-        lo, hi = cc.interval("")
-        lo, hi = np.full(pending.size, lo), np.full(pending.size, hi)
+        lo, hi = np.full(pending.size, -cc.half_width), np.full(pending.size, cc.half_width)
         for level in range(WITNESS_SEARCH_LEVEL + 1):
             if not pending.size:
                 break

@@ -1,23 +1,100 @@
-"""Scalar oracles of the base-map and horseshoe array kernels.
+"""Scalar oracles of the interval-tree, base-map and horseshoe array kernels.
 
-Each function is the per-point code that fathorse.bowen and
-fathorse.horseshoe ran before their kernels took arrays, written as a
-function of the system: the paired-tree walk, the base map with its
-inverse and derivative, the gap profile with its Newton-bisection
-inverse, the spliced map, the right-branch inverse, the second-iterate
-derivative, the fiber maps with their sign-word cover, and finite-depth
-membership.  They use math, not numpy, and call no array kernel of the
-package (BowenSystem._walks, bowen._invert_profile), so a parity test
-against them compares the array code with independent per-point code.
+Each function is the per-point code that fathorse.fatcantor,
+fathorse.bowen and fathorse.horseshoe ran before their kernels took
+arrays, written as a function of the construction or system.  The
+word-addressed interval tree (interval, gap, locate, the closed-form
+level length, the subtree cover and the gap diffeomorphism of a word)
+reads one word by descent from [-a, a], one centered gap per letter,
+and is the oracle of CantorConstruction.level.  The rest are the
+paired-tree walk, the base map with its inverse and derivative, the gap
+profile with its Newton-bisection inverse, the spliced map, the
+right-branch inverse, the second-iterate derivative, the fiber maps with
+their sign-word cover, and finite-depth membership.  They use math, not
+numpy, and call no array kernel of the package (CantorConstruction.level,
+BowenSystem._walks, bowen._invert_profile), so a parity test against
+them compares the array code with independent per-point code.
 """
 
 from __future__ import annotations
 
 import bisect
 import math
+from typing import NamedTuple
 
 from fathorse.bowen import _SNAP, _TOL, _TWO_PI, GapDiffeo
 from fathorse.errors import DomainError, SingularityError
+
+# -- interval tree -------------------------------------------------------------
+
+
+class Address(NamedTuple):
+    kind: str  # "interval" or "gap"
+    word: str
+
+
+def _check_word(word: str) -> None:
+    if any(ch not in "01" for ch in word):
+        raise DomainError(f"word must be a 0/1 string, got {word!r}")
+
+
+def interval(cc, word: str) -> tuple[float, float]:
+    """Endpoints of I_word; the empty word gives [-a, a]."""
+    _check_word(word)
+    lo, hi = -cc.half_width, cc.half_width
+    for n, letter in enumerate(word):
+        gap_lo, gap_hi = cc._gap_from(lo, hi, n)
+        lo, hi = (gap_hi, hi) if letter == "0" else (lo, gap_lo)
+    return lo, hi
+
+
+def gap(cc, word: str) -> tuple[float, float]:
+    """The closed centered gap removed from I_word."""
+    lo, hi = interval(cc, word)
+    return cc._gap_from(lo, hi, len(word))
+
+
+def level_interval_length(cc, n: int) -> float:
+    """Closed form (2a - sum of gap lengths below n) / 2^n."""
+    return (2.0 * cc.half_width - cc.gaps.partial_sum(n)) / 2.0 ** n
+
+
+def locate(cc, x: float, depth: int) -> Address:
+    """Descend the tree at x down to the given depth.
+
+    Returns the first gap word whose closed gap contains x, or the
+    depth-length interval word otherwise.  Gaps are closed and share
+    endpoints with their neighbor intervals; the tie goes to the gap.
+    """
+    if depth < 1:
+        raise DomainError("depth must be at least 1")
+    if not -cc.half_width <= x <= cc.half_width:
+        raise DomainError(f"x = {x} outside [-a, a]")
+    word, lo, hi = "", -cc.half_width, cc.half_width
+    for n in range(depth):
+        gap_lo, gap_hi = cc._gap_from(lo, hi, n)
+        if gap_lo <= x <= gap_hi:
+            return Address("gap", word)
+        if x > gap_hi:
+            word, lo = word + "0", gap_hi
+        else:
+            word, hi = word + "1", gap_lo
+    return Address("interval", word)
+
+
+def subtree_cover_length(cc, word: str, level: int) -> float:
+    """Length of the absolute level-`level` cover inside I_word."""
+    n = len(word)
+    if level < n:
+        raise DomainError("cover level must be at least the word length")
+    lo, hi = interval(cc, word)
+    removed = math.fsum(cc.gaps.length(j) / 2.0 ** n for j in range(n, level))
+    return (hi - lo) - removed
+
+
+def gap_diffeo(sys, word: str) -> GapDiffeo:
+    """The base map on the source gap of I_{0 word}, onto the gap of I_word."""
+    return GapDiffeo(level=len(word), source=gap(sys.cc, "0" + word), target=gap(sys.cc, word))
 
 # -- gap diffeomorphisms -------------------------------------------------------
 
@@ -85,7 +162,7 @@ def walk(sys, x: float, forward: bool):
     with the affine partner-over-probe interpolation at x.
     """
     cc = sys.cc
-    source, target = cc.interval("0"), cc.interval("")
+    source, target = interval(cc, "0"), interval(cc, "")
     (plo, phi), (qlo, qhi), dp, dq = (
         (source, target, 1, 0) if forward else (target, source, 0, 1)
     )

@@ -17,29 +17,29 @@ from fathorse.rng import SplitMix64
 class TestGapDiffeo:
     def test_endpoint_slopes_exactly_two(self, bowen18):
         for word in ("", "0", "11", "010"):
-            d = bowen18.gap_diffeo(word)
+            d = oracles.gap_diffeo(bowen18, word)
             assert d.derivative(d.source[0]) == 2.0
             assert d.derivative(d.source[1]) == 2.0
 
     def test_maps_source_onto_target(self, bowen18):
         for word in ("", "1", "00", "0110"):
-            d = bowen18.gap_diffeo(word)
+            d = oracles.gap_diffeo(bowen18, word)
             assert d.value(d.source[0]) == d.target[0]
             assert d.value(d.source[1]) == pytest.approx(d.target[1], abs=1e-15)
 
     def test_mean_slope_formula(self, bowen18):
         p = bowen18.cc.gaps.exponent
         for word, n in (("", 0), ("0", 1), ("101", 3)):
-            d = bowen18.gap_diffeo(word)
+            d = oracles.gap_diffeo(bowen18, word)
             assert d.mean_slope == pytest.approx(2.0 * ((n + 2.0) / (n + 1.0)) ** p, rel=1e-12)
 
     def test_sup_deviation_at_midpoint(self, bowen18):
-        d = bowen18.gap_diffeo("")
+        d = oracles.gap_diffeo(bowen18, "")
         mid = 0.5 * (d.source[0] + d.source[1])
         assert d.derivative(mid) == pytest.approx(2.0 + 2.0 * (d.mean_slope - 2.0), rel=1e-12)
 
     def test_invert_round_trip(self, bowen18):
-        d = bowen18.gap_diffeo("01")
+        d = oracles.gap_diffeo(bowen18, "01")
         for i in range(21):
             x = d.source[0] + (d.source[1] - d.source[0]) * i / 20
             assert d.invert(d.value(x)) == pytest.approx(x, abs=1e-13)
@@ -57,25 +57,25 @@ class TestBaseMap:
     def test_address_shift_at_interval_endpoint(self, bowen18, lorenz18):
         # right endpoint of I_{01} is the left edge of the top gap; its
         # image is the matching edge one level up, the point -b
-        hi = bowen18.cc.interval("01")[1]
+        hi = oracles.interval(bowen18.cc, "01")[1]
         assert bowen18.base_value(hi) == pytest.approx(-lorenz18.b, abs=1e-15)
 
     def test_nested_gap_midpoints(self, bowen18):
-        src = bowen18.cc.gap("00")
-        tgt = bowen18.cc.gap("0")
+        src = oracles.gap(bowen18.cc, "00")
+        tgt = oracles.gap(bowen18.cc, "0")
         got = bowen18.base_value(0.5 * (src[0] + src[1]))
         assert got == pytest.approx(0.5 * (tgt[0] + tgt[1]), abs=1e-14)
 
     def test_address_shift_on_sample_points(self, bowen18):
         cc = bowen18.cc
         rng = SplitMix64(7)
-        lo, hi = cc.interval("0")
+        lo, hi = oracles.interval(cc, "0")
         for _ in range(200):
             x = lo + rng.random() * (hi - lo)
-            kind, word = cc.locate(x, 9)
+            kind, word = oracles.locate(cc, x, 9)
             assert word[0] == "0"
             image = bowen18.base_value(x)
-            kind2, word2 = cc.locate(image, len(word) - 1 if kind == "interval" else 9)
+            kind2, word2 = oracles.locate(cc, image, len(word) - 1 if kind == "interval" else 9)
             if kind == "gap":
                 assert (kind2, word2) == ("gap", word[1:])
             else:
@@ -91,14 +91,14 @@ class TestBaseDerivative:
         assert bowen18.base_derivative(lorenz18.a) == 2.0
         assert bowen18.base_derivative(lorenz18.b) == 2.0
         for word in ("", "0", "10"):
-            glo, ghi = bowen18.cc.gap("0" + word)
+            glo, ghi = oracles.gap(bowen18.cc, "0" + word)
             assert bowen18.base_derivative(glo) == 2.0
             assert bowen18.base_derivative(ghi) == 2.0
 
     def test_gap_midpoint_profile(self, bowen18):
         # level-3 gap: mean slope 2(5/4)^2 = 3.125, peak 2 + 2(s-2) = 4.25
         word = "101"
-        glo, ghi = bowen18.cc.gap("0" + word)
+        glo, ghi = oracles.gap(bowen18.cc, "0" + word)
         got = bowen18.base_derivative(0.5 * (glo + ghi))
         assert got == pytest.approx(4.25, rel=1e-11)
 
@@ -106,14 +106,14 @@ class TestBaseDerivative:
     def test_deep_gap_midpoints_approach_two(self, bowen18, n):
         p = bowen18.cc.gaps.exponent
         word = "0" * n
-        glo, ghi = bowen18.cc.gap("0" + word)
+        glo, ghi = oracles.gap(bowen18.cc, "0" + word)
         dev = bowen18.base_derivative(0.5 * (glo + ghi)) - 2.0
         assert dev == pytest.approx(4.0 * p / (n + 1.0), abs=8.0 / (n + 1.0) ** 2)
 
     def test_cantor_point_ratio_near_two(self, bowen18):
         # a point so deep that the walk bottoms out on the interval side:
         # the reported slope is the interval-length ratio, already near 2
-        lo, hi = bowen18.cc.interval("0" + "01" * 18)
+        lo, hi = oracles.interval(bowen18.cc, "0" + "01" * 18)
         d = bowen18.base_derivative(0.5 * (lo + hi))
         assert abs(d - 2.0) < 0.01
 
@@ -206,10 +206,18 @@ class TestVerifySurgery:
         # the source-gap ends of every word 0w, |w| < 10, from the scalar tree
         words = [format(i, f"0{n}b") if n else "" for n in range(10) for i in range(2 ** n)]
         ends = {bowen18.m.b, bowen18.m.a}
-        ends.update(v for w in words for v in bowen18.cc.gap("0" + w))
+        ends.update(v for w in words for v in oracles.gap(bowen18.cc, "0" + w))
         assert report.endpoint_count == len(ends)
         assert report.endpoint_max_dev == max(
             abs(2.0 - oracles.core_second_derivative(bowen18, x)) for x in ends)
+        # and each level's sampled source gaps, 21 points per word 0w
+        ts = [i / 20.0 for i in range(21)]
+        for level in report.levels:
+            sampled = [oracles.gap(bowen18.cc, "0" + w) for w in _sample_words(level.n)]
+            points = [glo + t * (ghi - glo) for glo, ghi in sampled for t in ts]
+            assert level.words_sampled == len(sampled)
+            assert level.sup_dev == max(
+                abs(2.0 - oracles.core_second_derivative(bowen18, x)) for x in points)
 
     def test_splice_continuity(self, report):
         assert max(report.splice_margins.values()) <= 1e-10
@@ -238,8 +246,8 @@ class TestVerifySurgery:
         cc = bowen18.cc
         for word in ("", "0", "11"):
             for level in (len(word) + 2, len(word) + 5):
-                half = cc.subtree_cover_length("0" + word, level)
-                full = cc.subtree_cover_length(word, level)
+                half = oracles.subtree_cover_length(cc, "0" + word, level)
+                full = oracles.subtree_cover_length(cc, word, level)
                 assert abs(2.0 * half - full) <= 1e-12
 
 
@@ -269,7 +277,7 @@ def _core_probe_points(system):
     ends = {b, a}
     frontier = ["0"]
     for _ in range(11):
-        ends.update(v for w in frontier for v in cc.interval(w))
+        ends.update(v for w in frontier for v in oracles.interval(cc, w))
         frontier = [w + ch for w in frontier for ch in "01"]
     ends = np.array(sorted(ends))
     near = [ends + k * _SNAP for k in (-2.0, -1.0, -0.5, 0.5, 1.0, 2.0)]
@@ -282,10 +290,11 @@ def _surgery_points(system, max_level=10):
     """The points verify_surgery(system, max_level) evaluates: 21 per sampled
     source gap of each level, and the source-gap ends with b and a."""
     ts = [i / 20.0 for i in range(21)]
-    sampled = [system.cc.gap("0" + w) for n in range(max_level + 1) for w in _sample_words(n)]
+    sampled = [oracles.gap(system.cc, "0" + w)
+               for n in range(max_level + 1) for w in _sample_words(n)]
     words = [format(i, f"0{n}b") if n else "" for n in range(max_level) for i in range(2 ** n)]
     ends = {system.m.b, system.m.a}
-    ends.update(v for w in words for v in system.cc.gap("0" + w))
+    ends.update(v for w in words for v in oracles.gap(system.cc, "0" + w))
     points = np.array([glo + t * (ghi - glo) for glo, ghi in sampled for t in ts])
     return points, np.array(sorted(ends))
 
@@ -314,7 +323,7 @@ class TestArrayKernels:
         ends = {b, a}
         frontier = ["0"]
         for _ in range(11):
-            ends.update(v for w in frontier for v in cc.interval(w))
+            ends.update(v for w in frontier for v in oracles.interval(cc, w))
             frontier = [w + ch for w in frontier for ch in "01"]
         ends = np.array(sorted(ends))
         for points in (ends, np.clip(ends + 0.5 * _SNAP, b, a), np.clip(ends - 0.5 * _SNAP, b, a)):
@@ -418,7 +427,7 @@ def _target_probe_points(system):
     ends = {-a, a}
     frontier = [""]
     for _ in range(11):
-        ends.update(v for w in frontier for v in cc.interval(w))
+        ends.update(v for w in frontier for v in oracles.interval(cc, w))
         frontier = [w + ch for w in frontier for ch in "01"]
     ends = np.array(sorted(ends))
     near = [ends + k * _SNAP for k in (-2.0, -1.0, -0.5, 0.5, 1.0, 2.0)]

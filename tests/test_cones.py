@@ -271,6 +271,9 @@ class TestBruteForce:
     def test_cost_guard(self, k2):
         with pytest.raises(SizeGuardError):
             brute_force_slice(k2, 0.0, 9, 1e-4)
+        for resolution in (0.0, -1e-3, math.nan):
+            with pytest.raises(DomainError, match="resolution"):
+                brute_force_slice(k2, 0.0, 1, resolution)
 
 
 @pytest.mark.parametrize(

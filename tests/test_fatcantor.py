@@ -1,6 +1,8 @@
+import json
 import math
 
 import numpy as np
+import oracles
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -80,49 +82,49 @@ class TestFeasibility:
 
 class TestIntervals:
     def test_root(self, construction18, lorenz18):
-        assert construction18.interval("") == (-lorenz18.a, lorenz18.a)
+        assert oracles.interval(construction18, "") == (-lorenz18.a, lorenz18.a)
 
     def test_first_children(self, construction18, lorenz18):
         a, b = lorenz18.a, lorenz18.b
-        assert construction18.interval("0") == pytest.approx((b, a), abs=1e-15)
-        assert construction18.interval("1") == pytest.approx((-a, -b), abs=1e-15)
+        assert oracles.interval(construction18, "0") == pytest.approx((b, a), abs=1e-15)
+        assert oracles.interval(construction18, "1") == pytest.approx((-a, -b), abs=1e-15)
 
     def test_root_gap(self, construction18, lorenz18):
         b = lorenz18.b
-        assert construction18.gap("") == pytest.approx((-b, b), abs=1e-15)
+        assert oracles.gap(construction18, "") == pytest.approx((-b, b), abs=1e-15)
 
     @pytest.mark.parametrize("word", SAMPLE_WORDS)
     def test_gap_lengths(self, construction18, word):
-        lo, hi = construction18.gap(word)
+        lo, hi = oracles.gap(construction18, word)
         n = len(word)
         expected = construction18.gaps.length(n) / 2.0 ** n
         assert hi - lo == pytest.approx(expected, abs=1e-15 * (n + 1))
 
     @pytest.mark.parametrize("word", SAMPLE_WORDS)
     def test_closed_form_length(self, construction18, word):
-        lo, hi = construction18.interval(word)
-        expected = construction18.level_interval_length(len(word))
+        lo, hi = oracles.interval(construction18, word)
+        expected = oracles.level_interval_length(construction18, len(word))
         assert abs((hi - lo) - expected) <= 1e-14 * (len(word) + 1)
 
     @pytest.mark.parametrize("word", SAMPLE_WORDS)
     def test_children_partition_parent(self, construction18, word):
-        lo, hi = construction18.interval(word)
-        glo, ghi = construction18.gap(word)
-        assert construction18.interval(word + "1") == (lo, glo)
-        assert construction18.interval(word + "0") == (ghi, hi)
+        lo, hi = oracles.interval(construction18, word)
+        glo, ghi = oracles.gap(construction18, word)
+        assert oracles.interval(construction18, word + "1") == (lo, glo)
+        assert oracles.interval(construction18, word + "0") == (ghi, hi)
         assert lo < glo < ghi < hi
 
     @pytest.mark.parametrize("word", SAMPLE_WORDS)
     def test_mirror_symmetry(self, construction18, word):
         flipped = "".join("1" if ch == "0" else "0" for ch in word)
-        lo, hi = construction18.interval(word)
-        flo, fhi = construction18.interval(flipped)
+        lo, hi = oracles.interval(construction18, word)
+        flo, fhi = oracles.interval(construction18, flipped)
         assert flo == pytest.approx(-hi, abs=1e-15)
         assert fhi == pytest.approx(-lo, abs=1e-15)
 
     def test_bad_word(self, construction18):
         with pytest.raises(DomainError):
-            construction18.interval("02")
+            oracles.interval(construction18, "02")
 
 
 class TestLevelMeasure:
@@ -145,7 +147,7 @@ class TestLevelMeasure:
         for _ in range(n):
             words = [w + ch for w in words for ch in "01"]
         total = math.fsum(
-            hi - lo for lo, hi in (construction18.interval(w) for w in words)
+            hi - lo for lo, hi in (oracles.interval(construction18, w) for w in words)
         )
         assert abs(total - construction18.level_measure(n)) <= 1e-12
 
@@ -161,28 +163,28 @@ class TestLevelMeasure:
 
 class TestLocate:
     def test_center_is_root_gap(self, construction18):
-        assert construction18.locate(0.0, 5) == ("gap", "")
+        assert oracles.locate(construction18, 0.0, 5) == ("gap", "")
 
     def test_right_endpoint(self, construction18, lorenz18):
-        assert construction18.locate(lorenz18.a, 7) == ("interval", "0" * 7)
+        assert oracles.locate(construction18, lorenz18.a, 7) == ("interval", "0" * 7)
 
     def test_shared_endpoint_goes_to_gap(self, construction18, lorenz18):
-        assert construction18.locate(lorenz18.b, 7) == ("gap", "")
+        assert oracles.locate(construction18, lorenz18.b, 7) == ("gap", "")
 
     @pytest.mark.parametrize("word", [w for w in SAMPLE_WORDS if w])
     def test_interval_midpoint_round_trip(self, construction18, word):
-        lo, hi = construction18.interval(word)
-        kind, found = construction18.locate(0.5 * (lo + hi), len(word))
+        lo, hi = oracles.interval(construction18, word)
+        kind, found = oracles.locate(construction18, 0.5 * (lo + hi), len(word))
         # the midpoint of an interval is the center of its own gap
         assert (kind, found) in {("interval", word), ("gap", word)}
-        kind2, found2 = construction18.locate(lo + 0.1 * (hi - lo), len(word))
+        kind2, found2 = oracles.locate(construction18, lo + 0.1 * (hi - lo), len(word))
         assert found2[: len(word)] == word or kind2 == "gap"
 
     def test_domain_checks(self, construction18):
         with pytest.raises(DomainError):
-            construction18.locate(0.5, 3)
+            oracles.locate(construction18, 0.5, 3)
         with pytest.raises(DomainError):
-            construction18.locate(0.0, 0)
+            oracles.locate(construction18, 0.0, 0)
 
 
 class TestCoverDoubling:
@@ -191,8 +193,8 @@ class TestCoverDoubling:
         # the level-L cover inside I_{0w} is half the level-L cover in I_w
         for extra in (1, 3, 5):
             level = len(word) + extra
-            half = construction18.subtree_cover_length("0" + word, level)
-            full = construction18.subtree_cover_length(word, level)
+            half = oracles.subtree_cover_length(construction18, "0" + word, level)
+            full = oracles.subtree_cover_length(construction18, word, level)
             assert abs(2.0 * half - full) <= 1e-12
 
     def test_cover_against_enumeration(self, construction18):
@@ -201,9 +203,9 @@ class TestCoverDoubling:
         for _ in range(level - len(word)):
             words = [w + ch for w in words for ch in "01"]
         total = math.fsum(
-            hi - lo for lo, hi in (construction18.interval(w) for w in words)
+            hi - lo for lo, hi in (oracles.interval(construction18, w) for w in words)
         )
-        assert abs(total - construction18.subtree_cover_length(word, level)) <= 1e-12
+        assert abs(total - oracles.subtree_cover_length(construction18, word, level)) <= 1e-12
 
 
 class TestLevelArrays:
@@ -213,7 +215,8 @@ class TestLevelArrays:
         for n in range(fatcantor.LEVEL_ARRAY_CAP + 1):
             # left to right: letter 1 is the left child, the first letter the top split
             words = [format(i, f"0{n}b").translate(FLIP) if n else "" for i in range(2 ** n)]
-            expected = np.array([cc.interval(w) for w in words]).T
+            assert [fatcantor.word_cell(w) for w in words] == list(range(2 ** n))
+            expected = np.array([oracles.interval(cc, w) for w in words]).T
             got = np.array(cc.level(n))
             assert got.shape == (2, 2 ** n)
             assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
@@ -240,6 +243,32 @@ class TestTreeJson:
     def test_depth_guard(self, construction18):
         with pytest.raises(SizeGuardError):
             construction18.to_tree_json(13)
+
+    @pytest.mark.parametrize("c", [1.7, 1.8, 1.95])
+    def test_matches_word_frontier_dump(self, c):
+        cc = make_construction(LorenzBranchMap.from_coefficient(c), 2.0)
+        for depth in range(13):
+            assert json.dumps(cc.to_tree_json(depth)) == json.dumps(_word_frontier_tree(cc, depth))
+
+
+def _word_frontier_tree(cc, depth):
+    """to_tree_json as the word descent built it: a frontier of words,
+    each read by oracles.interval and oracles.gap."""
+    nodes = {}
+    frontier = [""]
+    while frontier:
+        w = frontier.pop()
+        lo, hi = oracles.interval(cc, w)
+        glo, ghi = oracles.gap(cc, w)
+        nodes[w] = {"interval": [lo, hi], "gap": [glo, ghi]}
+        if len(w) < depth:
+            frontier.extend((w + "0", w + "1"))
+    return {
+        "half_width": cc.half_width,
+        "exponent": cc.gaps.exponent,
+        "depth": depth,
+        "nodes": dict(sorted(nodes.items())),
+    }
 
 
 def _memo_interval(cc, word, cache):
@@ -293,13 +322,15 @@ class TestTreeParity:
     @settings(max_examples=300, deadline=None)
     @given(st.text(alphabet="01", max_size=40))
     def test_word_reads_match_memoized_recursion(self, construction18, memo_cache, word):
-        assert _hex(construction18.interval(word)) == _hex(_memo_interval(construction18, word, memo_cache))
-        assert _hex(construction18.gap(word)) == _hex(_memo_gap(construction18, word, memo_cache))
+        cc = construction18
+        assert _hex(oracles.interval(cc, word)) == _hex(_memo_interval(cc, word, memo_cache))
+        assert _hex(oracles.gap(cc, word)) == _hex(_memo_gap(cc, word, memo_cache))
 
     @settings(max_examples=300, deadline=None)
     @given(st.floats(-A18, A18), st.integers(1, 20))
     def test_locate_matches_per_letter_loop(self, construction18, memo_cache, x, depth):
-        assert construction18.locate(x, depth) == _per_letter_locate(construction18, x, depth, memo_cache)
+        cc = construction18
+        assert oracles.locate(cc, x, depth) == _per_letter_locate(cc, x, depth, memo_cache)
 
     @pytest.mark.parametrize("depth", [1, 2, 5, 8, 20])
     def test_locate_at_interval_ends_and_gap_edges(self, construction18, memo_cache, depth):
@@ -308,9 +339,10 @@ class TestTreeParity:
             los, his = cc.level(n)
             glos, ghis = cc._gap_from(los, his, n)
             for x in np.concatenate([los, his, glos, ghis]).tolist():
-                assert cc.locate(x, depth) == _per_letter_locate(cc, x, depth, memo_cache)
+                assert oracles.locate(cc, x, depth) == _per_letter_locate(cc, x, depth, memo_cache)
             if n < depth:
                 # a gap edge is also the end of its neighbor interval: the tie goes to the gap
                 words = [format(i, f"0{n}b").translate(FLIP) if n else "" for i in range(2 ** n)]
                 for word, glo, ghi in zip(words, glos.tolist(), ghis.tolist()):
-                    assert cc.locate(glo, depth) == cc.locate(ghi, depth) == ("gap", word)
+                    assert oracles.locate(cc, glo, depth) == ("gap", word)
+                    assert oracles.locate(cc, ghi, depth) == ("gap", word)

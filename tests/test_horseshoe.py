@@ -339,8 +339,8 @@ def _scalar_witness(ps, sample_count, eps, seed, depth):
     for i in range(sample_count):
         wx, wy = rng.bits(depth), rng.bits(depth)
         ux, uy = rng.random(), rng.random()
-        xlo, xhi = cc.interval(wx)
-        ylo, yhi = cc.interval(wy)
+        xlo, xhi = oracles.interval(cc, wx)
+        ylo, yhi = oracles.interval(cc, wy)
         x = xlo + ux * (xhi - xlo)
         y = ylo + uy * (yhi - ylo)
         if not oracles.membership(ps, (x, y), depth):
@@ -348,7 +348,7 @@ def _scalar_witness(ps, sample_count, eps, seed, depth):
             continue
         word = ""
         for level in range(WITNESS_SEARCH_LEVEL + 1):
-            glo, ghi = cc.gap(word)
+            glo, ghi = oracles.gap(cc, word)
             if y < glo:
                 dist = glo - y
                 inside = glo + 0.5 * min(ghi - glo, eps - dist) if dist < eps else None
@@ -409,9 +409,13 @@ class TestWitness:
     def test_eps_precondition(self, poincare18):
         with pytest.raises(DomainError):
             poincare18.vertical_gap_witness(5, poincare18.bowen.m.b, seed=1)
+        # invalid input, not a failed check with "no gap within eps" records
+        for eps in (0.0, -0.01, math.nan):
+            with pytest.raises(DomainError):
+                poincare18.vertical_gap_witness(10, eps, seed=1, depth=2)
 
     def test_gap_point_trivially_non_member(self, poincare18, construction18):
-        glo, ghi = construction18.gap("0")
+        glo, ghi = oracles.gap(construction18, "0")
         assert not poincare18.membership((poincare18.bowen.m.a, 0.5 * (glo + ghi)), 2)
 
     @pytest.mark.parametrize("depth", [2, 6, 10])

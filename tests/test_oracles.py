@@ -1,8 +1,9 @@
 """The scalar oracles stand apart from the array kernels they check.
 
-Every function of tests/oracles.py runs here with the array walk of the
-paired trees and the array Newton-bisection patched to raise, so no
-oracle can reach the code that its parity tests compare it with.
+Every function of tests/oracles.py runs here with the level arrays of
+the interval tree, the array walk of the paired trees and the array
+Newton-bisection patched to raise, so no oracle can reach the code that
+its parity tests compare it with.
 """
 
 import inspect
@@ -12,7 +13,7 @@ import pytest
 
 from fathorse import bowen
 from fathorse.bowen import BowenSystem, build_base_map
-from fathorse.fatcantor import make_construction
+from fathorse.fatcantor import CantorConstruction, make_construction
 from fathorse.horseshoe import make_poincare_system
 from fathorse.lorenz import LorenzBranchMap
 
@@ -25,15 +26,24 @@ def test_oracles_reach_no_array_kernel(monkeypatch):
     # a fresh system, so no fiber cover of the oracles is cached yet
     ps = make_poincare_system(build_base_map(
         make_construction(LorenzBranchMap.from_coefficient(1.8), 2.0)))
+    monkeypatch.setattr(CantorConstruction, "level", _refuse)
     monkeypatch.setattr(BowenSystem, "_walks", _refuse)
     monkeypatch.setattr(bowen, "_invert_profile", _refuse)
     system = ps.bowen
+    cc = system.cc
     b, a, fb = system.m.b, system.m.a, system.fb
-    core = [b, a, 0.5 * (a + b), b + 0.3 * (a - b), system.cc.interval("0" + "01" * 12)[0]]
+    core = [b, a, 0.5 * (a + b), b + 0.3 * (a - b), oracles.interval(cc, "0" + "01" * 12)[0]]
     target = [-a, a, 0.0, 0.3 * a, -0.77 * a]
     line = [-0.9, -0.3, 0.2, 0.7, system.m.c - 1.0]
-    source = system.gap_diffeo("01")
+    source = oracles.gap_diffeo(system, "01")
+    words = ["", "0", "1", "01", "110"]
     runs = {
+        "interval": [oracles.interval(cc, w) for w in words],
+        "gap": [oracles.gap(cc, w) for w in words],
+        "level_interval_length": [oracles.level_interval_length(cc, n) for n in range(6)],
+        "locate": [oracles.locate(cc, x, 7) for x in core + target],
+        "subtree_cover_length": [oracles.subtree_cover_length(cc, w, 6) for w in words],
+        "gap_diffeo": [oracles.gap_diffeo(system, w) for w in words],
         "gap_value": [oracles.gap_value(source, x) for x in source.source],
         "gap_derivative": [oracles.gap_derivative(source, x) for x in source.source],
         "gap_invert": [oracles.gap_invert(source, y) for y in source.target],
@@ -60,3 +70,5 @@ def test_oracles_reach_no_array_kernel(monkeypatch):
     assert all(runs.values())
     with pytest.raises(AssertionError, match="array kernel"):
         system.base_value(a)
+    with pytest.raises(AssertionError, match="array kernel"):
+        cc.to_tree_json(2)
