@@ -22,9 +22,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, SingularityError, SizeGuardError
+from .errors import DomainError, SingularityError, check_depth
 from .fatcantor import LEVEL_ARRAY_CAP, CantorConstruction, word_cell
-from .lorenz import LorenzBranchMap
+from .lorenz import LorenzBranchMap, branch_value
 
 __all__ = [
     "GapDiffeo",
@@ -117,18 +117,23 @@ def _invert_profile(s: np.ndarray, tau: np.ndarray) -> np.ndarray:
     return out
 
 
-def _pointwise(method):
-    """Let a method written for a 1-D float array also take a float.
+def _points(v) -> np.ndarray:
+    """A float or an array of them as a 1-D float array."""
+    return np.atleast_1d(np.asarray(v, dtype=float))
 
-    The float runs through the array body as a one-element array and
-    comes back as a Python float.
-    """
+
+def _like(x, values: np.ndarray):
+    """values for an array x; for a float x, its one element as a Python scalar."""
+    return values if np.ndim(x) else values[0].item()
+
+
+def _pointwise(method):
+    """Let a method written for a 1-D float array also take a float, which
+    runs through the array body as a one-element array."""
 
     @functools.wraps(method)
     def on_points(self, x):
-        if np.ndim(x):
-            return method(self, np.asarray(x, dtype=float))
-        return float(method(self, np.array([x], dtype=float))[0])
+        return _like(x, method(self, _points(x)))
 
     return on_points
 
@@ -148,7 +153,7 @@ class BowenSystem:
 
     def __post_init__(self):
         self.m = self.cc.source_map
-        self.fb = self.m.value(self.m.b)
+        self.fb = branch_value(self.m.c, self.m.b)
 
     # -- base map -----------------------------------------------------------
 
@@ -159,8 +164,8 @@ class BowenSystem:
         The points lie in the probe tree: the source tree for the base map
         (forward), the target tree for its inverse.  The other tree is the
         partner; both descend in lockstep, the source one level below the
-        target, with the half gaps read from the construction's per-level
-        table.  A point that snaps to a probe endpoint takes the partner
+        target, with the half gaps from the construction's half_gap.  A
+        point that snaps to a probe endpoint takes the partner
         endpoint and slope exactly 2; once its probe interval is below
         _TOL it takes the affine partner-over-probe interpolation and that
         interval-length ratio as slope.  Returns those values and slopes,
@@ -235,15 +240,10 @@ class BowenSystem:
         return out
 
     def _check_core(self, xs) -> None:
-        for x in (np.min(xs), np.max(xs)) if np.size(xs) else ():  # a NaN reaches both
-            if not self.m.b <= x <= self.m.a:
-                raise DomainError(f"x = {x} outside the core interval [b, a]")
+        _check_within(xs, self.m.b, self.m.a, "x", "the core interval [b, a]")
 
     def _check_target(self, vs) -> None:
-        a = self.cc.half_width
-        for v in (np.min(vs), np.max(vs)) if np.size(vs) else ():
-            if not -a <= v <= a:
-                raise DomainError(f"v = {v} outside [-a, a]")
+        _check_within(vs, -self.cc.half_width, self.cc.half_width, "v", "[-a, a]")
 
     # -- spliced map ----------------------------------------------------------
 
@@ -316,6 +316,13 @@ class BowenSystem:
         fx, slope = c * np.sqrt(xs) - 1.0, c / (2.0 * np.sqrt(xs))  # f and f' on x > 0
         u = self._core_preimage(fx)
         return slope * self.base_derivative(u) / (c / (2.0 * np.sqrt(u)))
+
+
+def _check_within(xs, lo: float, hi: float, name: str, where: str) -> None:
+    """Raise unless every point of xs (a float or an array) lies in [lo, hi]."""
+    for x in (np.min(xs), np.max(xs)) if np.size(xs) else ():  # a NaN reaches both
+        if not lo <= x <= hi:
+            raise DomainError(f"{name} = {x} outside {where}")
 
 
 def build_base_map(cc: CantorConstruction) -> BowenSystem:
@@ -396,8 +403,9 @@ def verify_surgery(sys: BowenSystem, max_level: int, monotone_grid: int = 100_00
     comparison is reliable to 1e-9 through level 11 or so and degrades
     gently beyond (the deviation values themselves stay fine).
     """
-    if max_level >= LEVEL_ARRAY_CAP:
-        raise SizeGuardError(f"surgery verification capped at level {LEVEL_ARRAY_CAP - 1}")
+    check_depth(max_level, LEVEL_ARRAY_CAP - 1, "surgery level")
+    if not monotone_grid >= 2:
+        raise DomainError(f"monotone grid needs at least 2 points, got {monotone_grid}")
     cc, gaps = sys.cc, sys.cc.gaps
     ts = np.arange(21) / 20.0
 
@@ -437,10 +445,10 @@ def verify_surgery(sys: BowenSystem, max_level: int, monotone_grid: int = 100_00
     a, fb = sys.m.a, sys.fb
     h_fb, h_a = sys._surgery(np.array([fb, -a])).tolist()
     margins = {
-        "f(b)": abs(sys.m.value(fb) - h_fb),
-        "-a": abs(sys.m.value(-a) - h_a),
-        "a": abs(sys.m.value(a) - (-h_a)),
-        "-f(b)": abs(sys.m.value(-fb) - (-h_fb)),
+        "f(b)": abs(branch_value(sys.m.c, fb) - h_fb),
+        "-a": abs(branch_value(sys.m.c, -a) - h_a),
+        "a": abs(branch_value(sys.m.c, a) - (-h_a)),
+        "-f(b)": abs(branch_value(sys.m.c, -fb) - (-h_fb)),
     }
 
     xs = np.linspace(1.0 / monotone_grid, 1.0, monotone_grid)

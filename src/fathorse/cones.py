@@ -22,12 +22,13 @@ preimages by bisection and pushes dense fiber grids forward.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
 
-from .errors import DomainError, InvalidParameterError, SingularityError, SizeGuardError
+from .errors import DomainError, InvalidParameterError, SingularityError, check_depth
 from .lorenz import branch_value
 
 __all__ = [
@@ -46,6 +47,7 @@ __all__ = [
 
 LEVEL_HARD_CAP = 24
 BRUTE_FORCE_LEVEL_CAP = 8
+EXACT_TABLE_CAP = 6  # the denominators b_n = 2^{2^{n+1}-2} explode beyond
 
 
 @dataclass(frozen=True)
@@ -63,12 +65,13 @@ class ConeSystem:
     _scratch: list[np.ndarray] = field(default_factory=list, init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        if int(self.k) != self.k or self.k < 2:
-            raise InvalidParameterError(f"fiber exponent k must be an integer >= 2, got {self.k}")
+        if not isinstance(self.k, numbers.Real) or not float(self.k).is_integer() or self.k < 2:
+            raise InvalidParameterError(f"fiber exponent k must be an integer >= 2, got {self.k!r}")
+        object.__setattr__(self, "k", int(self.k))  # 3.0 becomes 3, as the figure JSON writes it
 
 
 def make_cone_system(k: int) -> ConeSystem:
-    return ConeSystem(k=int(k))
+    return ConeSystem(k=k)
 
 
 def cone_map(sys: ConeSystem, x: float, y):
@@ -85,10 +88,7 @@ def _check_slice(a: float, n: int, cap: int = LEVEL_HARD_CAP) -> None:
     """Shared argument guard of the slice recursions."""
     if not abs(a) < 1.0:  # also rejects NaN
         raise DomainError(f"slice abscissa must satisfy |a| < 1, got {a}")
-    if n < 0:
-        raise DomainError("level must be nonnegative")
-    if n > cap:
-        raise SizeGuardError(f"level {n} exceeds the cap {cap}")
+    check_depth(n, cap)
 
 
 def _children(r: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -199,8 +199,6 @@ class ConeBoundReport:
 
 def verify_cone_bound(sys: ConeSystem, a: float, n_max: int) -> ConeBoundReport:
     """Tabulate totals against the 2/4^{n/k} bound and the per-level decay."""
-    if n_max < 0:
-        raise DomainError("n_max must be nonnegative")
     _check_slice(a, n_max)  # before the first level, not after level LEVEL_HARD_CAP
     decay = 2.0 ** (-2.0 / sys.k)
     # deepest level first, so the scratch is sized once for the whole table
@@ -307,10 +305,7 @@ def exact_preimage_table(n: int, a: Fraction = Fraction(0)) -> tuple[list[list[F
     n entry m satisfies value = (-1)^m (parent + (-1)^m b_{n-1})^2 with
     parent at index ceil(m/2) of the previous level.
     """
-    if n < 0:
-        raise DomainError("level must be nonnegative")
-    if n > 6:
-        raise SizeGuardError("exact table limited to n <= 6 (denominators explode)")
+    check_depth(n, EXACT_TABLE_CAP)
     denominators = [1]
     for _ in range(n):
         denominators.append(4 * denominators[-1] ** 2)

@@ -26,9 +26,6 @@ class ExperimentConfig:
     output_dir: str = "out"
     seed: int = 1
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 _REALS = ("c", "p", "resolution", "delta")
 _COUNTS = ("n_max", "level_max", "N")  # nonnegative integers
@@ -63,7 +60,7 @@ def validate(cfg: ExperimentConfig) -> ExperimentConfig:
     built in Python is held to the same rules as one read from a file.
     """
     values = {}
-    for key, value in cfg.to_dict().items():
+    for key, value in asdict(cfg).items():
         if key in _REALS:
             value = float(_number(key, value))
         elif key in _COUNTS or key == "seed":

@@ -27,3 +27,11 @@ class SizeGuardError(FathorseError, ValueError):
 
 class ConfigError(FathorseError, ValueError):
     """A configuration file is malformed or carries unknown keys."""
+
+
+def check_depth(n: int, cap: int, what: str = "level") -> None:
+    """The one depth guard: DomainError below 0, SizeGuardError above cap."""
+    if n < 0:
+        raise DomainError(f"{what} must be nonnegative, got {n}")
+    if n > cap:
+        raise SizeGuardError(f"{what} {n} exceeds the cap {cap}")

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, FeasibilityError, InvalidParameterError, SizeGuardError
+from .errors import FeasibilityError, InvalidParameterError, check_depth
 from .lorenz import LorenzBranchMap
 
 __all__ = [
@@ -32,6 +32,7 @@ __all__ = [
 ]
 
 LEVEL_MEASURE_CAP = 30
+TREE_JSON_CAP = 12
 LEVEL_ARRAY_CAP = 15  # deepest level array; verify_surgery samples one level below its max_level
 ZETA_TERMS = 200_000  # partial-sum length of zeta_value
 
@@ -43,8 +44,8 @@ def zeta_value(p: float) -> float:
     bounds the truncation error by O(M^{-p-3}), far below double rounding
     for M = ZETA_TERMS terms.
     """
-    if p <= 1.0:
-        raise InvalidParameterError(f"gap exponent must exceed 1 for a summable series, got {p}")
+    if not 1.0 < p < math.inf:  # also rejects NaN
+        raise InvalidParameterError(f"gap exponent must be finite and exceed 1, got {p}")
     partial = math.fsum(m ** -p for m in range(1, ZETA_TERMS + 1))
     m = float(ZETA_TERMS)
     remainder = m ** (1.0 - p) / (p - 1.0) - 0.5 * m ** -p + p / 12.0 * m ** (-p - 1.0)
@@ -59,9 +60,9 @@ class GapLengthSequence:
     exponent: float
 
     def __post_init__(self):
-        if self.exponent <= 1.0:
+        if not 1.0 < self.exponent < math.inf:  # also rejects NaN
             raise InvalidParameterError(
-                f"gap exponent must exceed 1, got {self.exponent} (series diverges)"
+                f"gap exponent must be finite and exceed 1, got {self.exponent}"
             )
         if self.first_length <= 0.0:
             raise InvalidParameterError("first gap length must be positive")
@@ -95,14 +96,13 @@ class CantorConstruction:
     """Word-indexed interval tree on [-a, a] with centered gaps removed.
 
     The level arrays are the tree's only store and its only read path:
-    they grow to the deepest level asked for, as does the per-level
-    half-gap table, and I_w is cell word_cell(w) of level(len(w)).
+    they grow to the deepest level asked for, and I_w is cell
+    word_cell(w) of level(len(w)).
     """
 
     half_width: float
     gaps: GapLengthSequence
     source_map: LorenzBranchMap
-    _half_gaps: list[float] = field(default_factory=list, repr=False)
     _levels: list[tuple[np.ndarray, np.ndarray]] = field(default_factory=list, repr=False)
 
     def level(self, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -111,10 +111,7 @@ class CantorConstruction:
         The children of (lo, hi) are (lo, gap_lo), the word + "1", and
         (gap_hi, hi), the word + "0".
         """
-        if n < 0:
-            raise DomainError("level must be nonnegative")
-        if n > LEVEL_ARRAY_CAP:
-            raise SizeGuardError(f"level {n} exceeds the cap {LEVEL_ARRAY_CAP}")
+        check_depth(n, LEVEL_ARRAY_CAP)
         levels = self._levels
         while len(levels) <= n:
             if levels:
@@ -129,11 +126,7 @@ class CantorConstruction:
 
     def half_gap(self, level: int) -> float:
         """Half the length of every gap removed at this level, gap(n)/2^(n+1)."""
-        table = self._half_gaps
-        while len(table) <= level:
-            n = len(table)
-            table.append(0.5 * self.gaps.length(n) / 2.0 ** n)
-        return table[level]
+        return 0.5 * self.gaps.length(level) / 2.0 ** level
 
     def _gap_from(self, lo, hi, level: int):  # floats or arrays
         center = 0.5 * (lo + hi)
@@ -146,10 +139,7 @@ class CantorConstruction:
         All intervals at one level share one length, so the sum reduces to
         the per-level length recursion.
         """
-        if n < 0:
-            raise DomainError("level must be nonnegative")
-        if n > LEVEL_MEASURE_CAP:
-            raise SizeGuardError(f"level {n} exceeds the guard {LEVEL_MEASURE_CAP}")
+        check_depth(n, LEVEL_MEASURE_CAP)
         length = 2.0 * self.half_width
         for j in range(n):
             length = (length - self.gaps.length(j) / 2.0 ** j) / 2.0
@@ -161,10 +151,7 @@ class CantorConstruction:
     def to_tree_json(self, depth: int) -> dict:
         """Words, interval endpoints and gaps down to a fixed depth, read
         level by level from the level arrays."""
-        if depth < 0:
-            raise DomainError("depth must be nonnegative")
-        if depth > 12:
-            raise SizeGuardError("tree dump limited to depth 12")
+        check_depth(depth, TREE_JSON_CAP, "tree depth")
         nodes, words = {}, [""]
         for n in range(depth + 1):
             lo, hi = self.level(n)

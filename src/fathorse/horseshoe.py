@@ -33,8 +33,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bowen import BowenSystem
-from .errors import DomainError, SingularityError, SizeGuardError
+from .bowen import BowenSystem, _like, _points
+from .errors import DomainError, SingularityError, SizeGuardError, check_depth
 from .fatcantor import word_cell
 from .rng import SplitMix64
 
@@ -145,10 +145,7 @@ class PoincareSystem:
         maps preserve order, so every level is sorted as built.  Each sign
         maps the level's lo and hi arrays in one call.
         """
-        if depth < 0:
-            raise DomainError("depth must be nonnegative")
-        if depth > FIBER_DEPTH_CAP:
-            raise SizeGuardError(f"fiber depth {depth} exceeds {FIBER_DEPTH_CAP}")
+        check_depth(depth, FIBER_DEPTH_CAP, "fiber depth")
         levels = self._fiber_levels
         while len(levels) <= depth:
             ends = np.concatenate(levels[-1])  # lo then hi
@@ -171,10 +168,9 @@ class PoincareSystem:
         surviving orbits from where the last one stopped, so the depths
         0..N together cost one pass of N second returns.
         """
-        if depth > MEASURE_DEPTH_CAP:
-            raise SizeGuardError(f"measure depth {depth} exceeds {MEASURE_DEPTH_CAP}")
-        if resolution < MEASURE_RESOLUTION_FLOOR:
-            raise SizeGuardError(f"resolution below the floor {MEASURE_RESOLUTION_FLOOR}")
+        check_depth(depth, MEASURE_DEPTH_CAP, "measure depth")
+        if not resolution >= MEASURE_RESOLUTION_FLOOR:  # also rejects NaN
+            raise SizeGuardError(f"resolution {resolution} below the floor {MEASURE_RESOLUTION_FLOOR}")
         grid = self._exit_cache.get(resolution)
         if grid is None:
             a = self.bowen.m.a
@@ -265,6 +261,9 @@ class PoincareSystem:
         b = self.bowen.m.b
         if not 0.0 < eps < b:  # also rejects NaN
             raise DomainError(f"eps = {eps} must lie between 0 and the gap scale b = {b}")
+        if sample_count < 0:
+            raise DomainError(f"sample count must be nonnegative, got {sample_count}")
+        check_depth(depth, FIBER_DEPTH_CAP, "witness depth")  # membership reads the fiber cover
         cc = self.bowen.cc
         rng = SplitMix64(seed)
         words, us = [], []
@@ -333,6 +332,8 @@ class PoincareSystem:
         of the oracles in tests/oracles.py, and with no samples both
         maxima are 0.0.
         """
+        if samples < 0:
+            raise DomainError(f"sample count must be nonnegative, got {samples}")
         y_cap = self.strip_halfheight
         a = self.bowen.m.a
         h = 1e-7
@@ -347,19 +348,9 @@ class PoincareSystem:
         }
 
 
-def _points(v) -> np.ndarray:
-    """A float or an array of them as a 1-D float array."""
-    return np.atleast_1d(np.asarray(v, dtype=float))
-
-
-def _like(x, values: np.ndarray):
-    """values for an array x; for a float x, its one element as a Python scalar."""
-    return values if np.ndim(x) else values[0].item()
-
-
 def _check_square(xs: np.ndarray, ys: np.ndarray, half: float, name: str, inner=None):
-    """Raise at the first point with |x| or |y| above half, or |x| not at least inner."""
-    outside = (np.abs(xs) > half) | (np.abs(ys) > half)
+    """Raise at the first point (NaN included) with |x| or |y| above half or |x| below inner."""
+    outside = ~((np.abs(xs) <= half) & (np.abs(ys) <= half))
     if inner is not None:
         outside |= ~(np.abs(xs) >= inner)
     if outside.any():

@@ -118,15 +118,6 @@ class LorenzBranchMap:
         a, b = derive_constants(c)
         return cls(c=c, a=a, b=b, alpha=c / 2.0)
 
-    def value(self, x: float) -> float:
-        return branch_value(self.c, x)
-
-    def derivative(self, x: float) -> float:
-        return branch_derivative(self.c, x)
-
-    def invert_right(self, y: float) -> float:
-        return right_branch_inverse(self.c, y)
-
 
 @dataclass(frozen=True)
 class AxiomCheck:

@@ -24,6 +24,7 @@ from typing import NamedTuple
 
 from fathorse.bowen import _SNAP, _TOL, _TWO_PI, GapDiffeo
 from fathorse.errors import DomainError, SingularityError
+from fathorse.lorenz import branch_derivative, branch_value, right_branch_inverse
 
 # -- interval tree -------------------------------------------------------------
 
@@ -216,7 +217,7 @@ def base_invert(sys, v: float) -> float:
 
 def core_preimage(sys, x: float) -> float:
     """Analytic right-branch preimage in [b, a] of x clamped to [f(b), -a]."""
-    u = sys.m.invert_right(min(max(x, sys.fb), -sys.m.a))
+    u = right_branch_inverse(sys.m.c, min(max(x, sys.fb), -sys.m.a))
     return min(max(u, sys.m.b), sys.m.a)
 
 
@@ -236,7 +237,7 @@ def modified_value(sys, x: float) -> float:
         return surgery(sys, x)
     if sys._in_left_surgery(-x):
         return -surgery(sys, -x)
-    return sys.m.value(x)
+    return branch_value(sys.m.c, x)
 
 
 def second_iterate(sys, x: float) -> float:
@@ -260,15 +261,16 @@ def invert_right(sys, y: float) -> float:
     if abs(y - sys.fb) <= _SNAP:
         return sys.m.b
     if -a < y < a:
-        return -sys.m.value(base_invert(sys, -y))
-    return sys.m.invert_right(y)
+        return -branch_value(sys.m.c, base_invert(sys, -y))
+    return right_branch_inverse(sys.m.c, y)
 
 
 def core_second_derivative(sys, x: float) -> float:
     """(f^2)'(x) for x in [b, a]: the chain f'(x) h'(f(x))."""
     sys._check_core(x)
-    u = core_preimage(sys, sys.m.value(x))
-    return sys.m.derivative(x) * base_derivative(sys, u) / sys.m.derivative(u)
+    c = sys.m.c
+    u = core_preimage(sys, branch_value(c, x))
+    return branch_derivative(c, x) * base_derivative(sys, u) / branch_derivative(c, u)
 
 
 # -- horseshoe -----------------------------------------------------------------

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from fathorse.bowen import _SNAP, GapDiffeo, _sample_words, build_base_map, verify_surgery
 from fathorse.errors import DomainError, SingularityError, SizeGuardError
 from fathorse.fatcantor import make_construction
-from fathorse.lorenz import LorenzBranchMap
+from fathorse.lorenz import LorenzBranchMap, branch_value
 from fathorse.rng import SplitMix64
 
 
@@ -166,7 +166,7 @@ class TestSplicedMap:
     def test_inverse_center_composite(self, bowen18, lorenz18):
         # x = -f(B^{-1}(0)) with B^{-1}(0) the center of the core gap
         center = 0.5 * (lorenz18.a + lorenz18.b)
-        expected = -lorenz18.value(center)
+        expected = -branch_value(lorenz18.c, center)
         assert bowen18.invert_right(0.0) == pytest.approx(expected, abs=1e-13)
 
     def test_inverse_round_trip(self, bowen18, lorenz18):
@@ -201,6 +201,15 @@ class TestVerifySurgery:
     def test_level_cap(self, bowen18):
         with pytest.raises(SizeGuardError):
             verify_surgery(bowen18, max_level=15)
+        # a negative level reached numpy's concatenate of no arrays
+        with pytest.raises(DomainError):
+            verify_surgery(bowen18, max_level=-1)
+
+    @pytest.mark.parametrize("grid", [1, 0, -5])
+    def test_monotone_grid_size(self, bowen18, grid):
+        # 0 divided by zero and 1 or -5 reached numpy's diff of too few points
+        with pytest.raises(DomainError, match="monotone grid"):
+            verify_surgery(bowen18, max_level=2, monotone_grid=grid)
 
     def test_endpoints_match_word_frontier(self, report, bowen18):
         # the source-gap ends of every word 0w, |w| < 10, from the scalar tree

@@ -61,8 +61,12 @@ class TestConeMap:
                 assert abs(xe) <= 1.0 and abs(ye) <= 1.0
 
     def test_k_validation(self):
-        with pytest.raises(InvalidParameterError):
-            make_cone_system(1)
+        # the check sees k as given: 2.5 is not truncated to 2, nor "3" parsed
+        for k in (1, 2.5, "3", math.nan, math.inf):
+            with pytest.raises(InvalidParameterError):
+                make_cone_system(k)
+        assert type(make_cone_system(3.0).k) is int
+        assert make_cone_system(3.0) == make_cone_system(3)
 
 
 class TestPreimageLevel:

@@ -30,6 +30,16 @@ class TestZeta:
         with pytest.raises(InvalidParameterError):
             zeta_value(1.0)
 
+    @pytest.mark.parametrize("p", [math.nan, math.inf])
+    def test_nonfinite_exponent(self, lorenz18, p):
+        # NaN passed a p <= 1 test, and zeta(inf) summed to NaN
+        with pytest.raises(InvalidParameterError):
+            zeta_value(p)
+        with pytest.raises(InvalidParameterError):
+            GapLengthSequence(first_length=0.1, exponent=p)
+        with pytest.raises(InvalidParameterError):
+            make_construction(lorenz18, p)
+
 
 class TestGapLengthSequence:
     def test_first_length(self, construction18):
@@ -55,7 +65,7 @@ class TestGapLengthSequence:
         assert calls == [2.0]
 
     def test_half_gap_table_matches_formula(self, lorenz18):
-        # a fresh construction, so the table grows here, deepest level first
+        # a fresh construction, read deepest level first
         cc = make_construction(lorenz18, 2.0)
         assert cc.half_gap(60) == 0.5 * cc.gaps.length(60) / 2.0 ** 60
         for n in range(61):

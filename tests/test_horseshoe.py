@@ -17,7 +17,7 @@ from fathorse.horseshoe import (
     make_poincare_system,
     suspension_volume,
 )
-from fathorse.lorenz import LorenzBranchMap
+from fathorse.lorenz import LorenzBranchMap, branch_derivative, branch_value
 from fathorse.rng import SplitMix64
 
 
@@ -38,7 +38,7 @@ class TestSectionMap:
         center = 0.5 * (lorenz18.a + lorenz18.b)
         got = poincare18.section_map((1.0, 0.0))
         assert got[0] == pytest.approx(0.8, abs=1e-15)
-        assert got[1] == pytest.approx(-lorenz18.value(center), abs=1e-13)
+        assert got[1] == pytest.approx(-branch_value(lorenz18.c, center), abs=1e-13)
 
     def test_undefined_on_gamma(self, poincare18):
         with pytest.raises(SingularityError):
@@ -219,6 +219,9 @@ class TestMembership:
     def test_domain(self, poincare18):
         with pytest.raises(DomainError):
             poincare18.membership((0.5, 0.0), 2)
+        for point in ((math.nan, 0.0), (poincare18.bowen.m.a, math.nan)):
+            with pytest.raises(DomainError, match="outside the core square"):
+                poincare18.membership(point, 2)
 
     @pytest.mark.parametrize("axis", [0, 1])
     @pytest.mark.parametrize("where", [0, 3, 5])
@@ -266,6 +269,8 @@ class TestMeasureEstimate:
             poincare18.measure_estimate(11, 1e-3)
         with pytest.raises(SizeGuardError):
             poincare18.measure_estimate(3, 1e-6)
+        with pytest.raises(SizeGuardError, match="resolution nan below the floor"):
+            poincare18.measure_estimate(2, math.nan)
 
 
 def _scalar_grid(ps, resolution):
@@ -414,6 +419,19 @@ class TestWitness:
             with pytest.raises(DomainError):
                 poincare18.vertical_gap_witness(10, eps, seed=1, depth=2)
 
+    def test_size_preconditions(self, poincare18, monkeypatch):
+        # a negative count would report found_all over no samples
+        with pytest.raises(DomainError, match="sample count"):
+            poincare18.vertical_gap_witness(-5, 1e-3, seed=1)
+        # the depth is refused before the first sample is drawn, also with no samples
+        monkeypatch.setattr(SplitMix64, "bits", None)
+        for count in (0, 5):
+            with pytest.raises(DomainError, match="witness depth"):
+                poincare18.vertical_gap_witness(count, 1e-3, seed=1, depth=-1)
+            for depth in (FIBER_DEPTH_CAP + 1, 20):
+                with pytest.raises(SizeGuardError, match="witness depth"):
+                    poincare18.vertical_gap_witness(count, 1e-3, seed=1, depth=depth)
+
     def test_gap_point_trivially_non_member(self, poincare18, construction18):
         glo, ghi = oracles.gap(construction18, "0")
         assert not poincare18.membership((poincare18.bowen.m.a, 0.5 * (glo + ghi)), 2)
@@ -464,6 +482,9 @@ class TestContraction:
     def test_no_samples(self, poincare18):
         report = poincare18.fiber_contraction_report(0)
         assert report == {"strip_fiber_max_slope": 0.0, "core_two_step_max_factor": 0.0}
+        # a negative count is not a passing bound over no samples
+        with pytest.raises(DomainError, match="sample count"):
+            poincare18.fiber_contraction_report(-3)
 
     def test_two_step_factor_below_half(self, poincare18):
         report = poincare18.fiber_contraction_report(500)
@@ -474,7 +495,7 @@ class TestContraction:
         # single-return fiber slope peaks near f'(b)/2 (above 1); only the
         # two-step fiber is a uniform contraction
         report = poincare18.fiber_contraction_report(2_000)
-        peak = lorenz18.derivative(lorenz18.b) / 2.0
+        peak = branch_derivative(lorenz18.c, lorenz18.b) / 2.0
         assert 1.0 < report["strip_fiber_max_slope"] <= peak + 1e-6
 
 
