@@ -171,6 +171,8 @@ class PoincareSystem:
         check_depth(depth, MEASURE_DEPTH_CAP, "measure depth")
         if not resolution >= MEASURE_RESOLUTION_FLOOR:  # also rejects NaN
             raise SizeGuardError(f"resolution {resolution} below the floor {MEASURE_RESOLUTION_FLOOR}")
+        if resolution == math.inf:  # would give a grid of no cells
+            raise DomainError(f"resolution must be finite, got {resolution}")
         grid = self._exit_cache.get(resolution)
         if grid is None:
             a = self.bowen.m.a
@@ -315,7 +317,6 @@ class PoincareSystem:
             eps=eps,
             seed=seed,
             depth=depth,
-            found_all=not failures,
             max_level_used=max((r.gap_level for r in records), default=0),
             failures=tuple(failures),
             records=tuple(records),
@@ -407,15 +408,6 @@ class HorseshoeEstimate:
     exact_level_area: float
     envelope: float
 
-    @property
-    def excess(self) -> float:
-        """How far the estimate's error exceeds the envelope; <= 0 passes."""
-        return abs(self.estimated_area - self.exact_level_area) - self.envelope
-
-    @property
-    def within_envelope(self) -> bool:
-        return self.excess <= 0.0
-
 
 @dataclass(frozen=True)
 class WitnessRecord:
@@ -433,7 +425,6 @@ class WitnessReport:
     eps: float
     seed: int
     depth: int
-    found_all: bool
     max_level_used: int
     failures: tuple[WitnessRecord, ...]
     records: tuple[WitnessRecord, ...] = ()
@@ -445,6 +436,6 @@ def make_poincare_system(bowen: BowenSystem) -> PoincareSystem:
 
 def suspension_volume(area: float, delta: float) -> float:
     """Flow-box volume of the thickened set: delta times the planar area."""
-    if area < 0.0 or delta < 0.0:
+    if not (area >= 0.0 and delta >= 0.0):  # also rejects NaN
         raise DomainError("area and delta must be nonnegative")
     return delta * area

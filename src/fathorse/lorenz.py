@@ -38,7 +38,7 @@ def branch_value(c: float, x: float) -> float:
     """Evaluate the map at x in [-1, 1] \\ {0}."""
     if x == 0.0:
         raise SingularityError("map is undefined at x = 0")
-    if abs(x) > 1.0:
+    if not abs(x) <= 1.0:  # also rejects NaN
         raise DomainError(f"x = {x} outside [-1, 1]")
     if x > 0.0:
         return c * math.sqrt(x) - 1.0
@@ -49,14 +49,14 @@ def branch_derivative(c: float, x: float) -> float:
     """Slope c / (2 sqrt(|x|)); always >= c/2 on [-1, 1], diverging at 0."""
     if x == 0.0:
         raise SingularityError("derivative is undefined at x = 0")
-    if abs(x) > 1.0:
+    if not abs(x) <= 1.0:  # also rejects NaN
         raise DomainError(f"x = {x} outside [-1, 1]")
     return c / (2.0 * math.sqrt(abs(x)))
 
 
 def right_branch_inverse(c: float, y: float) -> float:
     """Inverse of the x > 0 branch: y in (-1, c-1] maps to ((y+1)/c)^2."""
-    if y <= -1.0 or y > (c - 1.0) + 1e-12:
+    if not -1.0 < y <= (c - 1.0) + 1e-12:  # also rejects NaN
         raise DomainError(f"y = {y} outside the right-branch range (-1, {c - 1.0}]")
     t = (min(y, c - 1.0) + 1.0) / c
     return t * t

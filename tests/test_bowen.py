@@ -1,5 +1,5 @@
-import dataclasses
 import functools
+import math
 
 import numpy as np
 import oracles
@@ -232,22 +232,23 @@ class TestVerifySurgery:
         assert max(report.splice_margins.values()) <= 1e-10
 
     def test_monotone_and_decreasing(self, report):
-        assert report.monotone_ok
-        assert report.sup_strictly_decreasing
-        assert report.all_pass
+        assert report.min_increment > 0.0
+        assert report.min_sup_drop > 0.0
+        assert max(level.formula_err for level in report.levels) <= 1e-9
+        assert report.endpoint_max_dev <= 1e-9
+        assert max(report.splice_margins.values()) <= 1e-10
 
-    def test_checks_hold_the_pass_rule(self, report):
-        assert [cid for cid, *_ in report.checks] == [
-            "surgery_sup_formula",
-            "surgery_endpoint_slope",
-            "surgery_splice_continuity",
-            "surgery_monotone",
-            "surgery_sup_decreasing",
-        ]
-        assert report.all_pass == all(ok for *_, ok in report.checks)
-        broken = dataclasses.replace(report, monotone_ok=False)
-        assert not broken.all_pass
-        assert not all(ok for *_, ok in broken.checks)
+    def test_min_sup_drop_over_levels_from_one(self, report, bowen18):
+        devs = [level.sup_dev for level in report.levels]
+        assert report.min_sup_drop == min(devs[n] - devs[n + 1] for n in range(1, len(devs) - 1))
+        # with no pair to compare the drop is vacuous
+        assert verify_surgery(bowen18, max_level=1, monotone_grid=2).min_sup_drop == math.inf
+
+    def test_min_increment_is_the_smallest_grid_step(self, bowen18):
+        xs = np.linspace(1.0 / 50, 1.0, 50)
+        steps = np.concatenate([np.diff(bowen18.modified_value(v)) for v in (xs, -xs[::-1])])
+        report = verify_surgery(bowen18, max_level=0, monotone_grid=50)
+        assert report.min_increment == float(steps.min())
 
     def test_measure_preserved_under_shift(self, bowen18):
         # the base map doubles lengths: the cover inside I_{0w} is half

@@ -202,16 +202,23 @@ def _traced_peak(fn):
         tracemalloc.stop()
 
 
+def _assert_bound_and_decay(report, k):
+    for row in report.rows:
+        assert row.total <= row.bound + 1e-12
+        if row.n > 0:
+            assert row.ratio <= 2.0 ** (-2.0 / k) * (1.0 + 1e-12)
+
+
 class TestConeBound:
     def test_k2_equality_case(self, k2):
         report = verify_cone_bound(k2, 0.0, 14)
-        assert report.all_pass
+        _assert_bound_and_decay(report, 2)
         for row in report.rows:
             assert row.total == pytest.approx(row.bound, abs=1e-12)
 
     def test_k3_strict(self, k3):
         report = verify_cone_bound(k3, 0.3, 12)
-        assert report.all_pass
+        _assert_bound_and_decay(report, 3)
         assert all(row.total < row.bound for row in report.rows if row.n > 0)
 
     def test_base_case_row(self):
@@ -246,7 +253,8 @@ class TestConeBound:
 
     def test_nmax_zero_single_row(self, k3):
         report = verify_cone_bound(k3, 0.42, 0)
-        assert len(report.rows) == 1 and report.all_pass
+        assert len(report.rows) == 1
+        _assert_bound_and_decay(report, 3)
         row = report.rows[0]
         assert (row.n, row.total, row.bound) == (0, 2.0, 2.0)
         assert math.isnan(row.ratio)

@@ -2,12 +2,16 @@
 
 Every depth or level argument passes through errors.check_depth, so each
 entry point below rejects one step past either end of its range with
-check_depth's wording; a guard that bypasses the owner fails here.
+check_depth's wording; a guard that bypasses the owner fails here.  The
+scalar domain tests are written so that NaN fails them too.
 """
 
+import math
+
+import numpy as np
 import pytest
 
-from fathorse import bowen, cones, horseshoe
+from fathorse import bowen, cones, horseshoe, lorenz
 from fathorse.bowen import verify_surgery
 from fathorse.errors import DomainError, SizeGuardError, check_depth
 from fathorse.fatcantor import LEVEL_ARRAY_CAP, LEVEL_MEASURE_CAP, TREE_JSON_CAP
@@ -64,3 +68,31 @@ def test_check_depth_range():
 def test_one_float_or_array_adapter():
     assert horseshoe._like is bowen._like
     assert horseshoe._points is bowen._points
+
+
+nan = math.nan
+# (id, call on a NaN argument, the same call on an out-of-range argument)
+NAN_SITES = [
+    ("branch_value", lambda: lorenz.branch_value(1.8, nan), lambda: lorenz.branch_value(1.8, 1.5)),
+    ("branch_derivative", lambda: lorenz.branch_derivative(1.8, nan),
+     lambda: lorenz.branch_derivative(1.8, -1.5)),
+    ("right_branch_inverse", lambda: lorenz.right_branch_inverse(1.8, nan),
+     lambda: lorenz.right_branch_inverse(1.8, 0.9)),
+    ("cone_map_x", lambda: cones.cone_map(K3, nan, 0.0), lambda: cones.cone_map(K3, 1.5, 0.0)),
+    ("cone_map_fiber", lambda: cones.cone_map(K3, 0.5, np.array([nan, 0.0])),
+     lambda: cones.cone_map(K3, 0.5, np.array([1.5, 0.0]))),
+    ("suspension_area", lambda: horseshoe.suspension_volume(nan, 0.1),
+     lambda: horseshoe.suspension_volume(-1.0, 0.1)),
+    ("suspension_delta", lambda: horseshoe.suspension_volume(1.0, nan),
+     lambda: horseshoe.suspension_volume(1.0, -0.1)),
+]
+
+
+@pytest.mark.parametrize("at_nan, out_of_range", [s[1:] for s in NAN_SITES],
+                         ids=[s[0] for s in NAN_SITES])
+def test_nan_fails_the_domain_test(at_nan, out_of_range):
+    with pytest.raises(DomainError) as outside:
+        out_of_range()
+    with pytest.raises(DomainError) as raised:
+        at_nan()
+    assert type(raised.value) is type(outside.value)

@@ -260,8 +260,7 @@ class TestMeasureEstimate:
     @pytest.mark.parametrize("depth", [1, 3, 5])
     def test_within_envelope(self, poincare18, depth):
         est = poincare18.measure_estimate(depth, 1e-3)
-        assert est.within_envelope
-        assert est.excess <= 0.0
+        assert abs(est.estimated_area - est.exact_level_area) <= est.envelope
         assert est.estimated_area > 0.0
 
     def test_guards(self, poincare18):
@@ -271,6 +270,11 @@ class TestMeasureEstimate:
             poincare18.measure_estimate(3, 1e-6)
         with pytest.raises(SizeGuardError, match="resolution nan below the floor"):
             poincare18.measure_estimate(2, math.nan)
+
+    def test_infinite_resolution(self, poincare18):
+        # an infinite cell would leave a grid of no cells
+        with pytest.raises(DomainError, match="resolution must be finite, got inf"):
+            poincare18.measure_estimate(2, math.inf)
 
 
 def _scalar_grid(ps, resolution):
@@ -374,7 +378,6 @@ def _scalar_witness(ps, sample_count, eps, seed, depth):
         eps=eps,
         seed=seed,
         depth=depth,
-        found_all=not failures,
         max_level_used=max((r.gap_level for r in records), default=0),
         failures=tuple(failures),
         records=tuple(records),
@@ -393,13 +396,12 @@ class TestWitness:
 
     def test_no_samples(self, poincare18):
         report = poincare18.vertical_gap_witness(0, 1e-3, seed=1)
-        assert report == WitnessReport(0, 1e-3, 1, 6, True, 0, (), ())
+        assert report == WitnessReport(0, 1e-3, 1, 6, 0, (), ())
         assert report == _scalar_witness(poincare18, 0, 1e-3, 1, 6)
 
     def test_small_run_finds_gaps(self, poincare18):
         eps = poincare18.bowen.cc.gaps.length(3) / 16.0
         report = poincare18.vertical_gap_witness(50, eps, seed=42, depth=6)
-        assert report.found_all
         assert not report.failures
         assert all(rec.witness_y is not None for rec in report.records)
         assert all(abs(rec.witness_y - rec.y) < eps for rec in report.records)
@@ -408,7 +410,7 @@ class TestWitness:
         # eps just under the gap scale: the top-level gap is within reach
         eps = poincare18.bowen.m.b * 0.99
         report = poincare18.vertical_gap_witness(20, eps, seed=3, depth=4)
-        assert report.found_all
+        assert not report.failures
         assert report.max_level_used <= 3
 
     def test_eps_precondition(self, poincare18):
@@ -420,7 +422,7 @@ class TestWitness:
                 poincare18.vertical_gap_witness(10, eps, seed=1, depth=2)
 
     def test_size_preconditions(self, poincare18, monkeypatch):
-        # a negative count would report found_all over no samples
+        # a negative count would report no failures over no samples
         with pytest.raises(DomainError, match="sample count"):
             poincare18.vertical_gap_witness(-5, 1e-3, seed=1)
         # the depth is refused before the first sample is drawn, also with no samples

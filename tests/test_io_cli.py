@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import json
 import math
@@ -190,8 +191,51 @@ class TestRunner:
         report = json.loads((out / "report.json").read_text())
         assert report["criteria"]
         for rec in report["criteria"]:
-            assert set(rec) == {"id", "value", "bound", "pass"}
+            assert set(rec) == {"id", "value", "bound", "rule", "pass"}
             assert rec["pass"] is True
+
+    def test_records_hold_the_pass_rule(self, outcome):
+        _, out = outcome
+        records = json.loads((out / "report.json").read_text())["criteria"]
+        assert len({rec["id"] for rec in records}) == len(records) == 21
+        for rec in records:
+            assert set(rec) == {"id", "value", "bound", "rule", "pass"}
+            assert rec["rule"] in ("<=", ">")
+            holds = rec["value"] > rec["bound"] if rec["rule"] == ">" else rec["value"] <= rec["bound"]
+            assert rec["pass"] is holds
+
+    def test_one_failed_number_fails_its_record_alone(self, tmp_path, monkeypatch, capsys):
+        from fathorse import runner
+
+        verify = runner.verify_surgery
+        monkeypatch.setattr(
+            runner, "verify_surgery",
+            lambda *args, **kw: dataclasses.replace(verify(*args, **kw), min_increment=0.0),
+        )
+        cfg = ExperimentConfig(**{**SMALL, "output_dir": str(tmp_path)})
+        assert run(cfg) == 1
+        records = json.loads((tmp_path / "report.json").read_text())["criteria"]
+        assert [rec["id"] for rec in records if not rec["pass"]] == ["surgery_monotone"]
+        assert "FAIL  surgery_monotone: value=0 > bound=0\n" in capsys.readouterr().out
+
+    def test_no_sup_pair_passes_vacuously(self, tmp_path):
+        cfg = ExperimentConfig(**{**SMALL, "level_max": 1, "output_dir": str(tmp_path)})
+        assert run(cfg) == 0
+        records = json.loads((tmp_path / "report.json").read_text())["criteria"]
+        drop = next(rec for rec in records if rec["id"] == "surgery_sup_decreasing")
+        assert drop["value"] == math.inf and drop["pass"] is True
+
+    def test_console_line_names_the_rule(self, tmp_path, capsys):
+        cfg = ExperimentConfig(**{**SMALL, "output_dir": str(tmp_path)})
+        assert run(cfg, only="fatcantor") == 0
+        lines = capsys.readouterr().out.splitlines()
+        records = json.loads((tmp_path / "report.json").read_text())["criteria"]
+        assert len(lines) == len(records)
+        tele = records[0]
+        assert tele["id"] == "fatcantor_telescoping"
+        assert lines[0] == f"pass  fatcantor_telescoping: value={tele['value']:.17g} <= bound={1e-12:.17g}"
+        limit = next(rec for rec in records if rec["id"] == "fatcantor_limit_positive")
+        assert f"pass  fatcantor_limit_positive: value={limit['value']:.17g} > bound=0" in lines
 
     def test_csv_shapes(self, outcome):
         _, out = outcome
