@@ -58,11 +58,14 @@ class ConeSystem:
     The system owns the scratch of its width recursion: one buffer for
     the preimages and one for the widths, grown to the deepest level
     asked for and reused by every later call, so one system per k serves
-    every slice, table and figure of that exponent.
+    every slice, table and figure of that exponent.  It also keeps the
+    per-level totals of the last abscissa slice_measure walked, so a
+    table asked deepest level first walks its leaves once.
     """
 
     k: int
     _scratch: list[np.ndarray] = field(default_factory=list, init=False, compare=False, repr=False)
+    _totals: dict[float, list[float]] = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if not isinstance(self.k, numbers.Real) or not float(self.k).is_integer() or self.k < 2:
@@ -150,11 +153,20 @@ def preimage_level(a: float, n: int) -> np.ndarray:
 
 
 def slice_measure(sys: ConeSystem, a: float, n: int) -> float:
-    """Total width of the exact level-n slice cover, via the width recursion."""
-    for _, widths in _levels(sys, a, n):
-        pass
-    # one np.sum over the final level array
-    return float(np.sum(widths))
+    """Total width of the exact level-n slice cover, via the width recursion.
+
+    A walk keeps one np.sum per level, 0..n, as the totals of its
+    abscissa; a later call at the same abscissa and a level no deeper
+    returns the kept total without walking.
+    """
+    _check_slice(a, n)
+    key = float(a)  # 0.0 and -0.0 share a key: their totals are bit-equal
+    totals = sys._totals.get(key, ())
+    if n >= len(totals):
+        totals = [float(np.sum(widths)) for _, widths in _levels(sys, a, n)]
+        sys._totals.clear()
+        sys._totals[key] = totals
+    return totals[n]
 
 
 def slice_intervals(sys: ConeSystem, a: float, n: int) -> np.ndarray:
@@ -196,6 +208,7 @@ def verify_cone_bound(sys: ConeSystem, a: float, n_max: int) -> ConeBoundReport:
     the previous level's total (nan at n = 0)."""
     _check_slice(a, n_max)  # before the first level, not after level LEVEL_HARD_CAP
     # deepest level first, so the scratch is sized once for the whole table
+    # and its one walk keeps every level's total for the shallower calls
     totals = [slice_measure(sys, a, n) for n in range(n_max, -1, -1)][::-1]
     ratios = [math.nan] + [t / prev for prev, t in zip(totals, totals[1:])]
     rows = tuple(

@@ -258,7 +258,10 @@ class PoincareSystem:
         point is re-tested as a non-member (at the gap's own depth if that
         exceeds the sampling depth: the failure certificate concerns the
         full intersection, whose covers shrink with depth).  A deeper test
-        continues the samples' exit times from the sampling depth.
+        continues the samples' exit times from the sampling depth.  Past
+        FIBER_DEPTH_CAP no fiber cover is built, so there a nudged point
+        counts only when its x-orbit alone rules it out; a sample no level
+        certifies ends as a "no gap within eps" failure.
         """
         b = self.bowen.m.b
         if not 0.0 < eps < b:  # also rejects NaN
@@ -295,7 +298,11 @@ class PoincareSystem:
             near = np.flatnonzero(~(below | above) | (dist < eps))
             if near.size:
                 deep = max(depth, level + 1)
-                hit = near[~self._members(orbits, pending[near], inside[near], deep)]
+                if deep <= FIBER_DEPTH_CAP:
+                    out = ~self._members(orbits, pending[near], inside[near], deep)
+                else:  # no fiber cover that deep: only an exited x-orbit certifies
+                    out = orbits.advance(self.bowen, deep).exits[pending[near]] < deep
+                hit = near[out]
                 witness_y[pending[hit]], gap_level[pending[hit]] = inside[hit], level
                 go = np.ones(pending.size, dtype=bool)
                 go[hit] = False

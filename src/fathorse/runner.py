@@ -60,8 +60,11 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
 
 
 def _write_json(path: Path, obj) -> None:
+    # strict JSON: a non-finite float raises ValueError instead of writing Infinity or NaN
     path.write_text(
-        json.dumps(obj, indent=2, sort_keys=True) + "\n", encoding="utf-8", newline="\n"
+        json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n",
+        encoding="utf-8",
+        newline="\n",
     )
 
 
@@ -69,6 +72,8 @@ class _Checks:
     """The report.json records; add() is the one place a verdict is made.
 
     A record passes when value <= bound, or value > bound for rule ">".
+    A non-finite value (a vacuous check, such as a minimum over no pairs)
+    is kept in `value` for the console line and written to JSON as null.
     """
 
     def __init__(self):
@@ -327,7 +332,10 @@ def run(cfg: ExperimentConfig, only: str | None = None, out_dir: str | None = No
             _write_json(out / "figures" / f"{kind}.json", dataset)
             svg = svgfig.render_section_svg(dataset, kind)
             (out / "figures" / f"{kind}.svg").write_text(svg, encoding="utf-8", newline="\n")
-        _write_json(out / "report.json", {"criteria": checks.records})
+        criteria = [
+            {**r, "value": r["value"] if math.isfinite(r["value"]) else None} for r in checks.records
+        ]
+        _write_json(out / "report.json", {"criteria": criteria})
     except OSError as exc:
         print(f"I/O failure: {exc}")
         return 3

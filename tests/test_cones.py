@@ -371,6 +371,95 @@ class TestScratchParity:
         _assert_levels_bit_equal(warm_systems[k], a, n)
 
 
+def _fresh_total(k, a, n):
+    """The oracle of a stored total: a fresh system's one walk to level n, summed with np.sum."""
+    _, widths = _last_level(make_cone_system(k), a, n)
+    return float(np.sum(widths)).hex()
+
+
+STORED_A = WIDE_A + (-0.0,)  # WIDE_A is the wide_cones a_list and holds 0.0
+STORED_N = 16
+
+
+def _assert_totals(system, a, n_top):
+    for n in range(n_top + 1):
+        assert slice_measure(system, a, n).hex() == _fresh_total(system.k, a, n), (a, n)
+
+
+class TestStoredTotals:
+    @pytest.mark.parametrize("k", WIDE_K)
+    def test_deep_then_shallow(self, k):
+        system = make_cone_system(k)
+        for a in STORED_A:
+            assert slice_measure(system, a, STORED_N).hex() == _fresh_total(k, a, STORED_N)
+            _assert_totals(system, a, STORED_N)
+        slice_measure(system, 0.0, STORED_N)
+        _assert_totals(system, -0.0, STORED_N)  # read from the totals of 0.0
+
+    @pytest.mark.parametrize("k", WIDE_K)
+    def test_shallow_then_deep(self, k):
+        system = make_cone_system(k)
+        for a in STORED_A:
+            assert slice_measure(system, a, 5).hex() == _fresh_total(k, a, 5)
+            assert slice_measure(system, a, STORED_N).hex() == _fresh_total(k, a, STORED_N)
+            _assert_totals(system, a, STORED_N)
+
+    @pytest.mark.parametrize("k", WIDE_K)
+    def test_interleaved_abscissas(self, k):
+        # a2 replaces the totals of a1, so a1 must walk again, not read a2's
+        system = make_cone_system(k)
+        for a1, a2 in zip(STORED_A, STORED_A[1:] + STORED_A[:1]):
+            slice_measure(system, a1, STORED_N)
+            assert slice_measure(system, a2, 4).hex() == _fresh_total(k, a2, 4)
+            _assert_totals(system, a1, STORED_N)
+
+    @pytest.mark.parametrize("k", WIDE_K)
+    def test_below_an_earlier_walk(self, k):
+        # slice_intervals walks the scratch without keeping totals, and
+        # verify_cone_bound keeps them through slice_measure
+        system = make_cone_system(k)
+        for a in STORED_A:
+            slice_intervals(system, a, 10)
+            _assert_totals(system, a, 10)
+            report = verify_cone_bound(system, a, 12)
+            assert [row.total.hex() for row in report.rows] == [
+                _fresh_total(k, a, n) for n in range(13)
+            ]
+            _assert_totals(system, a, 12)
+
+    def test_bad_arguments_raise_before_the_lookup(self, k3):
+        slice_measure(k3, 0.42, 6)
+        with pytest.raises(SizeGuardError):
+            slice_measure(k3, 0.42, cones.LEVEL_HARD_CAP + 1)
+        with pytest.raises(DomainError):
+            slice_measure(k3, 0.42, -1)
+        with pytest.raises(DomainError, match="abscissa"):
+            slice_measure(k3, 1.0, 0)
+
+    def test_one_walk_per_table(self, monkeypatch):
+        walks, calls = [], []
+        levels, measure = cones._levels, cones.slice_measure
+
+        def counted_levels(system, a, n):
+            walks.append(n)
+            return levels(system, a, n)
+
+        def counted_measure(system, a, n):
+            calls.append(n)
+            return measure(system, a, n)
+
+        monkeypatch.setattr(cones, "_levels", counted_levels)
+        monkeypatch.setattr(cones, "slice_measure", counted_measure)
+        system = make_cone_system(3)
+        verify_cone_bound(system, 0.42, 12)
+        assert walks == [12]
+        assert calls == list(range(12, -1, -1))
+        verify_cone_bound(system, 0.42, 12)  # warm: every total is kept
+        assert walks == [12]
+        verify_cone_bound(system, -0.6, 12)
+        assert walks == [12, 12]
+
+
 def _inline_brute_force_total(k, a, n, resolution):
     """brute_force_slice's total with its own copy of the fiber step, as
     it was before the y-grids went through cone_map."""
@@ -406,7 +495,8 @@ def _inline_brute_force_total(k, a, n, resolution):
 
 class TestOneSkewProduct:
     def test_k_is_the_only_parameter(self):
-        assert [f.name for f in dataclasses.fields(cones.ConeSystem)] == ["k", "_scratch"]
+        assert [f.name for f in dataclasses.fields(cones.ConeSystem)] == ["k", "_scratch", "_totals"]
+        assert [f.name for f in dataclasses.fields(cones.ConeSystem) if f.init] == ["k"]
         assert make_cone_system(3) == cones.ConeSystem(3)
 
     @pytest.mark.parametrize("k", WIDE_K)

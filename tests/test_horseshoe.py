@@ -367,7 +367,13 @@ def _scalar_witness(ps, sample_count, eps, seed, depth):
             else:
                 inside = min(max(y, glo + 0.25 * (ghi - glo)), ghi - 0.25 * (ghi - glo))
             deep = max(depth, level + 1)
-            if inside is not None and not oracles.membership(ps, (x, inside), deep):
+            if inside is None:
+                ruled_out = False
+            elif deep <= FIBER_DEPTH_CAP:
+                ruled_out = not oracles.membership(ps, (x, inside), deep)
+            else:  # past the fiber cover's cap only the x-orbit can rule a point out
+                ruled_out = not oracles.x_condition(ps, x, deep)
+            if ruled_out:
                 records.append(WitnessRecord(i, x, y, inside, level, None))
                 break
             word += "0" if y > ghi else "1"
@@ -450,6 +456,25 @@ class TestWitness:
             for rec in report.records:
                 deep = max(depth, rec.gap_level + 1)
                 assert not oracles.membership(poincare18, (rec.x, rec.witness_y), deep)
+
+    @pytest.mark.parametrize("eps", [1e-5, 1e-7])
+    def test_gaps_past_the_fiber_cap(self, poincare18, eps):
+        # at eps = 1e-7 the nearest gaps lie deeper than FIBER_DEPTH_CAP: the
+        # search must report the samples it cannot certify, not raise
+        report = poincare18.vertical_gap_witness(20, eps, seed=1, depth=4)
+        assert repr(report) == repr(_scalar_witness(poincare18, 20, eps, 1, 4))
+        assert len(report.records) + len(report.failures) == 20
+        assert all(rec.failure == "no gap within eps" for rec in report.failures)
+        for rec in report.records:
+            deep = max(4, rec.gap_level + 1)
+            if deep > FIBER_DEPTH_CAP:
+                assert not oracles.x_condition(poincare18, rec.x, deep)
+            else:
+                assert not oracles.membership(poincare18, (rec.x, rec.witness_y), deep)
+        if eps == 1e-5:
+            assert not report.failures and report.max_level_used == FIBER_DEPTH_CAP
+        else:
+            assert report.failures and report.max_level_used > FIBER_DEPTH_CAP
 
     def test_deterministic_given_seed(self, poincare18):
         eps = poincare18.bowen.cc.gaps.length(3) / 16.0

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fathorse import runner
 from fathorse.cli import main
 from fathorse.config import ExperimentConfig, load_config, validate
 from fathorse.errors import ConfigError, DomainError
@@ -21,6 +22,15 @@ from fathorse.svgfig import render_section_svg
 def _write(path: Path, obj) -> Path:
     path.write_text(json.dumps(obj), encoding="utf-8")
     return path
+
+
+def _strict_json(path: Path):
+    """Read a JSON file, refusing the non-standard Infinity, -Infinity and NaN tokens."""
+
+    def refuse(token):
+        raise ValueError(f"{path.name}: non-finite token {token}")
+
+    return json.loads(path.read_text(), parse_constant=refuse)
 
 
 SMALL = {
@@ -205,8 +215,6 @@ class TestRunner:
             assert rec["pass"] is holds
 
     def test_one_failed_number_fails_its_record_alone(self, tmp_path, monkeypatch, capsys):
-        from fathorse import runner
-
         verify = runner.verify_surgery
         monkeypatch.setattr(
             runner, "verify_surgery",
@@ -218,12 +226,23 @@ class TestRunner:
         assert [rec["id"] for rec in records if not rec["pass"]] == ["surgery_monotone"]
         assert "FAIL  surgery_monotone: value=0 > bound=0\n" in capsys.readouterr().out
 
-    def test_no_sup_pair_passes_vacuously(self, tmp_path):
-        cfg = ExperimentConfig(**{**SMALL, "level_max": 1, "output_dir": str(tmp_path)})
+    def test_no_sup_pair_passes_vacuously(self, tmp_path, capsys):
+        # strict JSON: the vacuous extrema are written null, never Infinity
+        cfg = ExperimentConfig(**{**SMALL, "level_max": 1, "n_max": 0, "output_dir": str(tmp_path)})
         assert run(cfg) == 0
-        records = json.loads((tmp_path / "report.json").read_text())["criteria"]
-        drop = next(rec for rec in records if rec["id"] == "surgery_sup_decreasing")
-        assert drop["value"] == math.inf and drop["pass"] is True
+        records = _strict_json(tmp_path / "report.json")["criteria"]
+        vacuous = {rec["id"]: rec for rec in records if rec["value"] is None}
+        assert sorted(vacuous) == ["cone_level_decay", "surgery_sup_decreasing"]
+        assert all(rec["pass"] is True for rec in vacuous.values())
+        lines = capsys.readouterr().out.splitlines()
+        assert "pass  surgery_sup_decreasing: value=inf > bound=0" in lines
+        for path in tmp_path.rglob("*.json"):
+            _strict_json(path)
+
+    def test_nonfinite_json_raises(self, tmp_path):
+        with pytest.raises(ValueError):
+            runner._write_json(tmp_path / "bad.json", {"x": math.nan})
+        assert not (tmp_path / "bad.json").exists()
 
     def test_console_line_names_the_rule(self, tmp_path, capsys):
         cfg = ExperimentConfig(**{**SMALL, "output_dir": str(tmp_path)})
