@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+import numbers
+
 
 class FathorseError(Exception):
     """Base class for all package-specific errors."""
@@ -29,8 +31,11 @@ class ConfigError(FathorseError, ValueError):
     """A configuration file is malformed or carries unknown keys."""
 
 
-def check_depth(n: int, cap: int, what: str = "level") -> None:
-    """The one depth guard: DomainError below 0, SizeGuardError above cap."""
+def check_depth(n: int, cap: float, what: str = "level") -> None:
+    """The one depth and count guard: DomainError for a non-integer (numpy
+    integers pass) or below 0, SizeGuardError above cap (math.inf for none)."""
+    if not isinstance(n, numbers.Integral):
+        raise DomainError(f"{what} must be an integer, got {n!r}")
     if n < 0:
         raise DomainError(f"{what} must be nonnegative, got {n}")
     if n > cap:

@@ -8,22 +8,21 @@ its odd reflection: composing N of them reproduces the level-N intervals
 of the Cantor construction.  The invariant set is therefore the product
 of two fat Cantor sets and its area is the square of the limit measure.
 
-Membership at finite depth N asks two independent questions: does the
-forward second-iterate orbit of x stay inside [-a, -b] u [b, a] for N
-steps (the expanding direction realizes the backward intersection), and
-does y lie in one of the 2^N fiber intervals (the forward contraction
-history).  The grid estimator exploits exactly this separability.  On the
-x axis it records each cell center's exit time, the number of leading
-second-return iterates inside [-a, -b] u [b, a], in one vectorized pass
-per resolution that advances only as far as the deepest depth asked for;
-the x-condition at depth N is then exit >= N for every such N at once.
-On the y axis it binary-searches the depth-N fiber level array.
-Membership and the vertical-gap witness run their points' exit times
-through the same ExitTimes step, and fiber_intervals builds each level
-with one fiber_map call per sign.  Each map has one entry point, which
-takes a float or an array and runs the array body of the base-map
-kernels; the per-point code (fiber_map, the x-condition, membership) is
-kept in tests/oracles.py as the oracle of the parity tests.
+Because the spliced map is odd and the fiber maps invert its second
+iterate, both axes share one depth-N set: the points whose first N
+second-return iterates stay in [-a, -b] u [b, a], which is also the
+depth-N fiber cover.  Membership at depth N asks whether x and y both lie
+in it, through one predicate that reads the cover's level arrays up to
+FIBER_DEPTH_CAP and runs the points' exit times past it.  The grid
+estimator's x axis keeps the forward orbits instead: it records each cell
+center's exit time in one vectorized pass per resolution that advances
+only as far as the deepest depth asked for, so the x-condition at depth N
+is exit >= N for every such N at once, and the run checks that the
+forward second iterate reproduces the tree measure.  fiber_intervals
+builds each level with one fiber_map call per sign.  Each map has one
+entry point, which takes a float or an array and runs the array body of
+the base-map kernels; the per-point code (fiber_map, the x-condition,
+membership) is kept in tests/oracles.py as the oracle of the parity tests.
 """
 
 from __future__ import annotations
@@ -155,11 +154,14 @@ class PoincareSystem:
             levels.append((lo, hi))
         return levels[depth]
 
-    def _y_members(self, ys, depth: int):
-        """Whether y (a float or an array) lies in a depth-N fiber interval."""
+    def _in_set(self, values: np.ndarray, depth: int) -> np.ndarray:
+        """Whether each value lies in the depth-N set of either axis: the
+        fiber cover's level arrays up to FIBER_DEPTH_CAP, exit times past it."""
+        if depth > FIBER_DEPTH_CAP:
+            return ExitTimes(values).advance(self.bowen, depth).exits >= depth
         los, his = self.fiber_intervals(depth)
-        i = np.searchsorted(los, ys, side="right") - 1
-        return (i >= 0) & (ys <= his[np.maximum(i, 0)])
+        i = np.searchsorted(los, values, side="right") - 1
+        return (i >= 0) & (values <= his[np.maximum(i, 0)])
 
     def exit_times(self, depth: int, resolution: float) -> "ExitTimes":
         """The grid's exit times, advanced to at least this depth.
@@ -187,38 +189,25 @@ class PoincareSystem:
 
         `point` is (x, y) with floats, for which the result is a bool, or
         with equal-length arrays, for which it is a boolean array; a float
-        point runs as one-element arrays.  The x-orbits advance together
-        through one ExitTimes (x may be an ExitTimes over the points, whose
-        orbits then continue from its last step), and y is tested only
-        where the x-condition holds.
+        point runs as one-element arrays.  Both coordinates are tested in
+        one _in_set call, since x and y share the depth-N set.
         """
+        check_depth(depth, WITNESS_SEARCH_LEVEL + 1, "membership depth")
         x, y = point
-        orbits = x if isinstance(x, ExitTimes) else None
-        if orbits is not None:
-            x = orbits.centers
         xs, ys = _points(x), _points(y)
         _check_square(xs, ys, self.bowen.m.a, "core square")
-        if orbits is None:
-            orbits = ExitTimes(xs)
-        return _like(x, self._members(orbits, np.arange(xs.size), ys, depth))
-
-    def _members(self, orbits: "ExitTimes", which: np.ndarray, ys: np.ndarray, depth: int):
-        """Membership of the points (orbits.centers[which], ys): the exit
-        times first, then y where they reach the depth."""
-        ok = orbits.advance(self.bowen, depth).exits[which] >= depth
-        if ok.any():
-            ok[ok] = self._y_members(ys[ok], depth)
-        return ok
+        return _like(x, self._in_set(np.concatenate([xs, ys]), depth).reshape(2, -1).all(axis=0))
 
     def member_centers(self, depth: int, resolution: float) -> tuple[np.ndarray, np.ndarray]:
         """Grid centers passing the depth-N x-condition and y-condition.
 
         The member cells of the grid are their product; both axes share
-        the centers of measure_estimate at the same resolution.
+        the centers of measure_estimate at the same resolution.  The x
+        axis reads the grid's exit times, the y axis the depth-N set.
         """
         grid = self.exit_times(depth, resolution)
         centers = grid.centers
-        return centers[grid.exits >= depth], centers[self._y_members(centers, depth)]
+        return centers[grid.exits >= depth], centers[self._in_set(centers, depth)]
 
     def measure_estimate(self, depth: int, resolution: float) -> "HorseshoeEstimate":
         """Cell-center grid estimate of the depth-N horseshoe area.
@@ -255,20 +244,16 @@ class PoincareSystem:
         tested together by one array membership call.  For
         every member at once, the interval tree under y is descended level
         by level until a removed gap sits within eps, and the nudged gap
-        point is re-tested as a non-member (at the gap's own depth if that
-        exceeds the sampling depth: the failure certificate concerns the
-        full intersection, whose covers shrink with depth).  A deeper test
-        continues the samples' exit times from the sampling depth.  Past
-        FIBER_DEPTH_CAP no fiber cover is built, so there a nudged point
-        counts only when its x-orbit alone rules it out; a sample no level
-        certifies ends as a "no gap within eps" failure.
+        point is tested as a non-member by membership at the gap's own
+        depth if that exceeds the sampling depth (the failure certificate
+        concerns the full intersection, whose covers shrink with depth).
+        A sample no level certifies ends as a "no gap within eps" failure.
         """
         b = self.bowen.m.b
         if not 0.0 < eps < b:  # also rejects NaN
             raise DomainError(f"eps = {eps} must lie between 0 and the gap scale b = {b}")
-        if sample_count < 0:
-            raise DomainError(f"sample count must be nonnegative, got {sample_count}")
-        check_depth(depth, FIBER_DEPTH_CAP, "witness depth")  # membership reads the fiber cover
+        check_depth(sample_count, math.inf, "sample count")
+        check_depth(depth, FIBER_DEPTH_CAP, "witness depth")
         cc = self.bowen.cc
         rng = SplitMix64(seed)
         words, us = [], []
@@ -278,9 +263,8 @@ class PoincareSystem:
         lo, hi = cc.level(depth) if words else (np.empty(0), np.empty(0))
         cells = [word_cell(w) for w in words]
         samples = lo[cells] + np.array(us) * (hi[cells] - lo[cells])  # x, y, x, y, ...
-        xs, ys = samples[0::2].tolist(), samples[1::2]
-        orbits = ExitTimes(samples[0::2])
-        member = self.membership((orbits, ys), depth)
+        xs, ys = samples[0::2], samples[1::2]
+        member = self.membership((xs, ys), depth)
 
         witness_y, gap_level = np.empty(ys.size), np.full(ys.size, -1)
         pending = np.flatnonzero(member)  # members still descending
@@ -297,11 +281,7 @@ class PoincareSystem:
             inside = np.where(below, glo + nudge, np.where(above, ghi - nudge, clamped))
             near = np.flatnonzero(~(below | above) | (dist < eps))
             if near.size:
-                deep = max(depth, level + 1)
-                if deep <= FIBER_DEPTH_CAP:
-                    out = ~self._members(orbits, pending[near], inside[near], deep)
-                else:  # no fiber cover that deep: only an exited x-orbit certifies
-                    out = orbits.advance(self.bowen, deep).exits[pending[near]] < deep
+                out = ~self.membership((xs[pending[near]], inside[near]), max(depth, level + 1))
                 hit = near[out]
                 witness_y[pending[hit]], gap_level[pending[hit]] = inside[hit], level
                 go = np.ones(pending.size, dtype=bool)
@@ -311,7 +291,7 @@ class PoincareSystem:
             lo, hi = np.where(above, ghi, lo), np.where(above, hi, glo)
 
         records, failures = [], []
-        for i, (x, y) in enumerate(zip(xs, ys.tolist())):
+        for i, (x, y) in enumerate(zip(xs.tolist(), ys.tolist())):
             if not member[i]:
                 failures.append(WitnessRecord(i, x, y, None, None, "sample not a member"))
             elif gap_level[i] < 0:
@@ -340,8 +320,7 @@ class PoincareSystem:
         of the oracles in tests/oracles.py, and with no samples both
         maxima are 0.0.
         """
-        if samples < 0:
-            raise DomainError(f"sample count must be nonnegative, got {samples}")
+        check_depth(samples, math.inf, "sample count")
         y_cap = self.strip_halfheight
         a = self.bowen.m.a
         h = 1e-7
@@ -357,7 +336,10 @@ class PoincareSystem:
 
 
 def _check_square(xs: np.ndarray, ys: np.ndarray, half: float, name: str, inner=None):
-    """Raise at the first point (NaN included) with |x| or |y| above half or |x| below inner."""
+    """Raise for unequal x and y sizes, or at the first point (NaN included)
+    with |x| or |y| above half or |x| below inner."""
+    if xs.size != ys.size:
+        raise DomainError(f"{xs.size} x coordinates but {ys.size} y coordinates")
     outside = ~((np.abs(xs) <= half) & (np.abs(ys) <= half))
     if inner is not None:
         outside |= ~(np.abs(xs) >= inner)
@@ -375,12 +357,13 @@ def _max_slope(pairs: np.ndarray, h: float) -> float:
 class ExitTimes:
     """Exit times of a set of points, known through `steps` returns.
 
-    The points are a grid's cell centers (with the cell size) or the
-    witness samples.  A point's exit time is the number of leading
-    second-return iterates of its orbit inside [-a, -b] u [b, a]; `exits`
-    holds it capped at `steps`, so the x-condition at depth N holds
-    exactly when exits >= N for every N <= steps.  `orbit` holds the latest iterates of
-    the points still inside, `alive` their indices.
+    The points are a grid's cell centers (with the cell size), or the
+    values of a membership test past FIBER_DEPTH_CAP on either axis.  A
+    point's exit time is the number of leading second-return iterates of
+    its orbit inside [-a, -b] u [b, a]; `exits` holds it capped at `steps`,
+    so the point lies in the depth-N set exactly when exits >= N, for
+    every N <= steps.  `orbit` holds the latest iterates of the points
+    still inside, `alive` their indices.
     """
 
     centers: np.ndarray = field(repr=False)

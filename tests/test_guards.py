@@ -1,9 +1,11 @@
 """Each repeated rule of the package has one owner.
 
 Every depth or level argument passes through errors.check_depth, so each
-entry point below rejects one step past either end of its range with
-check_depth's wording; a guard that bypasses the owner fails here.  The
-scalar domain tests are written so that NaN fails them too.
+entry point below rejects one step past either end of its range, and a
+non-integral depth, with check_depth's wording; a guard that bypasses the
+owner fails here.  Sample counts pass through the same guard with no cap.
+The scalar domain tests are written so that NaN fails them too, and the
+entry points that read a point of the section reject unequal x and y sizes.
 """
 
 import math
@@ -15,7 +17,7 @@ from fathorse import bowen, cones, horseshoe, lorenz
 from fathorse.bowen import verify_surgery
 from fathorse.errors import DomainError, SizeGuardError, check_depth
 from fathorse.fatcantor import LEVEL_ARRAY_CAP, LEVEL_MEASURE_CAP, TREE_JSON_CAP
-from fathorse.horseshoe import FIBER_DEPTH_CAP, MEASURE_DEPTH_CAP
+from fathorse.horseshoe import FIBER_DEPTH_CAP, MEASURE_DEPTH_CAP, WITNESS_SEARCH_LEVEL
 
 K3 = cones.make_cone_system(3)
 
@@ -41,28 +43,50 @@ SITES = [
      "surgery level"),
     ("vertical_gap_witness", lambda ps, n: ps.vertical_gap_witness(5, 1e-3, seed=1, depth=n),
      FIBER_DEPTH_CAP, "witness depth"),
+    ("membership", lambda ps, n: ps.membership((ps.bowen.m.a, ps.bowen.m.a), n),
+     WITNESS_SEARCH_LEVEL + 1, "membership depth"),
 ]
 
 
 @pytest.mark.parametrize("call, cap, what", [s[1:] for s in SITES], ids=[s[0] for s in SITES])
 def test_depth_guard_owner(poincare18, call, cap, what):
-    with pytest.raises(DomainError) as below:
-        call(poincare18, -1)
-    with pytest.raises(SizeGuardError) as above:
-        call(poincare18, cap + 1)
-    for raised, n in ((below, -1), (above, cap + 1)):
+    _raises_as_owner(poincare18, call, cap, what, -1, cap + 1, 2.5)
+
+
+# (id, call taking the sample count); a count has no cap
+COUNT_SITES = [
+    ("vertical_gap_witness", lambda ps, n: ps.vertical_gap_witness(n, 1e-3, seed=1, depth=2)),
+    ("fiber_contraction_report", lambda ps, n: ps.fiber_contraction_report(n)),
+]
+
+
+@pytest.mark.parametrize("call", [s[1] for s in COUNT_SITES], ids=[s[0] for s in COUNT_SITES])
+def test_sample_count_guard_owner(poincare18, call):
+    _raises_as_owner(poincare18, call, math.inf, "sample count", -1, 2.5)
+    call(poincare18, np.int64(3))
+
+
+def _raises_as_owner(ps, call, cap, what, *bad):
+    """call(ps, n) raises check_depth's error and wording for each bad n."""
+    for n in bad:
+        with pytest.raises(Exception) as raised:
+            call(ps, n)
         with pytest.raises(type(raised.value)) as owner:
             check_depth(n, cap, what)
+        assert type(raised.value) is type(owner.value)
         assert str(raised.value) == str(owner.value)
 
 
 def test_check_depth_range():
-    for n in (0, 3, 7):
+    for n in (0, 3, 7, np.int64(7), np.uint8(0)):
         check_depth(n, 7)
     with pytest.raises(DomainError, match="^level must be nonnegative, got -1$"):
         check_depth(-1, 7)
     with pytest.raises(SizeGuardError, match="^witness depth 8 exceeds the cap 7$"):
         check_depth(8, 7, "witness depth")
+    for n in (2.5, 2.0, math.nan, np.float64(3.0), "3"):
+        with pytest.raises(DomainError, match="^level must be an integer, got "):
+            check_depth(n, 7)
 
 
 def test_one_float_or_array_adapter():
@@ -96,3 +120,21 @@ def test_nan_fails_the_domain_test(at_nan, out_of_range):
     with pytest.raises(DomainError) as raised:
         at_nan()
     assert type(raised.value) is type(outside.value)
+
+
+# (id, call on a point); the three entry points that read a point of the section
+POINT_SITES = [
+    ("membership", lambda ps, point: ps.membership(point, 2)),
+    ("second_return", lambda ps, point: ps.second_return(point)),
+    ("section_map", lambda ps, point: ps.section_map(point)),
+]
+
+
+@pytest.mark.parametrize("call", [s[1] for s in POINT_SITES], ids=[s[0] for s in POINT_SITES])
+@pytest.mark.parametrize("sizes", [(1, 3), (3, 1), (3, 2)])
+def test_coordinate_sizes_must_match(poincare18, call, sizes):
+    # one core point repeated: only the sizes are wrong
+    m = poincare18.bowen.m
+    point = np.full(sizes[0], 0.5 * (m.a + m.b)), np.full(sizes[1], 0.1)
+    with pytest.raises(DomainError, match=f"^{sizes[0]} x coordinates but {sizes[1]} y "):
+        call(poincare18, point)

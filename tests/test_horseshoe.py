@@ -11,7 +11,6 @@ from fathorse.fatcantor import make_construction
 from fathorse.horseshoe import (
     FIBER_DEPTH_CAP,
     WITNESS_SEARCH_LEVEL,
-    ExitTimes,
     WitnessRecord,
     WitnessReport,
     make_poincare_system,
@@ -119,6 +118,18 @@ class TestFiberMap:
             scalar = [oracles.fiber_map(ps, sign, y) for y in ys.tolist()]
             assert ps.fiber_map(sign, ys).view(np.uint64).tolist() == np.array(scalar).view(
                 np.uint64).tolist()
+
+    @pytest.mark.parametrize("c", [1.7, 1.8, 1.95])
+    def test_inverse_branches_of_the_second_iterate(self, c):
+        # why both axes share one depth-N set: the second iterate is odd
+        # and the two fiber maps are its inverse branches
+        ps = _poincare(c)
+        a = ps.bowen.m.a
+        ys = -a + 2.0 * a * np.random.default_rng(5).random(20_000)
+        f2 = ps.bowen.second_iterate
+        assert np.array_equal(f2(-ys), -f2(ys))
+        for sign in (1, -1):
+            assert np.max(np.abs(f2(ps.fiber_map(sign, ys)) - ys)) <= 1e-12
 
     def test_domain(self, poincare18):
         a = poincare18.bowen.m.a
@@ -240,14 +251,10 @@ class TestMembership:
         rng = np.random.default_rng(3)
         xs = np.concatenate([[a, -a, b, -b, 0.5 * b], -a + 2.0 * a * rng.random(250)])
         ys = np.concatenate([[a, -a, -b, b, 0.0], -a + 2.0 * a * rng.random(250)])
-        orbits = ExitTimes(xs)
         for depth in range(11):
             scalar = [oracles.membership(ps, (x, y), depth)
                       for x, y in zip(xs.tolist(), ys.tolist())]
             assert ps.membership((xs, ys), depth).tolist() == scalar
-            # an ExitTimes continues its orbits from the last depth asked
-            assert ps.membership((orbits, ys), depth).tolist() == scalar
-            assert orbits.steps == depth
         assert ps.membership((xs[:0], ys[:0]), 4).size == 0
 
 
@@ -332,11 +339,36 @@ class TestExitTimes:
         shared = poincare18.exit_times(8, 1e-3)  # possibly advanced further
         assert fine.exits.tolist() == np.minimum(shared.exits, 8).tolist()
 
-    def test_y_members_accept_scalars_and_arrays(self, poincare18):
-        ys = np.linspace(-poincare18.bowen.m.a, poincare18.bowen.m.a, 301)
-        flags = poincare18._y_members(ys, 4)
-        assert flags.tolist() == [bool(poincare18._y_members(float(y), 4)) for y in ys]
-        assert flags.tolist() == [_scalar_y_condition(poincare18, float(y), 4) for y in ys]
+    def test_in_set_matches_scalar_conditions(self, poincare18):
+        # the cover path against the oracle y-test, the orbit path past the
+        # cap against the oracle x-test
+        a = poincare18.bowen.m.a
+        ys = np.concatenate([[a, -a], np.linspace(-a, a, 301)])
+        assert poincare18._in_set(ys, 4).tolist() == [
+            _scalar_y_condition(poincare18, y, 4) for y in ys.tolist()]
+        deep = FIBER_DEPTH_CAP + 2
+        flags = poincare18._in_set(ys, deep)
+        assert flags[:2].all()
+        assert flags.tolist() == [oracles.x_condition(poincare18, y, deep) for y in ys.tolist()]
+
+    @pytest.mark.parametrize("c, p, depth, resolution", [
+        (1.8, 2.0, 6, 1e-3), (1.8, 2.0, 10, 1e-4), (1.95, 2.0, 10, 1e-4), (1.7, 2.5, 10, 1e-4)])
+    def test_cover_and_orbits_give_one_set(self, c, p, depth, resolution):
+        # the predicate's two paths agree at every grid center and depth:
+        # the grid's exit times are the orbit path
+        lorenz = LorenzBranchMap.from_coefficient(c)
+        ps = make_poincare_system(build_base_map(make_construction(lorenz, p)))
+        grid = ps.exit_times(depth, resolution)
+        for d in range(min(depth, FIBER_DEPTH_CAP) + 1):
+            assert np.array_equal(ps._in_set(grid.centers, d), grid.exits >= d)
+
+
+def _scalar_non_member(ps, x, y, depth):
+    """The scalar membership oracle up to the fiber cover's cap; past it the
+    x-orbit or the y-orbit exits, as both axes share the depth-N set."""
+    if depth <= FIBER_DEPTH_CAP:
+        return not oracles.membership(ps, (x, y), depth)
+    return not (oracles.x_condition(ps, x, depth) and oracles.x_condition(ps, y, depth))
 
 
 def _scalar_witness(ps, sample_count, eps, seed, depth):
@@ -366,14 +398,7 @@ def _scalar_witness(ps, sample_count, eps, seed, depth):
                 inside = ghi - 0.5 * min(ghi - glo, eps - dist) if dist < eps else None
             else:
                 inside = min(max(y, glo + 0.25 * (ghi - glo)), ghi - 0.25 * (ghi - glo))
-            deep = max(depth, level + 1)
-            if inside is None:
-                ruled_out = False
-            elif deep <= FIBER_DEPTH_CAP:
-                ruled_out = not oracles.membership(ps, (x, inside), deep)
-            else:  # past the fiber cover's cap only the x-orbit can rule a point out
-                ruled_out = not oracles.x_condition(ps, x, deep)
-            if ruled_out:
+            if inside is not None and _scalar_non_member(ps, x, inside, max(depth, level + 1)):
                 records.append(WitnessRecord(i, x, y, inside, level, None))
                 break
             word += "0" if y > ghi else "1"
@@ -446,8 +471,8 @@ class TestWitness:
 
     @pytest.mark.parametrize("depth", [2, 6, 10])
     def test_witnesses_are_scalar_non_members(self, poincare18, depth):
-        # the search skips the sample's x-orbit at its own depth; the
-        # scalar membership oracle re-runs it
+        # the search tests x on the fiber cover; the scalar membership
+        # oracle runs the x-orbit
         eps = poincare18.bowen.cc.gaps.length(3) / 16.0
         for seed in (1, 2, 3):
             report = poincare18.vertical_gap_witness(100, eps, seed=seed, depth=depth)
@@ -457,24 +482,20 @@ class TestWitness:
                 deep = max(depth, rec.gap_level + 1)
                 assert not oracles.membership(poincare18, (rec.x, rec.witness_y), deep)
 
-    @pytest.mark.parametrize("eps", [1e-5, 1e-7])
-    def test_gaps_past_the_fiber_cap(self, poincare18, eps):
-        # at eps = 1e-7 the nearest gaps lie deeper than FIBER_DEPTH_CAP: the
-        # search must report the samples it cannot certify, not raise
-        report = poincare18.vertical_gap_witness(20, eps, seed=1, depth=4)
-        assert repr(report) == repr(_scalar_witness(poincare18, 20, eps, 1, 4))
-        assert len(report.records) + len(report.failures) == 20
-        assert all(rec.failure == "no gap within eps" for rec in report.failures)
-        for rec in report.records:
-            deep = max(4, rec.gap_level + 1)
-            if deep > FIBER_DEPTH_CAP:
-                assert not oracles.x_condition(poincare18, rec.x, deep)
-            else:
-                assert not oracles.membership(poincare18, (rec.x, rec.witness_y), deep)
-        if eps == 1e-5:
-            assert not report.failures and report.max_level_used == FIBER_DEPTH_CAP
-        else:
-            assert report.failures and report.max_level_used > FIBER_DEPTH_CAP
+    @pytest.mark.parametrize("eps", [1e-5, 1e-6, 1e-7, 1e-9])
+    def test_gaps_past_the_fiber_cap(self, eps):
+        # below eps = 1e-5 the nearest gaps lie deeper than FIBER_DEPTH_CAP,
+        # where membership runs the exit times of both coordinates
+        deepest = 0
+        for c in (1.7, 1.8, 1.95):
+            ps = _poincare(c)
+            report = ps.vertical_gap_witness(20, eps, seed=1, depth=4)
+            assert repr(report) == repr(_scalar_witness(ps, 20, eps, 1, 4))
+            assert not report.failures and len(report.records) == 20
+            for rec in report.records:
+                assert _scalar_non_member(ps, rec.x, rec.witness_y, max(4, rec.gap_level + 1))
+            deepest = max(deepest, report.max_level_used)
+        assert (deepest > FIBER_DEPTH_CAP) == (eps < 1e-5)
 
     def test_deterministic_given_seed(self, poincare18):
         eps = poincare18.bowen.cc.gaps.length(3) / 16.0
