@@ -28,6 +28,6 @@ from .horseshoe import (
     make_poincare_system,
     suspension_volume,
 )
-from .lorenz import LorenzBranchMap, derive_constants, validate_axioms
+from .lorenz import LorenzBranchMap, derive_constants
 
 __version__ = "0.1.0"

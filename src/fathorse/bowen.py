@@ -118,8 +118,12 @@ def _invert_profile(s: np.ndarray, tau: np.ndarray) -> np.ndarray:
 
 
 def _points(v) -> np.ndarray:
-    """A float or an array of them as a 1-D float array."""
-    return np.atleast_1d(np.asarray(v, dtype=float))
+    """A float or a 1-D array of them as a 1-D float array; DomainError
+    for an array of more dimensions."""
+    points = np.atleast_1d(np.asarray(v, dtype=float))
+    if points.ndim > 1:
+        raise DomainError(f"points must be a float or a 1-D array, got shape {points.shape}")
+    return points
 
 
 def _like(x, values: np.ndarray):

@@ -33,8 +33,9 @@ class ConfigError(FathorseError, ValueError):
 
 def check_depth(n: int, cap: float, what: str = "level") -> None:
     """The one depth and count guard: DomainError for a non-integer (numpy
-    integers pass) or below 0, SizeGuardError above cap (math.inf for none)."""
-    if not isinstance(n, numbers.Integral):
+    integers pass, bools do not) or below 0, SizeGuardError above cap
+    (math.inf for none)."""
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral):
         raise DomainError(f"{what} must be an integer, got {n!r}")
     if n < 0:
         raise DomainError(f"{what} must be nonnegative, got {n}")

@@ -81,10 +81,6 @@ class GapLengthSequence:
     def total(self) -> float:
         return self.first_length * self.zeta
 
-    def ratio(self, n: int) -> float:
-        """gap(n+1)/gap(n) = ((n+1)/(n+2))^p, increasing to 1."""
-        return ((n + 1.0) / (n + 2.0)) ** self.exponent
-
 
 def word_cell(word: str) -> int:
     """Position of I_word in level(len(word)), where letter 0 is the right child."""

@@ -309,30 +309,18 @@ class PoincareSystem:
             records=tuple(records),
         )
 
-    def fiber_contraction_report(self, samples: int = 2000) -> dict[str, float]:
-        """Sampled derivative bounds: the single-return fiber slope on the
-        strip (bounded, may slightly exceed 1 after the surgery) and the
-        two-step contraction factor on the core (provably <= 1/2).
-
-        Central differences at the sample midpoints, all samples through
-        one invert_right call for the strip and one fiber_map(-1, .) call
-        for the core; each slope is bit-equal to the per-point difference
-        of the oracles in tests/oracles.py, and with no samples both
-        maxima are 0.0.
+    def fiber_contraction_report(self, samples: int = 2000) -> float:
+        """Sampled two-step contraction factor of the fiber on the core
+        (provably <= 1/2): the largest central difference at the sample
+        midpoints, all samples through one fiber_map(-1, .) call.  It is
+        bit-equal to the per-point difference of the oracles in
+        tests/oracles.py, and 0.0 with no samples.
         """
         check_depth(samples, math.inf, "sample count")
-        y_cap = self.strip_halfheight
-        a = self.bowen.m.a
-        h = 1e-7
-        i = np.arange(samples) + 0.5
-        ys = -y_cap + (2.0 * y_cap) * i / samples
-        strip = self.bowen.invert_right(np.concatenate([ys + h, ys - h])).reshape(2, -1)
-        ys = -a + (2.0 * a) * i / samples
-        core = self.fiber_map(-1, np.concatenate([ys + h, ys - h])).reshape(2, -1)
-        return {
-            "strip_fiber_max_slope": _max_slope(strip, h),
-            "core_two_step_max_factor": _max_slope(core, h),
-        }
+        a, h = self.bowen.m.a, 1e-7
+        ys = -a + (2.0 * a) * (np.arange(samples) + 0.5) / samples
+        up, down = self.fiber_map(-1, np.concatenate([ys + h, ys - h])).reshape(2, -1)
+        return float(np.max(np.abs(up - down) / (2.0 * h), initial=0.0))
 
 
 def _check_square(xs: np.ndarray, ys: np.ndarray, half: float, name: str, inner=None):
@@ -346,11 +334,6 @@ def _check_square(xs: np.ndarray, ys: np.ndarray, half: float, name: str, inner=
     if outside.any():
         i = np.argmax(outside)
         raise DomainError(f"point {(float(xs[i]), float(ys[i]))} outside the {name}")
-
-
-def _max_slope(pairs: np.ndarray, h: float) -> float:
-    """Largest |f(y + h) - f(y - h)| / 2h over rows (f(y + h), f(y - h)), or 0.0."""
-    return float(np.max(np.abs(pairs[0] - pairs[1]) / (2.0 * h), initial=0.0))
 
 
 @dataclass

@@ -18,14 +18,9 @@ from .errors import DomainError, InvalidParameterError, SingularityError
 __all__ = [
     "LorenzBranchMap",
     "branch_value",
-    "branch_derivative",
-    "right_branch_inverse",
     "fixed_point_constant",
     "preimage_constant",
     "derive_constants",
-    "validate_axioms",
-    "AxiomCheck",
-    "AxiomReport",
 ]
 
 
@@ -43,23 +38,6 @@ def branch_value(c: float, x: float) -> float:
     if x > 0.0:
         return c * math.sqrt(x) - 1.0
     return -c * math.sqrt(-x) + 1.0
-
-
-def branch_derivative(c: float, x: float) -> float:
-    """Slope c / (2 sqrt(|x|)); always >= c/2 on [-1, 1], diverging at 0."""
-    if x == 0.0:
-        raise SingularityError("derivative is undefined at x = 0")
-    if not abs(x) <= 1.0:  # also rejects NaN
-        raise DomainError(f"x = {x} outside [-1, 1]")
-    return c / (2.0 * math.sqrt(abs(x)))
-
-
-def right_branch_inverse(c: float, y: float) -> float:
-    """Inverse of the x > 0 branch: y in (-1, c-1] maps to ((y+1)/c)^2."""
-    if not -1.0 < y <= (c - 1.0) + 1e-12:  # also rejects NaN
-        raise DomainError(f"y = {y} outside the right-branch range (-1, {c - 1.0}]")
-    t = (min(y, c - 1.0) + 1.0) / c
-    return t * t
 
 
 def fixed_point_constant(c: float) -> float:
@@ -117,69 +95,3 @@ class LorenzBranchMap:
     def from_coefficient(cls, c: float) -> "LorenzBranchMap":
         a, b = derive_constants(c)
         return cls(c=c, a=a, b=b, alpha=c / 2.0)
-
-
-@dataclass(frozen=True)
-class AxiomCheck:
-    name: str
-    passed: bool
-    margin: float
-
-
-@dataclass(frozen=True)
-class AxiomReport:
-    c: float
-    grid_size: int
-    checks: tuple[AxiomCheck, ...]
-    boundary_case: bool
-
-    @property
-    def strict_pass(self) -> bool:
-        return all(ch.passed for ch in self.checks)
-
-    @property
-    def passes(self) -> bool:
-        """Strict pass, except that c = 2 excuses the two endpoint axioms
-        (f(1) = 1 and, by odd symmetry, f(-1) = -1 sit on the boundary)."""
-        excused = {"f(1)<1", "f(-1)>-1"} if self.boundary_case else set()
-        return all(ch.passed for ch in self.checks if ch.name not in excused)
-
-
-def validate_axioms(map_or_c, grid_size: int = 10_000) -> AxiomReport:
-    """Check the interval-map axioms on a grid and report margins.
-
-    Accepts either a LorenzBranchMap or a bare coefficient, so family
-    members whose derived constants do not exist (small c) can still be
-    probed.  Report-only: nothing is raised on failure.
-    """
-    c = float(getattr(map_or_c, "c", map_or_c))
-    if grid_size < 2:
-        raise InvalidParameterError("grid_size must be at least 2")
-    alpha = c / 2.0
-    xs = [i / grid_size for i in range(1, grid_size + 1)]
-
-    checks = []
-    m_right = 1.0 - branch_value(c, 1.0)
-    checks.append(AxiomCheck("f(1)<1", m_right > 0.0, m_right))
-    m_left = branch_value(c, -1.0) + 1.0
-    checks.append(AxiomCheck("f(-1)>-1", m_left > 0.0, m_left))
-
-    delta = 1e-14
-    lim = max(abs(branch_value(c, delta) + 1.0), abs(branch_value(c, -delta) - 1.0))
-    checks.append(AxiomCheck("one_sided_limits", lim < 1e-6, lim))
-
-    dmin = min(branch_derivative(c, x) for x in xs)
-    checks.append(AxiomCheck("derivative_floor", dmin >= alpha - 1e-12, dmin - alpha))
-    dnear = branch_derivative(c, 1e-12)
-    checks.append(AxiomCheck("derivative_blowup", dnear > 1e5, dnear))
-
-    odd = max(abs(branch_value(c, x) + branch_value(c, -x)) for x in xs)
-    checks.append(AxiomCheck("odd_symmetry", odd <= 1e-14, odd))
-
-    vals = [branch_value(c, x) for x in xs]
-    mono = min(v2 - v1 for v1, v2 in zip(vals, vals[1:]))
-    checks.append(AxiomCheck("branch_monotone", mono > 0.0, mono))
-
-    return AxiomReport(
-        c=c, grid_size=grid_size, checks=tuple(checks), boundary_case=(c == 2.0)
-    )

@@ -46,8 +46,6 @@ SUITES = ("cones", "fatcantor", "bowen", "horseshoe")
 
 
 def _fmt(v) -> str:
-    if isinstance(v, bool):
-        return "true" if v else "false"
     if isinstance(v, float):
         return f"{v:.17g}"
     return str(v)
@@ -227,6 +225,17 @@ def _horseshoe_suite(
         f2_dev = max(f2_dev, abs(got[0] - expected[0]), abs(got[1] - expected[1]))
     checks.add("horseshoe_f2_identities", f2_dev, 1e-9)
 
+    # the paper's cross-section map applied twice against its closed-form
+    # square, on 2 x 17 abscissas in +-[b, a] times 17 ordinates in [-a, a]
+    xs = np.linspace(bowen.m.b, a, 17)
+    core = np.repeat(np.concatenate([xs, -xs]), 17), np.tile(np.linspace(-a, a, 17), 34)
+    twice, closed = ps.section_map(ps.section_map(core)), ps.second_return(core)
+    checks.add(
+        "horseshoe_second_return_composition",
+        max(float(np.abs(u - v).max()) for u, v in zip(twice, closed)),
+        1e-9,
+    )
+
     eps = cc.gaps.length(3) / 16.0
     witness = ps.vertical_gap_witness(1000, eps, seed=cfg.seed, depth=cfg.N)
     checks.add("horseshoe_vertical_witness", float(len(witness.failures)), 0.0)
@@ -234,8 +243,7 @@ def _horseshoe_suite(
     volume = suspension_volume(cc.level_measure(cfg.N) ** 2, cfg.delta)
     checks.add("suspension_positive_exact", volume, 0.0, ">")
 
-    contraction = ps.fiber_contraction_report()
-    checks.add("fiber_two_step_contraction", contraction["core_two_step_max_factor"], 0.5 + 1e-9)
+    checks.add("fiber_two_step_contraction", ps.fiber_contraction_report(), 0.5 + 1e-9)
 
     figures["partition"] = {
         "b": bowen.m.b,

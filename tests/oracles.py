@@ -2,15 +2,17 @@
 
 Each function is the per-point code that fathorse.fatcantor,
 fathorse.bowen and fathorse.horseshoe ran before their kernels took
-arrays, written as a function of the construction or system.  The
-word-addressed interval tree (interval, gap, locate, the closed-form
-level length, the subtree cover and the gap diffeomorphism of a word)
-reads one word by descent from [-a, a], one centered gap per letter,
-and is the oracle of CantorConstruction.level.  The rest are the
-paired-tree walk, the base map with its inverse and derivative, the gap
-profile with its Newton-bisection inverse, the spliced map, the
-right-branch inverse, the second-iterate derivative, the fiber maps with
-their sign-word cover, and finite-depth membership.  They use math, not
+arrays, written as a function of the construction or system.  The slope
+and right-branch inverse of the square-root family come first; the
+package itself never evaluates them.  The word-addressed interval tree
+(interval, gap, locate, the closed-form level length, the subtree cover
+and the gap diffeomorphism of a word) reads one word by descent from
+[-a, a], one centered gap per letter, and is the oracle of
+CantorConstruction.level.  The rest are the paired-tree walk, the base
+map with its inverse and derivative, the gap profile with its
+Newton-bisection inverse, the spliced map, the spliced right-branch
+inverse, the second-iterate derivative, the fiber maps with their
+sign-word cover, and finite-depth membership.  They use math, not
 numpy, and call no array kernel of the package (CantorConstruction.level,
 BowenSystem._walks, bowen._invert_profile), so a parity test against
 them compares the array code with independent per-point code.
@@ -24,7 +26,27 @@ from typing import NamedTuple
 
 from fathorse.bowen import _SNAP, _TOL, _TWO_PI, GapDiffeo
 from fathorse.errors import DomainError, SingularityError
-from fathorse.lorenz import branch_derivative, branch_value, right_branch_inverse
+from fathorse.lorenz import branch_value
+
+# -- branch family -------------------------------------------------------------
+
+
+def branch_derivative(c: float, x: float) -> float:
+    """Slope c / (2 sqrt(|x|)); always >= c/2 on [-1, 1], diverging at 0."""
+    if x == 0.0:
+        raise SingularityError("derivative is undefined at x = 0")
+    if not abs(x) <= 1.0:  # also rejects NaN
+        raise DomainError(f"x = {x} outside [-1, 1]")
+    return c / (2.0 * math.sqrt(abs(x)))
+
+
+def right_branch_inverse(c: float, y: float) -> float:
+    """Inverse of the x > 0 branch: y in (-1, c-1] maps to ((y+1)/c)^2."""
+    if not -1.0 < y <= (c - 1.0) + 1e-12:  # also rejects NaN
+        raise DomainError(f"y = {y} outside the right-branch range (-1, {c - 1.0}]")
+    t = (min(y, c - 1.0) + 1.0) / c
+    return t * t
+
 
 # -- interval tree -------------------------------------------------------------
 

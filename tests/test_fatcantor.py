@@ -47,8 +47,11 @@ class TestGapLengthSequence:
         assert gaps.length(0) == gaps.first_length
 
     def test_ratio_increases_to_one(self):
+        # gap(n+1)/gap(n) = ((n+1)/(n+2))^p
         gaps = GapLengthSequence(first_length=0.1, exponent=2.0)
-        ratios = [gaps.ratio(n) for n in range(50)]
+        ratios = [((n + 1.0) / (n + 2.0)) ** gaps.exponent for n in range(50)]
+        for n, r in enumerate(ratios):
+            assert r == pytest.approx(gaps.length(n + 1) / gaps.length(n), rel=1e-15)
         assert all(r1 < r2 < 1.0 for r1, r2 in zip(ratios, ratios[1:]))
 
     def test_divergent_exponent_rejected(self):

@@ -1,16 +1,18 @@
 """Each repeated rule of the package has one owner.
 
 Every depth or level argument passes through errors.check_depth, so each
-entry point below rejects one step past either end of its range, and a
-non-integral depth, with check_depth's wording; a guard that bypasses the
-owner fails here.  Sample counts pass through the same guard with no cap.
+entry point below rejects one step past either end of its range, a
+non-integral depth and a bool, with check_depth's wording; a guard that
+bypasses the owner fails here.  Sample counts pass through the same guard with no cap.
 The scalar domain tests are written so that NaN fails them too, and the
-entry points that read a point of the section reject unequal x and y sizes.
+entry points that read a point of the section reject unequal x and y sizes
+and, through bowen._points, arrays of more than one dimension.
 """
 
 import math
 
 import numpy as np
+import oracles
 import pytest
 
 from fathorse import bowen, cones, horseshoe, lorenz
@@ -50,7 +52,7 @@ SITES = [
 
 @pytest.mark.parametrize("call, cap, what", [s[1:] for s in SITES], ids=[s[0] for s in SITES])
 def test_depth_guard_owner(poincare18, call, cap, what):
-    _raises_as_owner(poincare18, call, cap, what, -1, cap + 1, 2.5)
+    _raises_as_owner(poincare18, call, cap, what, -1, cap + 1, 2.5, True, False)
 
 
 # (id, call taking the sample count); a count has no cap
@@ -62,7 +64,7 @@ COUNT_SITES = [
 
 @pytest.mark.parametrize("call", [s[1] for s in COUNT_SITES], ids=[s[0] for s in COUNT_SITES])
 def test_sample_count_guard_owner(poincare18, call):
-    _raises_as_owner(poincare18, call, math.inf, "sample count", -1, 2.5)
+    _raises_as_owner(poincare18, call, math.inf, "sample count", -1, 2.5, True, False)
     call(poincare18, np.int64(3))
 
 
@@ -84,7 +86,7 @@ def test_check_depth_range():
         check_depth(-1, 7)
     with pytest.raises(SizeGuardError, match="^witness depth 8 exceeds the cap 7$"):
         check_depth(8, 7, "witness depth")
-    for n in (2.5, 2.0, math.nan, np.float64(3.0), "3"):
+    for n in (2.5, 2.0, math.nan, np.float64(3.0), "3", True, False):
         with pytest.raises(DomainError, match="^level must be an integer, got "):
             check_depth(n, 7)
 
@@ -98,10 +100,10 @@ nan = math.nan
 # (id, call on a NaN argument, the same call on an out-of-range argument)
 NAN_SITES = [
     ("branch_value", lambda: lorenz.branch_value(1.8, nan), lambda: lorenz.branch_value(1.8, 1.5)),
-    ("branch_derivative", lambda: lorenz.branch_derivative(1.8, nan),
-     lambda: lorenz.branch_derivative(1.8, -1.5)),
-    ("right_branch_inverse", lambda: lorenz.right_branch_inverse(1.8, nan),
-     lambda: lorenz.right_branch_inverse(1.8, 0.9)),
+    ("branch_derivative", lambda: oracles.branch_derivative(1.8, nan),
+     lambda: oracles.branch_derivative(1.8, -1.5)),
+    ("right_branch_inverse", lambda: oracles.right_branch_inverse(1.8, nan),
+     lambda: oracles.right_branch_inverse(1.8, 0.9)),
     ("cone_map_x", lambda: cones.cone_map(K3, nan, 0.0), lambda: cones.cone_map(K3, 1.5, 0.0)),
     ("cone_map_fiber", lambda: cones.cone_map(K3, 0.5, np.array([nan, 0.0])),
      lambda: cones.cone_map(K3, 0.5, np.array([1.5, 0.0]))),
@@ -138,3 +140,20 @@ def test_coordinate_sizes_must_match(poincare18, call, sizes):
     point = np.full(sizes[0], 0.5 * (m.a + m.b)), np.full(sizes[1], 0.1)
     with pytest.raises(DomainError, match=f"^{sizes[0]} x coordinates but {sizes[1]} y "):
         call(poincare18, point)
+
+
+@pytest.mark.parametrize(
+    "call", [s[1] for s in POINT_SITES] + [lambda ps, point: ps.bowen.base_value(point[0])],
+    ids=[s[0] for s in POINT_SITES] + ["base_value"])
+def test_points_are_floats_or_1d_arrays(poincare18, call):
+    m = poincare18.bowen.m
+    xs, ys = np.linspace(m.b, m.a, 4), np.linspace(-m.a, m.a, 4)
+    # a float gives a float (or a pair of them), a 1-D array its elements
+    batch = call(poincare18, (xs, ys))
+    for i in range(xs.size):
+        single = call(poincare18, (float(xs[i]), float(ys[i])))
+        assert not isinstance(single, np.ndarray)
+        assert np.array_equal(np.asarray(batch)[..., i], np.asarray(single))
+    # a 2-D array is refused before any work, not flattened or indexed past
+    with pytest.raises(DomainError, match=r"^points must be .* 1-D array, got shape \(4, 4\)$"):
+        call(poincare18, np.meshgrid(xs, ys))

@@ -16,7 +16,7 @@ from fathorse.horseshoe import (
     make_poincare_system,
     suspension_volume,
 )
-from fathorse.lorenz import LorenzBranchMap, branch_derivative, branch_value
+from fathorse.lorenz import LorenzBranchMap, branch_value
 from fathorse.rng import SplitMix64
 
 
@@ -504,20 +504,25 @@ class TestWitness:
         assert r1 == r2
 
 
-def _scalar_contraction_report(ps, samples):
-    """fiber_contraction_report as a scalar loop over the oracle
-    invert_right and fiber_map: the oracle of the array report."""
-    y_cap, a, h = ps.strip_halfheight, ps.bowen.m.a, 1e-7
-    inv = functools.partial(oracles.invert_right, ps.bowen)
-    strip_max = core_max = 0.0
-    for i in range(samples):
-        y = -y_cap + (2.0 * y_cap) * (i + 0.5) / samples
-        strip_max = max(strip_max, abs(inv(y + h) - inv(y - h)) / (2.0 * h))
-    for i in range(samples):
-        y = -a + (2.0 * a) * (i + 0.5) / samples
-        d = abs(oracles.fiber_map(ps, -1, y + h) - oracles.fiber_map(ps, -1, y - h)) / (2.0 * h)
-        core_max = max(core_max, d)
-    return {"strip_fiber_max_slope": strip_max, "core_two_step_max_factor": core_max}
+H = 1e-7  # the central-difference step of fiber_contraction_report
+
+
+def _midpoints(half, samples):
+    """Midpoints of `samples` equal cells of [-half, half]."""
+    return [-half + (2.0 * half) * (i + 0.5) / samples for i in range(samples)]
+
+
+def _scalar_max_slope(f, ys):
+    """Largest |f(y + H) - f(y - H)| / 2H over ys, point by point, or 0.0."""
+    return max((abs(f(y + H) - f(y - H)) / (2.0 * H) for y in ys), default=0.0)
+
+
+def _strip_max_slope(ps, samples):
+    """Largest single-return fiber slope on the strip, which the run does not
+    report, with all samples through one array invert_right call."""
+    ys = np.array(_midpoints(ps.strip_halfheight, samples))
+    up, down = ps.bowen.invert_right(np.concatenate([ys + H, ys - H])).reshape(2, -1)
+    return float(np.max(np.abs(up - down) / (2.0 * H), initial=0.0))
 
 
 class TestContraction:
@@ -525,26 +530,28 @@ class TestContraction:
     @pytest.mark.parametrize("samples", [1, 7, 400])
     def test_matches_scalar_oracle(self, c, samples):
         ps = _poincare(c)
-        assert ps.fiber_contraction_report(samples) == _scalar_contraction_report(ps, samples)
+        core = _scalar_max_slope(functools.partial(oracles.fiber_map, ps, -1),
+                                 _midpoints(ps.bowen.m.a, samples))
+        assert ps.fiber_contraction_report(samples) == core
+        strip = _scalar_max_slope(functools.partial(oracles.invert_right, ps.bowen),
+                                  _midpoints(ps.strip_halfheight, samples))
+        assert _strip_max_slope(ps, samples) == strip
 
     def test_no_samples(self, poincare18):
-        report = poincare18.fiber_contraction_report(0)
-        assert report == {"strip_fiber_max_slope": 0.0, "core_two_step_max_factor": 0.0}
+        assert poincare18.fiber_contraction_report(0) == 0.0
         # a negative count is not a passing bound over no samples
         with pytest.raises(DomainError, match="sample count"):
             poincare18.fiber_contraction_report(-3)
 
     def test_two_step_factor_below_half(self, poincare18):
-        report = poincare18.fiber_contraction_report(500)
-        assert report["core_two_step_max_factor"] <= 0.5 + 1e-6
+        assert poincare18.fiber_contraction_report(500) <= 0.5 + 1e-6
 
     def test_single_step_strip_bound(self, poincare18, lorenz18):
         # the surgered right branch dips below slope 1 near -f(b), so the
         # single-return fiber slope peaks near f'(b)/2 (above 1); only the
         # two-step fiber is a uniform contraction
-        report = poincare18.fiber_contraction_report(2_000)
-        peak = branch_derivative(lorenz18.c, lorenz18.b) / 2.0
-        assert 1.0 < report["strip_fiber_max_slope"] <= peak + 1e-6
+        peak = oracles.branch_derivative(lorenz18.c, lorenz18.b) / 2.0
+        assert 1.0 < _strip_max_slope(poincare18, 2_000) <= peak + 1e-6
 
 
 class TestSuspension:

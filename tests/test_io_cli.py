@@ -207,7 +207,10 @@ class TestRunner:
     def test_records_hold_the_pass_rule(self, outcome):
         _, out = outcome
         records = json.loads((out / "report.json").read_text())["criteria"]
-        assert len({rec["id"] for rec in records}) == len(records) == 21
+        assert len({rec["id"] for rec in records}) == len(records) == 22
+        ids = [rec["id"] for rec in records]
+        composition = ids.index("horseshoe_second_return_composition")
+        assert ids[composition - 1] == "horseshoe_f2_identities"
         for rec in records:
             assert set(rec) == {"id", "value", "bound", "rule", "pass"}
             assert rec["rule"] in ("<=", ">")

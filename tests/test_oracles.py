@@ -38,6 +38,8 @@ def test_oracles_reach_no_array_kernel(monkeypatch):
     source = oracles.gap_diffeo(system, "01")
     words = ["", "0", "1", "01", "110"]
     runs = {
+        "branch_derivative": [oracles.branch_derivative(system.m.c, x) for x in line],
+        "right_branch_inverse": [oracles.right_branch_inverse(system.m.c, y) for y in line],
         "interval": [oracles.interval(cc, w) for w in words],
         "gap": [oracles.gap(cc, w) for w in words],
         "level_interval_length": [oracles.level_interval_length(cc, n) for n in range(6)],

@@ -1,0 +1,64 @@
+"""Every function in the package runs in `fathorse run` plus `fathorse render`.
+
+A fresh interpreter starts a call-only tracer before `import fathorse`,
+runs the CLI on a small config and renders one figure from its dataset,
+and prints the (file, first line) of every code object it entered.  Each
+`def` of src/fathorse/*.py, found with ast, must be among them: code that
+only the tests call belongs in tests/ (tests/oracles.py for per-point
+oracles), not in the package.
+"""
+
+import ast
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+SCRIPT = """
+import json, sys
+entered = set()
+
+def tracer(frame, event, arg):
+    entered.add((frame.f_code.co_filename, frame.f_code.co_firstlineno))
+
+sys.settrace(tracer)
+from fathorse import cli
+out, config = sys.argv[1], sys.argv[2]
+codes = [
+    cli.main(["run", "--config", config, "--out", out]),
+    cli.main(["render", "--input", out + "/figures/partition.json", "--kind", "partition",
+              "--out", out + "/partition.svg"]),
+]
+sys.settrace(None)
+print(json.dumps({"codes": codes, "entered": sorted(entered)}))
+"""
+
+
+def _defs():
+    """(file, first line, name) of every def; a decorated def starts at its
+    first decorator, as its code object does."""
+    for path in sorted((SRC / "fathorse").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                first = min([node.lineno] + [d.lineno for d in node.decorator_list])
+                yield str(path.resolve()), first, node.name
+
+
+def test_every_function_runs_in_the_cli(tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"N": 2, "n_max": 2, "level_max": 4}))
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    done = subprocess.run(
+        [sys.executable, "-c", SCRIPT, str(tmp_path / "out"), str(config)],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    result = json.loads(done.stdout.splitlines()[-1])
+    assert result["codes"] == [0, 0]
+    entered = {(str(Path(f).resolve()), line) for f, line in result["entered"]}
+    defs = list(_defs())
+    assert len(defs) > 100
+    never = [f"{Path(f).name}:{line} {name}" for f, line, name in defs if (f, line) not in entered]
+    assert never == []
