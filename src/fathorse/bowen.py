@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, SingularityError, check_depth
+from .errors import DomainError, InvalidParameterError, SingularityError, check_depth
 from .fatcantor import LEVEL_ARRAY_CAP, CantorConstruction, word_cell
 from .lorenz import LorenzBranchMap, branch_value
 
@@ -158,6 +158,19 @@ class BowenSystem:
     def __post_init__(self):
         self.m = self.cc.source_map
         self.fb = branch_value(self.m.c, self.m.b)
+        # the walks stop at the first level whose intervals are shorter than
+        # _TOL and read its gaps, the narrowest they meet; a gap narrower
+        # than the spacing of doubles at a can round to a point, and a zero
+        # source gap makes GapDiffeo's mean slope infinite
+        length, n = 2.0 * self.m.a, 0
+        while length >= _TOL:
+            length, n = 0.5 * length - self.cc.half_gap(n), n + 1
+        if 2.0 * self.cc.half_gap(n) < np.spacing(self.m.a):
+            raise InvalidParameterError(
+                f"gap exponent {self.cc.gaps.exponent} is too large: the base-map walks "
+                f"reach level {n}, whose gaps ({2.0 * self.cc.half_gap(n):.3g} long) are "
+                f"narrower than the spacing of doubles at a = {self.m.a:.6g}"
+            )
 
     # -- base map -----------------------------------------------------------
 

@@ -18,11 +18,13 @@ estimator's x axis keeps the forward orbits instead: it records each cell
 center's exit time in one vectorized pass per resolution that advances
 only as far as the deepest depth asked for, so the x-condition at depth N
 is exit >= N for every such N at once, and the run checks that the
-forward second iterate reproduces the tree measure.  fiber_intervals
-builds each level with one fiber_map call per sign.  Each map has one
-entry point, which takes a float or an array and runs the array body of
-the base-map kernels; the per-point code (fiber_map, the x-condition,
-membership) is kept in tests/oracles.py as the oracle of the parity tests.
+forward second iterate reproduces the tree measure.  fiber_map takes the
+sign of x per point, so second_return and each new level of
+fiber_intervals make one fiber_map call: one base-map walk over both
+signs.  Each map has one entry point, which takes a float or an array
+and runs the array body of the base-map kernels; the per-point code
+(fiber_map, the x-condition, membership) is kept in tests/oracles.py as
+the oracle of the parity tests.
 """
 
 from __future__ import annotations
@@ -63,36 +65,27 @@ class PoincareSystem:
     _exit_cache: dict[float, "ExitTimes"] = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
-        m = self.bowen.m
-        f1 = m.c - 1.0
-        self.epsilon = (f1 + self.bowen.fb) / 2.0
-        self.strip_halfheight = -self.bowen.fb + self.epsilon
-        # hook extension slopes, <= 1/4 by the fixed-point-free inequality
-        y_top = self.bowen.invert_right(self.strip_halfheight)
-        y_bot = self.bowen.invert_right(-self.strip_halfheight)
-        self._mu_top = 0.25 * (1.0 - y_top) / (1.0 - self.strip_halfheight)
-        self._mu_bot = 0.25 * (y_bot + 1.0) / (1.0 - self.strip_halfheight)
-        self._g_top, self._g_bot = y_top, y_bot
+        fb = self.bowen.fb
+        self.epsilon = (self.bowen.m.c - 1.0 + fb) / 2.0
+        self.strip_halfheight = h = -fb + self.epsilon
+        # strip-image ends, and hook extension slopes <= 1/4 by the
+        # fixed-point-free inequality
+        self._g_bot, self._g_top = self.bowen.invert_right(np.array([-h, h])).tolist()
+        self._mu_top = 0.25 * (1.0 - self._g_top) / (1.0 - h)
+        self._mu_bot = 0.25 * (self._g_bot + 1.0) / (1.0 - h)
         self._fiber_levels = [self.bowen.cc.level(0)]
 
     # -- section map -------------------------------------------------------
-
-    def _oriented_fiber(self, us: np.ndarray) -> np.ndarray:
-        """Fiber images for the positive-x frame: the strip uses the right
-        branch inverse, beyond it an affine contraction into the hooks."""
-        y_cap = self.strip_halfheight
-        g = np.where(us > y_cap, self._g_top + self._mu_top * (us - y_cap),
-                     self._g_bot + self._mu_bot * (us + y_cap))
-        strip = (-y_cap <= us) & (us <= y_cap)
-        if strip.any():
-            g[strip] = self.bowen.invert_right(us[strip])
-        return g
 
     def section_map(self, point):
         """One return: x through the spliced map, y through the fiber.
 
         `point` is (x, y) with floats, or with equal-length arrays for
-        which the images are arrays.
+        which the images are arrays.  In the frame of positive x the fiber
+        is the right-branch inverse on the strip |y| <= y_cap and an
+        affine contraction into the hooks beyond it; over the inner
+        rectangles |x| < b it is squeezed toward the strip-image midline,
+        so the images taper into the hook caps and stay inside the square.
         """
         x, y = point
         xs, ys = _points(x), _points(y)
@@ -100,38 +93,44 @@ class PoincareSystem:
             raise SingularityError("section map undefined on the line x = 0")
         _check_square(xs, ys, 1.0, "section square")
         sign = np.where(xs > 0.0, 1.0, -1.0)
-        g = self._oriented_fiber(sign * ys)
-        b = self.bowen.m.b
+        us, y_cap, b = sign * ys, self.strip_halfheight, self.bowen.m.b
+        g = np.where(us > y_cap, self._g_top + self._mu_top * (us - y_cap),
+                     self._g_bot + self._mu_bot * (us + y_cap))
+        strip = np.abs(us) <= y_cap
+        if strip.any():
+            g[strip] = self.bowen.invert_right(us[strip])
         inner = np.abs(xs) < b
-        # inner rectangles: squeeze toward the strip-image midline so the
-        # images taper into the hook caps and stay inside the square
         mid = 0.5 * (self._g_top + self._g_bot)
         g[inner] = mid + np.sqrt(np.abs(xs[inner]) / b) * (g[inner] - mid)
         return _like(x, self.bowen.modified_value(xs)), _like(x, sign * g)
 
     def second_return(self, point):
         """Closed-form second return on [-a, -b] u [b, a] x [-a, a], for a
-        point of floats or of equal-length arrays."""
+        point of floats or of equal-length arrays: x through the base map
+        and its odd reflection, y through one fiber_map call with each
+        point's sign of x, so a call makes two base-map walks."""
         x, y = point
         xs, ys = _points(x), _points(y)
         a, b = self.bowen.m.a, self.bowen.m.b
         _check_square(xs, ys, a, "core domain", inner=b)
-        right = xs > 0.0
-        sign = np.where(right, 1.0, -1.0)
-        fy = np.empty_like(ys)
-        fy[right], fy[~right] = self.fiber_map(1, ys[right]), self.fiber_map(-1, ys[~right])
-        return _like(x, sign * self.bowen.base_value(sign * xs)), _like(x, fy)
+        sign = np.where(xs > 0.0, 1.0, -1.0)
+        return _like(x, sign * self.bowen.base_value(sign * xs)), _like(x, self.fiber_map(sign, ys))
 
-    def fiber_map(self, sign: int, y):
-        """One second-return fiber contraction for the given sign of x, on
-        a float or an array."""
+    def fiber_map(self, sign, y):
+        """The second-return fiber contraction for the sign of x, on a float
+        or an array y: `sign` is +1 or -1 for every point, or an array of
+        one sign per point, so both contractions run in one call and one
+        base-map walk."""
         a = self.bowen.m.a
-        bad = np.abs(y) > a + 1e-12
-        if np.any(bad):
-            raise DomainError(f"fiber argument {np.extract(bad, y)[0]} outside [-a, a]")
-        s = 1.0 if sign > 0 else -1.0
+        ys, s = _points(y), np.asarray(sign, dtype=float)
+        bad = np.abs(ys) > a + 1e-12
+        if bad.any():
+            raise DomainError(f"fiber argument {ys[bad][0]} outside [-a, a]")
+        if s.ndim and s.size != ys.size or not (np.abs(s) == 1.0).all():  # also rejects NaN
+            raise DomainError(
+                f"sign must be +1 or -1, once or per point; got {sign!r} for {ys.size} points")
         inv = self.bowen.invert_right
-        return -s * inv(-inv(s * np.clip(y, -a, a)))
+        return _like(y, -s * inv(-inv(s * np.clip(ys, -a, a))))
 
     # -- product structure ---------------------------------------------------
 
@@ -141,15 +140,15 @@ class PoincareSystem:
 
         Level d + 1 is fiber_map(+1, .) of level d followed by
         fiber_map(-1, .): +1 lands in [-a, -b] and -1 in [b, a], and both
-        maps preserve order, so every level is sorted as built.  Each sign
-        maps the level's lo and hi arrays in one call.
+        maps preserve order, so every level is sorted as built.  One
+        fiber_map call maps the level's lo and hi arrays under both signs.
         """
         check_depth(depth, FIBER_DEPTH_CAP, "fiber depth")
         levels = self._fiber_levels
         while len(levels) <= depth:
-            ends = np.concatenate(levels[-1])  # lo then hi
-            images = [self.fiber_map(sign, ends).reshape(2, -1) for sign in (1, -1)]
-            lo, hi = np.concatenate(images, axis=1)
+            ends = np.tile(np.concatenate(levels[-1]), 2)  # (lo, hi) for +1, then for -1
+            images = self.fiber_map(np.repeat([1.0, -1.0], ends.size // 2), ends)
+            lo, hi = images.reshape(2, 2, -1).swapaxes(0, 1).reshape(2, -1)
             lo.flags.writeable = hi.flags.writeable = False
             levels.append((lo, hi))
         return levels[depth]

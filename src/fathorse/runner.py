@@ -213,21 +213,15 @@ def _horseshoe_suite(
     )
     checks.add("horseshoe_estimate_positive", min(e.estimated_area for e in estimates), 0.0, ">")
 
-    a = bowen.m.a
-    f2_points = {
-        "(a,a)": ((a, a), (a, -bowen.m.b)),
-        "(b,-a)": ((bowen.m.b, -a), (-a, -a)),
-        "(a,-a)": ((a, -a), (a, -a)),
-    }
-    f2_dev = 0.0
-    for (pt, expected) in f2_points.values():
-        got = ps.second_return(pt)
-        f2_dev = max(f2_dev, abs(got[0] - expected[0]), abs(got[1] - expected[1]))
-    checks.add("horseshoe_f2_identities", f2_dev, 1e-9)
+    a, b = bowen.m.a, bowen.m.b
+    # (a, a) -> (a, -b), (b, -a) -> (-a, -a) and (a, -a) -> (a, -a)
+    x, y, fx, fy = np.array([[a, a, a, -b], [b, -a, -a, -a], [a, -a, a, -a]]).T
+    got = ps.second_return((x, y))
+    checks.add("horseshoe_f2_identities", float(np.abs(np.subtract(got, (fx, fy))).max()), 1e-9)
 
     # the paper's cross-section map applied twice against its closed-form
     # square, on 2 x 17 abscissas in +-[b, a] times 17 ordinates in [-a, a]
-    xs = np.linspace(bowen.m.b, a, 17)
+    xs = np.linspace(b, a, 17)
     core = np.repeat(np.concatenate([xs, -xs]), 17), np.tile(np.linspace(-a, a, 17), 34)
     twice, closed = ps.section_map(ps.section_map(core)), ps.second_return(core)
     checks.add(
@@ -264,29 +258,22 @@ def _horseshoe_suite(
 
 
 def _image_dataset(ps) -> dict:
-    bw = ps.bowen
-    b, fb, c = bw.m.b, bw.fb, bw.m.c
-    g_top, g_bot = ps._g_top, ps._g_bot
-    hook_top, hook_bot = ps._oriented_fiber(np.array([1.0, -1.0])).tolist()
-    mid = 0.5 * (g_top + g_bot)
-    steps = 48
+    """The section map's images of the corners (x, -1) and (x, 1) as x runs
+    from b down to 0 (cap), of (b, -+y_cap) (strip_y) and of (b, -+1)
+    (hook_y); the lower half is their odd mirror."""
+    b, y_cap, steps = ps.bowen.m.b, ps.strip_halfheight, 48
     xs = [b * (1.0 - i / steps) ** 2 + 1e-9 for i in range(steps + 1)]
-    cap = []
-    for x, fx in zip(xs, bw.modified_value(np.array(xs)).tolist()):
-        rho = math.sqrt(x / b)
-        cap.append([fx, mid + rho * (hook_bot - mid), mid + rho * (hook_top - mid)])
+    n = len(xs)
+    ys = [-1.0] * n + [1.0] * n + [-y_cap, y_cap, -1.0, 1.0]
+    fx, fy = (v.tolist() for v in ps.section_map((np.array(xs + xs + [b] * 4), np.array(ys))))
     upper = {
-        "x_range": [fb, c - 1.0],
-        "strip_y": [g_bot, g_top],
-        "hook_y": [hook_bot, hook_top],
-        "cap": cap,
+        "x_range": [ps.bowen.fb, ps.bowen.m.c - 1.0],
+        "strip_y": fy[2 * n:2 * n + 2],
+        "hook_y": fy[2 * n + 2:],
+        "cap": [[x, lo, hi] for x, lo, hi in zip(fx, fy[:n], fy[n:2 * n])],
     }
-    lower = {
-        "x_range": [-(c - 1.0), -fb],
-        "strip_y": [-g_top, -g_bot],
-        "hook_y": [-hook_top, -hook_bot],
-        "cap": [[-x, -hi, -lo] for x, lo, hi in cap],
-    }
+    lower = {key: [-v for v in upper[key][::-1]] for key in ("x_range", "strip_y", "hook_y")}
+    lower["cap"] = [[-x, -hi, -lo] for x, lo, hi in upper["cap"]]
     return {"upper": upper, "lower": lower}
 
 

@@ -6,7 +6,8 @@ non-integral depth and a bool, with check_depth's wording; a guard that
 bypasses the owner fails here.  Sample counts pass through the same guard with no cap.
 The scalar domain tests are written so that NaN fails them too, and the
 entry points that read a point of the section reject unequal x and y sizes
-and, through bowen._points, arrays of more than one dimension.
+and, through bowen._points, arrays of more than one dimension; fiber_map
+rejects a sign other than +1 or -1 and a sign array of the wrong size.
 """
 
 import math
@@ -157,3 +158,17 @@ def test_points_are_floats_or_1d_arrays(poincare18, call):
     # a 2-D array is refused before any work, not flattened or indexed past
     with pytest.raises(DomainError, match=r"^points must be .* 1-D array, got shape \(4, 4\)$"):
         call(poincare18, np.meshgrid(xs, ys))
+
+
+@pytest.mark.parametrize("sign, y", [
+    (0, 0.1), (2, 0.1), (-2, 0.1), (0.5, 0.1), (nan, 0.1), (0, np.full(3, 0.1)),
+    (np.array([1.0, 0.0, -1.0]), np.full(3, 0.1)), (np.array([-1.0, 1.0, nan]), np.full(3, 0.1)),
+    (np.ones(2), np.full(3, 0.1)), (np.ones(4), np.full(3, 0.1)), (np.ones(2), np.empty(0)),
+    (np.ones(0), np.full(2, 0.1)), (np.ones(2), 0.1),
+], ids=["0", "2", "-2", "0.5", "nan", "0-on-array", "array-0", "array-nan", "2-for-3",
+        "4-for-3", "2-for-none", "none-for-2", "2-for-a-float"])
+def test_fiber_sign_is_plus_or_minus_one_per_point(poincare18, sign, y):
+    # no sign value falls back to a branch: only +1 and -1, one or one per point
+    message = rf"^sign must be \+1 or -1, once or per point; got .* for {np.size(y)} points$"
+    with pytest.raises(DomainError, match=message):
+        poincare18.fiber_map(sign, y)

@@ -5,7 +5,7 @@ import numpy as np
 import oracles
 import pytest
 
-from fathorse.bowen import build_base_map
+from fathorse.bowen import BowenSystem, build_base_map
 from fathorse.errors import DomainError, SingularityError, SizeGuardError
 from fathorse.fatcantor import make_construction
 from fathorse.horseshoe import (
@@ -107,7 +107,51 @@ def _sorted_fiber_cover(c, depth):
     return sorted(_fiber_word_cover(c, depth).values())
 
 
+def _count_walks(monkeypatch) -> list[int]:
+    """From now on, the size of every BowenSystem._walks call, in order."""
+    sizes, walks = [], BowenSystem._walks
+
+    def counted(self, xs, forward):
+        sizes.append(xs.size)
+        return walks(self, xs, forward)
+
+    monkeypatch.setattr(BowenSystem, "_walks", counted)
+    return sizes
+
+
 class TestFiberMap:
+    @pytest.mark.parametrize("c", [1.7, 1.8, 1.95])
+    def test_one_walk_for_both_signs(self, c, monkeypatch):
+        # a sign per point: a mixed-sign batch is one base-map walk, and
+        # second_return adds one for x
+        ps = _poincare(c)
+        a, b = ps.bowen.m.a, ps.bowen.m.b
+        rng = np.random.default_rng(11)
+        signs = np.where(rng.random(400) < 0.5, 1.0, -1.0)
+        xs, ys = signs * (b + (a - b) * rng.random(400)), -a + 2.0 * a * rng.random(400)
+        walks = _count_walks(monkeypatch)
+        fy = ps.fiber_map(signs, ys)
+        assert walks == [400]
+        fx2, fy2 = ps.second_return((xs, ys))
+        assert walks == [400, 400, 400]
+        scalar = np.array([oracles.fiber_map(ps, s, y) for s, y in zip(signs.tolist(), ys.tolist())])
+        assert fy.view(np.uint64).tolist() == scalar.view(np.uint64).tolist()
+        assert fy2.view(np.uint64).tolist() == scalar.view(np.uint64).tolist()
+        assert np.array_equal(fx2, signs * ps.bowen.base_value(signs * xs))
+
+    @pytest.mark.parametrize("c", [1.7, 1.8, 1.95])
+    def test_one_walk_per_fiber_level(self, c, monkeypatch):
+        # level 1 maps the ends +-a of level 0 to derived constants, with no
+        # walk; every deeper level is one fiber_map call over both signs
+        ps = make_poincare_system(_poincare(c).bowen)
+        walks = _count_walks(monkeypatch)
+        assert ps.fiber_intervals(1) and walks == []
+        for depth in range(2, FIBER_DEPTH_CAP + 1):
+            ps.fiber_intervals(depth)
+            assert len(walks) == depth - 1
+        ps.fiber_intervals(FIBER_DEPTH_CAP // 2)
+        assert len(walks) == FIBER_DEPTH_CAP - 1
+
     @pytest.mark.parametrize("c", [1.7, 1.8, 1.95])
     def test_bit_equal_to_scalar_oracle(self, c):
         ps = _poincare(c)

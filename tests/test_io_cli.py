@@ -4,6 +4,7 @@ import io
 import json
 import math
 import tempfile
+import warnings
 from pathlib import Path
 
 import pytest
@@ -11,9 +12,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fathorse import runner
+from fathorse.bowen import build_base_map
 from fathorse.cli import main
 from fathorse.config import ExperimentConfig, load_config, validate
 from fathorse.errors import ConfigError, DomainError
+from fathorse.fatcantor import make_construction
+from fathorse.horseshoe import make_poincare_system
+from fathorse.lorenz import LorenzBranchMap
 from fathorse.rng import SplitMix64
 from fathorse.runner import SUITES, run
 from fathorse.svgfig import render_section_svg
@@ -216,6 +221,30 @@ class TestRunner:
             assert rec["rule"] in ("<=", ">")
             holds = rec["value"] > rec["bound"] if rec["rule"] == ">" else rec["value"] <= rec["bound"]
             assert rec["pass"] is holds
+
+    def test_image_figure_is_the_section_maps_image(self, outcome):
+        # cap rows are the images of (x, -1) and (x, 1) on the figure's 49
+        # abscissas from b + 1e-9 down to 1e-9, strip_y and hook_y those of
+        # (b, -+y_cap) and (b, -+1), x_range those of x = b and x = 1; the
+        # lower half is the same on -x, which is the odd mirror
+        _, out = outcome
+        image = json.loads((out / "figures" / "image.json").read_text())
+        cc = make_construction(LorenzBranchMap.from_coefficient(SMALL["c"]), SMALL["p"])
+        ps = make_poincare_system(build_base_map(cc))
+        b, y_cap = ps.bowen.m.b, ps.strip_halfheight
+        xs = [b * (1.0 - i / 48) ** 2 + 1e-9 for i in range(49)]
+        for sign, half in ((1.0, image["upper"]), (-1.0, image["lower"])):
+            def at(x, y, sign=sign):
+                return list(ps.section_map((sign * x, y)))
+
+            assert half["cap"] == [at(x, -1.0) + at(x, 1.0)[1:] for x in xs]
+            assert half["strip_y"] == [at(b, -y_cap)[1], at(b, y_cap)[1]]
+            assert half["hook_y"] == [at(b, -1.0)[1], at(b, 1.0)[1]]
+            assert half["x_range"] == sorted([at(b, 0.0)[0], at(1.0, 0.0)[0]])
+        upper, lower = image["upper"], image["lower"]
+        assert lower["cap"] == [[-x, -hi, -lo] for x, lo, hi in upper["cap"]]
+        for key in ("x_range", "strip_y", "hook_y"):
+            assert lower[key] == [-v for v in reversed(upper[key])]
 
     def test_one_failed_number_fails_its_record_alone(self, tmp_path, monkeypatch, capsys):
         verify = runner.verify_surgery
@@ -420,6 +449,25 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("c", [1.7, 1.8, 1.95])
+    @pytest.mark.parametrize("p", [2, 2.5, 3, 3.5, 4, 4.5, 5, 8, 20, 50])
+    def test_gap_exponent_runs_or_exits_two(self, tmp_path, capsys, c, p):
+        # a large p makes gaps that round to a point before the base-map
+        # walks reach their depth, where the gap diffeomorphism would divide
+        # by their length; such a construction is refused with one line
+        conf = _write(tmp_path / "conf.json", {**SMALL, "c": c, "p": p})
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["run", "--config", str(conf), "--out", str(tmp_path / "out")])
+        out = capsys.readouterr().out
+        assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
+        assert code in ((0,) if p in (2, 2.5) else (0, 1, 2))
+        if code == 2:
+            assert out.count("\n") == 1 and out.startswith("invalid parameters: gap exponent")
+        else:
+            for path in (tmp_path / "out").rglob("*.json"):
+                _strict_json(path)
 
     def test_missing_config(self, tmp_path, capsys):
         assert main(["run", "--config", str(tmp_path / "absent.json")]) == 3

@@ -5,7 +5,9 @@ runs the CLI on a small config and renders one figure from its dataset,
 and prints the (file, first line) of every code object it entered.  Each
 `def` of src/fathorse/*.py, found with ast, must be among them: code that
 only the tests call belongs in tests/ (tests/oracles.py for per-point
-oracles), not in the package.
+oracles), not in the package.  runner.py also reads no underscore name of
+another module, so each kernel's internals (the section geometry behind
+horseshoe among them) stay with the module that owns them.
 """
 
 import ast
@@ -62,3 +64,24 @@ def test_every_function_runs_in_the_cli(tmp_path):
     assert len(defs) > 100
     never = [f"{Path(f).name}:{line} {name}" for f, line, name in defs if (f, line) not in entered]
     assert never == []
+
+
+def test_runner_reads_no_private_name_of_another_module():
+    # an underscore attribute is allowed only on runner's own classes
+    tree = ast.parse((SRC / "fathorse" / "runner.py").read_text(encoding="utf-8"))
+    own = {"self"} | {node.name for node in tree.body if isinstance(node, ast.ClassDef)}
+
+    def private(name):
+        return name.startswith("_") and not name.startswith("__")
+
+    reads = [
+        f"runner.py:{node.lineno} .{node.attr}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and private(node.attr)
+        and not (isinstance(node.value, ast.Name) and node.value.id in own)
+    ] + [
+        f"runner.py:{node.lineno} import {alias.name}"
+        for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+        for alias in node.names if private(alias.name)
+    ]
+    assert reads == []
