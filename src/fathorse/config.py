@@ -3,11 +3,15 @@
 from __future__ import annotations
 
 import json
+import math
 import sys
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
+from .cones import LEVEL_HARD_CAP
 from .errors import ConfigError
+from .fatcantor import LEVEL_MEASURE_CAP
+from .horseshoe import MEASURE_DEPTH_CAP, MEASURE_RESOLUTION_FLOOR
 
 __all__ = ["ExperimentConfig", "load_config", "validate"]
 
@@ -27,8 +31,9 @@ class ExperimentConfig:
     seed: int = 1
 
 
-_REALS = ("c", "p", "resolution", "delta")
-_COUNTS = ("n_max", "level_max", "N")  # nonnegative integers
+# each real's floor and each count's cap, as the kernel that reads the key applies it
+_REALS = {"c": -math.inf, "p": -math.inf, "resolution": MEASURE_RESOLUTION_FLOOR, "delta": 0.0}
+_COUNTS = {"n_max": LEVEL_HARD_CAP, "level_max": LEVEL_MEASURE_CAP, "N": MEASURE_DEPTH_CAP}
 
 
 def _number(key: str, value) -> int | float:
@@ -63,10 +68,12 @@ def validate(cfg: ExperimentConfig) -> ExperimentConfig:
     for key, value in asdict(cfg).items():
         if key in _REALS:
             value = float(_number(key, value))
+            if value < _REALS[key]:
+                raise ConfigError(f"config key {key!r} must be at least {_REALS[key]}, got {value}")
         elif key in _COUNTS or key == "seed":
             value = _integer(key, value)
-            if key != "seed" and value < 0:
-                raise ConfigError(f"config key {key!r} must be nonnegative, got {value}")
+            if key in _COUNTS and not 0 <= value <= _COUNTS[key]:
+                raise ConfigError(f"config key {key!r} must be in 0..{_COUNTS[key]}, got {value}")
         elif key == "k_list":
             value = _nonempty_list(key, value, _integer)
         elif key == "a_list":

@@ -68,7 +68,10 @@ class GapLengthSequence:
             raise InvalidParameterError("first gap length must be positive")
 
     def length(self, n: int) -> float:
-        return self.first_length / (n + 1.0) ** self.exponent
+        try:
+            return self.first_length / (n + 1.0) ** self.exponent
+        except OverflowError:  # (n+1)^p past the doubles: shorter than any gap a run resolves
+            return 0.0
 
     def partial_sum(self, count: int) -> float:
         return math.fsum(self.length(n) for n in range(count))

@@ -1,6 +1,9 @@
-"""Experiment orchestration: run the four suites and write artifacts.
+"""Experiment orchestration: run the four suites, then write their artifacts.
 
-Outputs in the configured directory:
+The suites only compute: each adds its artifacts to one mapping keyed by
+path in the output directory, a CSV as (header, rows), a JSON file or a
+figure's dataset as its object.  run() writes them all, each dataset with
+its SVG, once every enabled suite has finished.  Outputs:
 
     cones.csv       per (k, a, n): slice total, decay bound, level ratio
     fatcantor.csv   per level: cover measure, closed form, removed gap
@@ -10,9 +13,10 @@ Outputs in the configured directory:
     figures/*.svg   partition, image, cones, horseshoe renderings
     figures/*.json  the datasets the figures were rendered from
 
-Exit codes: 0 all checks pass, 1 some check failed, 2 infeasible
-parameters, 3 I/O failure.  Numbers are written with 17 significant
-digits and LF line endings so repeated runs are byte-identical.
+Exit codes: 0 all checks pass, 1 some check failed, 2 invalid or
+infeasible parameters (no file written, no directory created, an existing
+one left as it was), 3 I/O failure on any write.  Numbers are written with
+17 significant digits and LF line endings so repeated runs are byte-identical.
 """
 
 from __future__ import annotations
@@ -29,13 +33,7 @@ from . import cones as cones_mod
 from . import svgfig
 from .bowen import build_base_map, verify_surgery
 from .config import ExperimentConfig, validate
-from .errors import (
-    ConfigError,
-    DomainError,
-    FeasibilityError,
-    InvalidParameterError,
-    SizeGuardError,
-)
+from .errors import ConfigError, FathorseError, FeasibilityError
 from .fatcantor import make_construction
 from .horseshoe import make_poincare_system, suspension_volume
 from .lorenz import LorenzBranchMap
@@ -46,9 +44,7 @@ SUITES = ("cones", "fatcantor", "bowen", "horseshoe")
 
 
 def _fmt(v) -> str:
-    if isinstance(v, float):
-        return f"{v:.17g}"
-    return str(v)
+    return f"{v:.17g}" if isinstance(v, float) else str(v)
 
 
 def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
@@ -59,11 +55,8 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
 
 def _write_json(path: Path, obj) -> None:
     # strict JSON: a non-finite float raises ValueError instead of writing Infinity or NaN
-    path.write_text(
-        json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n",
-        encoding="utf-8",
-        newline="\n",
-    )
+    text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
+    path.write_text(text + "\n", encoding="utf-8", newline="\n")
 
 
 class _Checks:
@@ -88,7 +81,7 @@ class _Checks:
         return all(r["pass"] for r in self.records)
 
 
-def _cones_suite(cfg: ExperimentConfig, out: Path, checks: _Checks, figures: dict) -> None:
+def _cones_suite(cfg: ExperimentConfig, checks: _Checks, artifacts: dict) -> None:
     # One system per k_list entry, in config order, so a repeated k gets its
     # own block.  Each is made as its block starts and dropped after it, so
     # one scratch of n_max levels is alive at a time.  The first system also
@@ -106,7 +99,7 @@ def _cones_suite(cfg: ExperimentConfig, out: Path, checks: _Checks, figures: dic
         total = cones_mod.slice_measure(system, a, sweep_n)
         intervals = cones_mod.slice_intervals(system, a, sweep_n).tolist()
         slices.append({"a": a, "intervals": intervals, "total": total})
-    figures["cones"] = {"k": system.k, "n": sweep_n, "slices": slices}
+    artifacts["figures/cones.json"] = {"k": system.k, "n": sweep_n, "slices": slices}
 
     rows = []
     worst_excess = worst_decay = -math.inf
@@ -122,7 +115,7 @@ def _cones_suite(cfg: ExperimentConfig, out: Path, checks: _Checks, figures: dic
                 if system.k == 2:
                     k2_dev = max(k2_dev, abs(row.total - 2.0 ** (1 - row.n)))
         system = next(systems, None)
-    _write_csv(out / "cones.csv", ["k", "a", "n", "total", "bound", "ratio"], rows)
+    artifacts["cones.csv"] = ["k", "a", "n", "total", "bound", "ratio"], rows
     checks.add("cone_bound_excess", worst_excess, 1e-12)
     checks.add("cone_level_decay", worst_decay, 1.0 + 1e-12)
     if 2 in cfg.k_list:
@@ -139,7 +132,7 @@ def _cones_suite(cfg: ExperimentConfig, out: Path, checks: _Checks, figures: dic
     checks.add("cone_oracle_sample", oracle_dev, max(10 * 1e-3, 1e-6))
 
 
-def _fatcantor_suite(cfg: ExperimentConfig, out: Path, checks: _Checks, cc) -> None:
+def _fatcantor_suite(cfg: ExperimentConfig, checks: _Checks, artifacts: dict, cc) -> None:
     rows = []
     tele_dev = 0.0
     for n in range(cfg.level_max + 1):
@@ -150,7 +143,7 @@ def _fatcantor_suite(cfg: ExperimentConfig, out: Path, checks: _Checks, cc) -> N
         if n > 0:
             tele_dev = max(tele_dev, abs((prev - measure) - cc.gaps.length(n - 1)))
         prev = measure
-    _write_csv(out / "fatcantor.csv", ["n", "measure", "closed_form", "gap_length"], rows)
+    artifacts["fatcantor.csv"] = ["n", "measure", "closed_form", "gap_length"], rows
     checks.add("fatcantor_telescoping", tele_dev, 1e-12)
 
     limit = cc.limit_measure()
@@ -167,7 +160,7 @@ def _fatcantor_suite(cfg: ExperimentConfig, out: Path, checks: _Checks, cc) -> N
     checks.add("fatcantor_infeasible_c2_detected", undetected, 0)
 
 
-def _bowen_suite(cfg: ExperimentConfig, out: Path, checks: _Checks, cc) -> object:
+def _bowen_suite(cfg: ExperimentConfig, checks: _Checks, artifacts: dict, cc) -> object:
     system = build_base_map(cc)
     report = verify_surgery(system, max_level=min(10, cfg.level_max), monotone_grid=20_000)
     checks.add("surgery_sup_formula", max(lv.formula_err for lv in report.levels), 1e-9)
@@ -175,7 +168,7 @@ def _bowen_suite(cfg: ExperimentConfig, out: Path, checks: _Checks, cc) -> objec
     checks.add("surgery_splice_continuity", max(report.splice_margins.values()), 1e-10)
     checks.add("surgery_monotone", report.min_increment, 0.0, ">")
     checks.add("surgery_sup_decreasing", report.min_sup_drop, 0.0, ">")
-    payload = {
+    artifacts["surgery.json"] = {
         "constants": {
             "c": system.m.c,
             "a": system.m.a,
@@ -187,13 +180,10 @@ def _bowen_suite(cfg: ExperimentConfig, out: Path, checks: _Checks, cc) -> objec
         },
         **dataclasses.asdict(report),
     }
-    _write_json(out / "surgery.json", payload)
     return system
 
 
-def _horseshoe_suite(
-    cfg: ExperimentConfig, out: Path, checks: _Checks, bowen, figures: dict
-) -> None:
+def _horseshoe_suite(cfg: ExperimentConfig, checks: _Checks, artifacts: dict, bowen) -> None:
     ps = make_poincare_system(bowen)
     cc = bowen.cc
 
@@ -204,7 +194,7 @@ def _horseshoe_suite(
 
     estimates = [ps.measure_estimate(depth, cfg.resolution) for depth in range(cfg.N + 1)]
     rows = [[e.depth, e.estimated_area, e.exact_level_area, e.envelope] for e in estimates]
-    _write_csv(out / "horseshoe.csv", ["N", "estimate", "exact_product", "envelope"], rows)
+    artifacts["horseshoe.csv"] = ["N", "estimate", "exact_product", "envelope"], rows
     # the value is the error's share of the envelope at the loosest depth
     checks.add(
         "horseshoe_envelope_excess",
@@ -239,16 +229,16 @@ def _horseshoe_suite(
 
     checks.add("fiber_two_step_contraction", ps.fiber_contraction_report(), 0.5 + 1e-9)
 
-    figures["partition"] = {
+    artifacts["figures/partition.json"] = {
         "b": bowen.m.b,
         "strip_halfheight": ps.strip_halfheight,
         "epsilon": ps.epsilon,
     }
-    figures["image"] = _image_dataset(ps)
+    artifacts["figures/image.json"] = _image_dataset(ps)
     coarse_resolution = max(cfg.resolution, 2.0 * a / 160)
     xs, ys = ps.member_centers(cfg.N, coarse_resolution)
     points = [[x, y] for x in xs.tolist() for y in ys.tolist()]
-    figures["horseshoe"] = {
+    artifacts["figures/horseshoe.json"] = {
         "half_width": a,
         "depth": cfg.N,
         "point_size": ps.exit_times(cfg.N, coarse_resolution).cell / 2.0,
@@ -278,7 +268,7 @@ def _image_dataset(ps) -> dict:
 
 
 def run(cfg: ExperimentConfig, only: str | None = None, out_dir: str | None = None) -> int:
-    """Run the enabled suites, write artifacts, return the exit code."""
+    """Run the enabled suites, then write their artifacts; return the exit code."""
     try:
         cfg = validate(cfg)
     except ConfigError as exc:
@@ -288,49 +278,46 @@ def run(cfg: ExperimentConfig, only: str | None = None, out_dir: str | None = No
         print(f"invalid parameters: unknown suite {only!r}; expected one of {SUITES}")
         return 2
     enabled = SUITES if only is None else (only,)
-    out = Path(out_dir if out_dir is not None else cfg.output_dir)
     checks = _Checks()
-    figures: dict[str, dict] = {}
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-        (out / "figures").mkdir(exist_ok=True)
-    except OSError as exc:
-        print(f"output directory not writable: {exc}")
-        return 3
+    artifacts: dict[str, object] = {}
 
     try:
         if "cones" in enabled:
-            _cones_suite(cfg, out, checks, figures)
+            _cones_suite(cfg, checks, artifacts)
         cc = None
         if {"fatcantor", "bowen", "horseshoe"} & set(enabled):
             lorenz = LorenzBranchMap.from_coefficient(cfg.c)
             cc = make_construction(lorenz, cfg.p)
         if "fatcantor" in enabled:
-            _fatcantor_suite(cfg, out, checks, cc)
+            _fatcantor_suite(cfg, checks, artifacts, cc)
         bowen = None
         if {"bowen", "horseshoe"} & set(enabled):
-            bowen = _bowen_suite(cfg, out, checks, cc)
+            bowen = _bowen_suite(cfg, checks, artifacts, cc)
         if "horseshoe" in enabled:
-            _horseshoe_suite(cfg, out, checks, bowen, figures)
+            _horseshoe_suite(cfg, checks, artifacts, bowen)
     except FeasibilityError as exc:
         print(f"infeasible parameters: {exc}")
         return 2
-    except (InvalidParameterError, DomainError, SizeGuardError) as exc:
+    except FathorseError as exc:  # any other guard of the kernels
         print(f"invalid parameters: {exc}")
         return 2
-    except OSError as exc:
-        print(f"I/O failure: {exc}")
-        return 3
 
+    criteria = [
+        {**r, "value": r["value"] if math.isfinite(r["value"]) else None} for r in checks.records
+    ]
+    artifacts["report.json"] = {"criteria": criteria}
+    out = Path(out_dir if out_dir is not None else cfg.output_dir)
     try:
-        for kind, dataset in sorted(figures.items()):
-            _write_json(out / "figures" / f"{kind}.json", dataset)
-            svg = svgfig.render_section_svg(dataset, kind)
-            (out / "figures" / f"{kind}.svg").write_text(svg, encoding="utf-8", newline="\n")
-        criteria = [
-            {**r, "value": r["value"] if math.isfinite(r["value"]) else None} for r in checks.records
-        ]
-        _write_json(out / "report.json", {"criteria": criteria})
+        for name, content in artifacts.items():
+            path = out / name
+            path.parent.mkdir(parents=True, exist_ok=True)
+            if path.suffix == ".csv":
+                _write_csv(path, *content)
+            else:
+                _write_json(path, content)
+            if name.startswith("figures/"):  # each dataset with its rendering
+                svg = svgfig.render_section_svg(content, path.stem)
+                path.with_suffix(".svg").write_text(svg, encoding="utf-8", newline="\n")
     except OSError as exc:
         print(f"I/O failure: {exc}")
         return 3

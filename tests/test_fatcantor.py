@@ -54,6 +54,20 @@ class TestGapLengthSequence:
             assert r == pytest.approx(gaps.length(n + 1) / gaps.length(n), rel=1e-15)
         assert all(r1 < r2 < 1.0 for r1, r2 in zip(ratios, ratios[1:]))
 
+    @pytest.mark.parametrize("p", [250.0, 300.0, 1000.0, 1e300])
+    def test_length_is_total_for_a_large_exponent(self, p):
+        # where (n+1)^p is past the doubles the length is 0.0; elsewhere the
+        # quotient is unchanged, bit for bit
+        gaps = GapLengthSequence(first_length=0.4, exponent=p)
+        for n in range(40):
+            try:
+                expected = 0.4 / (n + 1.0) ** p
+            except OverflowError:
+                expected = 0.0
+            assert gaps.length(n).hex() == expected.hex()
+        assert gaps.length(0) == 0.4 and gaps.length(39) == 0.0
+        assert gaps.partial_sum(40) == math.fsum(gaps.length(n) for n in range(40))
+
     def test_divergent_exponent_rejected(self):
         with pytest.raises(InvalidParameterError):
             GapLengthSequence(first_length=0.1, exponent=1.0)

@@ -15,9 +15,10 @@ from fathorse import runner
 from fathorse.bowen import build_base_map
 from fathorse.cli import main
 from fathorse.config import ExperimentConfig, load_config, validate
+from fathorse.cones import LEVEL_HARD_CAP
 from fathorse.errors import ConfigError, DomainError
-from fathorse.fatcantor import make_construction
-from fathorse.horseshoe import make_poincare_system
+from fathorse.fatcantor import LEVEL_MEASURE_CAP, make_construction
+from fathorse.horseshoe import MEASURE_DEPTH_CAP, MEASURE_RESOLUTION_FLOOR, make_poincare_system
 from fathorse.lorenz import LorenzBranchMap
 from fathorse.rng import SplitMix64
 from fathorse.runner import SUITES, run
@@ -104,6 +105,28 @@ class TestConfig:
     def test_invalid_values_rejected(self, tmp_path, override):
         with pytest.raises(ConfigError):
             load_config(_write(tmp_path / "c.json", {**SMALL, **override}))
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("N", MEASURE_DEPTH_CAP + 3),
+            ("level_max", LEVEL_MEASURE_CAP + 10),
+            ("n_max", LEVEL_HARD_CAP + 1),
+            ("resolution", MEASURE_RESOLUTION_FLOOR / 2),
+            ("delta", -0.1),
+        ],
+    )
+    def test_kernel_bound_refused_naming_key_and_value(self, tmp_path, key, value):
+        # refused by the loader under the config's name for it, before any suite runs
+        with pytest.raises(ConfigError) as info:
+            load_config(_write(tmp_path / "c.json", {**SMALL, key: value}))
+        assert f"config key {key!r} " in str(info.value)
+        assert str(info.value).endswith(f"got {value}")
+
+    def test_kernel_bounds_admit_their_limits(self):
+        validate(ExperimentConfig(N=MEASURE_DEPTH_CAP, level_max=LEVEL_MEASURE_CAP,
+                                  n_max=LEVEL_HARD_CAP, resolution=MEASURE_RESOLUTION_FLOOR,
+                                  delta=0.0))
 
     def test_validate_normalizes_python_config(self):
         cfg = validate(ExperimentConfig(c=2, N=3.0, k_list=(2.0, 3)))
@@ -451,11 +474,12 @@ class TestCli:
         assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
 
     @pytest.mark.parametrize("c", [1.7, 1.8, 1.95])
-    @pytest.mark.parametrize("p", [2, 2.5, 3, 3.5, 4, 4.5, 5, 8, 20, 50])
+    @pytest.mark.parametrize("p", [2, 2.5, 3, 3.5, 4, 4.5, 5, 8, 20, 50, 250, 300, 1000, 1e300])
     def test_gap_exponent_runs_or_exits_two(self, tmp_path, capsys, c, p):
         # a large p makes gaps that round to a point before the base-map
         # walks reach their depth, where the gap diffeomorphism would divide
-        # by their length; such a construction is refused with one line
+        # by their length; such a construction is refused with one line,
+        # also where (n+1)^p itself is past the doubles
         conf = _write(tmp_path / "conf.json", {**SMALL, "c": c, "p": p})
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
@@ -483,6 +507,21 @@ class TestCli:
         assert main(["run", "--config", str(conf)]) == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "Traceback" not in err
+
+    @pytest.mark.parametrize("blocked", ["out", "figures"])
+    def test_unwritable_output_exits_three(self, tmp_path, capsys, blocked):
+        # --out names a regular file, or figures/ inside it is one
+        out = tmp_path / "out"
+        if blocked == "out":
+            out.write_text("")
+        else:
+            out.mkdir()
+            (out / "figures").write_text("")
+        conf = _write(tmp_path / "conf.json", SMALL)
+        assert main(["run", "--config", str(conf), "--out", str(out), "--only", "cones"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out.count("\n") == 1 and captured.out.startswith("I/O failure:")
+        assert "Traceback" not in captured.err
 
     def test_out_override(self, tmp_path, capsys):
         conf = _write(tmp_path / "conf.json", {**SMALL, "output_dir": str(tmp_path / "ignored")})
@@ -514,6 +553,12 @@ _REJECTED = st.one_of(
     ),
     st.tuples(st.just("k_list"), st.lists(_NON_INTEGRAL, min_size=1, max_size=3)),
     st.tuples(st.just("output_dir"), st.one_of(st.integers(), st.none())),
+    # past the bound the kernel reading the key applies
+    st.tuples(st.just("N"), st.integers(min_value=MEASURE_DEPTH_CAP + 1)),
+    st.tuples(st.just("level_max"), st.integers(min_value=LEVEL_MEASURE_CAP + 1)),
+    st.tuples(st.just("n_max"), st.integers(min_value=LEVEL_HARD_CAP + 1)),
+    st.tuples(st.just("resolution"), st.floats(max_value=MEASURE_RESOLUTION_FLOOR, exclude_max=True)),
+    st.tuples(st.just("delta"), st.floats(max_value=0.0).filter(lambda v: v < 0.0)),
 )
 
 # (suite, key, value) triples that validate accepts but the suite rejects
@@ -540,7 +585,7 @@ _SMALL_VALID = st.fixed_dictionaries(
 )
 
 
-def _run_quietly(cfg: ExperimentConfig, only: str, out: Path) -> tuple[int, str]:
+def _run_quietly(cfg: ExperimentConfig, only: str | None, out: Path) -> tuple[int, str]:
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
         code = run(cfg, only=only, out_dir=str(out))
@@ -566,12 +611,26 @@ class TestRunProperties:
     @settings(max_examples=15, deadline=None)
     @given(_INFEASIBLE)
     def test_infeasible_parameters_exit_two_with_one_line(self, case):
+        # nothing is written: a new output path is not created, an existing
+        # one stays empty
         only, key, value = case
         with tempfile.TemporaryDirectory() as tmp:
             cfg = ExperimentConfig(**{**SMALL, key: value})
-            code, printed = _run_quietly(cfg, only, Path(tmp))
-            assert code == 2
-            assert printed.count("\n") == 1
+            for out in (Path(tmp) / "out", Path(tmp)):
+                code, printed = _run_quietly(cfg, only, out)
+                assert code == 2
+                assert printed.count("\n") == 1
+                assert list(Path(tmp).iterdir()) == []
+
+    def test_refused_run_leaves_earlier_artifacts_as_they_were(self, tmp_path):
+        # a parameter refused late in the run (the base-map guard at p = 4)
+        # or early (c = 1.5) leaves no fresh file beside a default run's
+        assert _run_quietly(ExperimentConfig(), None, tmp_path)[0] == 0
+        before = _artifacts(tmp_path)
+        for override in ({"c": 1.95, "p": 4}, {"c": 1.5}):
+            code, printed = _run_quietly(ExperimentConfig(**override), None, tmp_path)
+            assert code == 2 and printed.count("\n") == 1
+            assert _artifacts(tmp_path) == before
 
     @settings(max_examples=10, deadline=None)
     @given(_SMALL_VALID, st.sampled_from(("cones", "fatcantor")))

@@ -7,7 +7,9 @@ and prints the (file, first line) of every code object it entered.  Each
 only the tests call belongs in tests/ (tests/oracles.py for per-point
 oracles), not in the package.  runner.py also reads no underscore name of
 another module, so each kernel's internals (the section geometry behind
-horseshoe among them) stay with the module that owns them.
+horseshoe among them) stay with the module that owns them, and only its
+run() writes to the output directory: the suites compute, so a refused
+run leaves no file behind.
 """
 
 import ast
@@ -85,3 +87,24 @@ def test_runner_reads_no_private_name_of_another_module():
         for alias in node.names if private(alias.name)
     ]
     assert reads == []
+
+
+def test_only_run_writes_output():
+    # run() alone calls the writers and makes directories; the two writers
+    # are the only other callers of write_text, each writing the path it is given
+    tree = ast.parse((SRC / "fathorse" / "runner.py").read_text(encoding="utf-8"))
+    writers = {"_write_csv", "_write_json"}
+    touching = {"_write_csv", "_write_json", "write_text", "mkdir", "open"}
+    calls = [
+        (fn.name, node.func.id if isinstance(node.func, ast.Name) else node.func.attr)
+        for fn in ast.walk(tree) if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute))
+    ]
+    stray = sorted(
+        f"{caller} calls {callee}" for caller, callee in set(calls)
+        if callee in touching and caller != "run"
+        and not (caller in writers and callee == "write_text")
+    )
+    assert stray == []
+    assert {callee for caller, callee in calls if caller == "run"} >= touching - {"open"}
