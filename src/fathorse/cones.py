@@ -40,12 +40,15 @@ __all__ = [
     "preimage_level",
     "slice_measure",
     "slice_intervals",
+    "walk_slices",
     "verify_cone_bound",
     "brute_force_slice",
     "exact_preimage_table",
 ]
 
 LEVEL_HARD_CAP = 24
+BLOCK_DEPTH = 10  # the last levels of a walk, descended block by block
+BLOCK_NODES = 128  # nodes per block: numpy's pairwise sum splits down to 128 elements
 BRUTE_FORCE_LEVEL_CAP = 8
 EXACT_TABLE_CAP = 6  # the denominators b_n = 2^{2^{n+1}-2} explode beyond
 
@@ -55,16 +58,12 @@ class ConeSystem:
     """Fiber-contraction exponent k >= 2 of the skew product.
 
     The base is always the c = 2 branch map, so k is the only parameter.
-    The system owns the scratch of its width recursion: one buffer for
-    the preimages and one for the widths, grown to the deepest level
-    asked for and reused by every later call, so one system per k serves
-    every slice, table and figure of that exponent.  It also keeps the
-    per-level totals of the last abscissa slice_measure walked, so a
-    table asked deepest level first walks its leaves once.
+    The system keeps the per-level totals of the last abscissa walked for
+    it, by slice_measure or by a walk_slices shared with other exponents,
+    so a table at that abscissa reads its levels without walking again.
     """
 
     k: int
-    _scratch: list[np.ndarray] = field(default_factory=list, init=False, compare=False, repr=False)
     _totals: dict[float, list[float]] = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
@@ -109,63 +108,107 @@ def _children(r: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _levels(sys: ConeSystem, a: float, n: int):
-    """Yield (r, widths) for levels 0..n of the slice cover at x = a.
+def _widths(r: np.ndarray, parent: np.ndarray, inv_k: float, out: np.ndarray) -> np.ndarray:
+    """One width step into out: width(n, m) = |r(n, m)|^{1/k}/2 * width(n-1, ceil(m/2)).
 
-    width(n, m) = |r(n, m)|^{1/k}/2 * width(n-1, ceil(m/2)), starting
-    from the full fiber width 2 at level 0.  The yielded arrays are views
-    into the system's scratch: level L sits at offset 0 when n - L is
-    even and at offset 2^n otherwise, so a level and its parent never
-    overlap.  A level is overwritten two levels later, and every level
-    by the next _levels call on the same system.
+    Level 0 has the full fiber width 2.
+    """
+    np.abs(r, out=out)
+    out **= inv_k
+    out *= 0.5
+    out[0::2] *= parent
+    out[1::2] *= parent
+    return out
+
+
+def _preimages(a: float, n: int):
+    """Yield the normalized preimages of a for levels 0..n, each a fresh array."""
+    r = np.array([a], dtype=float)
+    yield r
+    for _ in range(n):
+        r = _children(r, np.empty(2 * r.size))
+        yield r
+
+
+def _walk_totals(a: float, n: int, ks: list[int]) -> list[list[float]]:
+    """Total width of each level 0..n of the slice cover at x = a, one list per k.
+
+    Levels 0..n-BLOCK_DEPTH are walked whole: the preimages once, the
+    widths once per k.  The last BLOCK_DEPTH levels are descended in
+    blocks of BLOCK_NODES nodes of the top level, so a block's deepest
+    level is 2^17 floats (1 MB) and its buffers are reused by every block
+    and every k.  Each level of each block is summed with np.sum, and the
+    block sums are added in a balanced pairwise tree.  numpy's float64 sum
+    of a contiguous 2^L array splits at halves down to blocks of 128
+    elements, so each total is bit-equal to one np.sum over the whole level.
+    """
+    depth = min(n, BLOCK_DEPTH)
+    inv = [1.0 / k for k in ks]
+    widths = [np.full(1, 2.0) for _ in ks]
+    totals = [[2.0] for _ in ks]
+    levels = _preimages(a, n - depth)
+    r = next(levels)
+    for r in levels:
+        for i, inv_k in enumerate(inv):
+            widths[i] = _widths(r, widths[i], inv_k, np.empty(r.size))
+            totals[i].append(float(np.sum(widths[i])))
+
+    nodes = min(r.size, BLOCK_NODES)
+    # a block's level j = 1..depth: nodes * 2^j floats, after its levels 1..j-1
+    block_levels = [slice(nodes * (2**j - 2), nodes * (2**j - 1) * 2) for j in range(1, depth + 1)]
+    size = nodes * (2 ** (depth + 1) - 2)
+    r_buf, w_buf = np.empty(size), np.empty(size)
+    sums = np.empty((len(ks), depth, r.size // nodes))
+    for block, lo in enumerate(range(0, r.size, nodes)):
+        rs = [r[lo : lo + nodes]]
+        for at in block_levels:
+            rs.append(_children(rs[-1], r_buf[at]))
+        for i, inv_k in enumerate(inv):
+            w = widths[i][lo : lo + nodes]
+            for j, at in enumerate(block_levels):
+                w = _widths(rs[j + 1], w, inv_k, w_buf[at])
+                sums[i, j, block] = np.sum(w)
+    while sums.shape[2] > 1:  # numpy's own order: halves first
+        sums = sums[:, :, 0::2] + sums[:, :, 1::2]
+    for level_totals, block_totals in zip(totals, sums[:, :, 0].tolist()):
+        level_totals += block_totals
+    return totals
+
+
+def walk_slices(systems: list[ConeSystem], a: float, n: int) -> None:
+    """One walk at abscissa a to level n for every system.
+
+    Each system keeps the totals of levels 0..n in place of its earlier
+    ones, so slice_measure(system, a, m) for m <= n reads them; systems
+    with the same k share one width recursion.
     """
     _check_slice(a, n)
-    size = 3 * 2**n // 2
-    scratch = sys._scratch
-    if not scratch or scratch[0].size < size:
-        scratch.clear()  # free the old buffers before allocating the new ones
-        scratch += [np.empty(size), np.empty(size)]
-    r_buf, w_buf = scratch
-    inv_k = 1.0 / sys.k
-    at = 0 if n % 2 == 0 else 2**n
-    r, widths = r_buf[at : at + 1], w_buf[at : at + 1]
-    r[0], widths[0] = a, 2.0
-    yield r, widths
-    for level in range(1, n + 1):
-        at = 0 if (n - level) % 2 == 0 else 2**n
-        r = _children(r, r_buf[at : at + 2**level])
-        child_w = np.abs(r, out=w_buf[at : at + 2**level])  # |r|^{1/k}/2 times the parent width
-        child_w **= inv_k
-        child_w *= 0.5
-        child_w[0::2] *= widths
-        child_w[1::2] *= widths
-        widths = child_w
-        yield r, widths
+    ks = list(dict.fromkeys(system.k for system in systems))
+    by_k = dict(zip(ks, _walk_totals(a, n, ks)))
+    for system in systems:
+        system._totals.clear()
+        system._totals[float(a)] = by_k[system.k]  # 0.0 and -0.0 share a key: bit-equal totals
 
 
 def preimage_level(a: float, n: int) -> np.ndarray:
     """Normalized preimages of a at level n, ordered m = 1..2^n."""
     _check_slice(a, n)
-    level = np.array([a], dtype=float)
-    for _ in range(n):
-        level = _children(level, np.empty(2 * level.size))
-    return level
+    for r in _preimages(a, n):
+        pass
+    return r
 
 
 def slice_measure(sys: ConeSystem, a: float, n: int) -> float:
     """Total width of the exact level-n slice cover, via the width recursion.
 
-    A walk keeps one np.sum per level, 0..n, as the totals of its
-    abscissa; a later call at the same abscissa and a level no deeper
-    returns the kept total without walking.
+    A call at the abscissa the system last walked, and a level no deeper,
+    returns the kept total; any other call walks to level n first.
     """
     _check_slice(a, n)
-    key = float(a)  # 0.0 and -0.0 share a key: their totals are bit-equal
-    totals = sys._totals.get(key, ())
+    totals = sys._totals.get(float(a), ())
     if n >= len(totals):
-        totals = [float(np.sum(widths)) for _, widths in _levels(sys, a, n)]
-        sys._totals.clear()
-        sys._totals[key] = totals
+        walk_slices([sys], a, n)
+        totals = sys._totals[float(a)]
     return totals[n]
 
 
@@ -177,14 +220,15 @@ def slice_intervals(sys: ConeSystem, a: float, n: int) -> np.ndarray:
     parent width below (negative branch) or above (positive branch) the
     parent center.
     """
-    levels = _levels(sys, a, n)
-    _, widths = next(levels)
-    centers = np.zeros(1)
-    for _, child_widths in levels:
+    _check_slice(a, n)
+    levels = _preimages(a, n)
+    next(levels)
+    centers, widths = np.zeros(1), np.full(1, 2.0)
+    for r in levels:
         centers = np.repeat(centers, 2)
         centers[0::2] -= 0.25 * widths
         centers[1::2] += 0.25 * widths
-        widths = child_widths
+        widths = _widths(r, widths, 1.0 / sys.k, np.empty(r.size))
     return np.stack([centers - 0.5 * widths, centers + 0.5 * widths], axis=1)
 
 
@@ -207,8 +251,7 @@ def verify_cone_bound(sys: ConeSystem, a: float, n_max: int) -> ConeBoundReport:
     """Tabulate each level's total, its 2/4^{n/k} bound and its ratio to
     the previous level's total (nan at n = 0)."""
     _check_slice(a, n_max)  # before the first level, not after level LEVEL_HARD_CAP
-    # deepest level first, so the scratch is sized once for the whole table
-    # and its one walk keeps every level's total for the shallower calls
+    # deepest level first: a table with no walk kept for a walks once
     totals = [slice_measure(sys, a, n) for n in range(n_max, -1, -1)][::-1]
     ratios = [math.nan] + [t / prev for prev, t in zip(totals, totals[1:])]
     rows = tuple(

