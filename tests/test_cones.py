@@ -265,6 +265,21 @@ class TestConeBound:
             verify_cone_bound(k2, 0.0, cones.LEVEL_HARD_CAP + 1)
         assert calls == []
 
+    def test_peak_memory_is_one_level(self):
+        # the table walks its levels once, in the same blocks as a single
+        # measure, so it peaks no higher than the measure of its deepest
+        # level alone; each side gets a fresh system
+        single = _traced_peak(lambda: slice_measure(make_cone_system(3), 0.42, 16))
+        table = _traced_peak(lambda: verify_cone_bound(make_cone_system(3), 0.42, 16))
+        assert table <= 1.05 * single
+
+    def test_warm_system_allocates_no_levels(self):
+        # a second table on the same system reads its stored totals
+        system = make_cone_system(3)
+        cold = _traced_peak(lambda: verify_cone_bound(system, 0.42, 16))
+        warm = _traced_peak(lambda: verify_cone_bound(system, 0.42, 16))
+        assert warm < 0.05 * cold
+
     def test_table_memory_is_blocks_not_levels(self, tmp_path):
         # the deep levels are walked in blocks of 2^17 leaves, so a table
         # holds a few MB at any depth: a whole level 20 is 8 MB, level 22

@@ -383,6 +383,26 @@ class TestRunner:
             assert entry["total"].hex() == cones.slice_measure(make(3), entry["a"], 5).hex()
             assert entry["intervals"] == cones.slice_intervals(make(3), entry["a"], 5).tolist()
 
+    def test_cones_suite_holds_one_scratch(self, tmp_path):
+        # the tables share one blocked walk per abscissa, so the suite's
+        # traced peak stays near one n_max table, not one per k_list entry
+        import tracemalloc
+
+        from fathorse import cones
+
+        def peak(fn):
+            tracemalloc.start()
+            try:
+                fn()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        cfg = ExperimentConfig(**{**SMALL, "k_list": [3, 3, 3, 3], "a_list": [0.42],
+                                  "n_max": 18, "output_dir": str(tmp_path)})
+        single = peak(lambda: cones.verify_cone_bound(cones.make_cone_system(3), 0.42, 18))
+        assert peak(lambda: run(cfg, only="cones")) < 1.5 * single
+
     def test_n_zero_single_row(self, tmp_path):
         cfg = ExperimentConfig(
             **{**SMALL, "k_list": [2], "a_list": [0.0], "n_max": 0, "output_dir": str(tmp_path)}
