@@ -1,10 +1,11 @@
 import json
 import math
 
+import mpmath
 import numpy as np
 import oracles
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import zeta as scipy_zeta
 
@@ -25,6 +26,35 @@ class TestZeta:
 
     def test_basel_value(self):
         assert zeta_value(2.0) == pytest.approx(math.pi ** 2 / 6.0, abs=1e-13)
+
+    @pytest.mark.parametrize("p", [1.5, 2.0, 2.5, 3.0, 5.0])
+    def test_matches_long_sum(self, p):
+        # the 200,000-term sum it replaced, to 2 ulp
+        assert abs(zeta_value(p) - oracles.zeta_long_sum(p)) <= 2.0 * math.ulp(zeta_value(p))
+
+    def test_report_bits_at_two(self):
+        # the zeta(2) behind report.json, and the long sum's
+        assert zeta_value(2.0).hex() == "0x1.a51a6625307d3p+0"
+        assert oracles.zeta_long_sum(2.0).hex() == "0x1.a51a6625307d3p+0"
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.floats(min_value=1.0, max_value=64.0, exclude_min=True))
+    @example(1.0 + 2.0 ** -40)
+    @example(1.0001)
+    @example(1.0009546318276221)  # 2.66e-16 off without the tail's rounding-error term
+    @example(250.0)
+    @example(300.0)
+    @example(1000.0)
+    @example(1e300)
+    def test_matches_mpmath(self, p):
+        # to 50 digits; from p = 300 on M^-p is 0.0, and the sum must be 1.0, not NaN
+        value = zeta_value(p)
+        assert math.isfinite(value)
+        with mpmath.workdps(50):
+            exact = mpmath.zeta(mpmath.mpf(p))
+            assert abs((mpmath.mpf(value) - exact) / exact) <= 2.2e-16
+        if p >= 300.0:
+            assert value == 1.0
 
     def test_divergent_exponent(self):
         with pytest.raises(InvalidParameterError):

@@ -1,9 +1,9 @@
 """The scalar oracles stand apart from the array kernels they check.
 
 Every function of tests/oracles.py runs here with the level arrays of
-the interval tree, the array walk of the paired trees and the array
-Newton-bisection patched to raise, so no oracle can reach the code that
-its parity tests compare it with.
+the interval tree, the array walk of the paired trees, the array
+Newton-bisection and the short zeta sum patched to raise, so no oracle
+can reach the code that its parity tests compare it with.
 """
 
 import inspect
@@ -11,9 +11,9 @@ import inspect
 import oracles
 import pytest
 
-from fathorse import bowen
+from fathorse import bowen, fatcantor
 from fathorse.bowen import BowenSystem, build_base_map
-from fathorse.fatcantor import CantorConstruction, make_construction
+from fathorse.fatcantor import CantorConstruction, GapLengthSequence, make_construction
 from fathorse.horseshoe import make_poincare_system
 from fathorse.lorenz import LorenzBranchMap
 
@@ -29,6 +29,7 @@ def test_oracles_reach_no_array_kernel(monkeypatch):
     monkeypatch.setattr(CantorConstruction, "level", _refuse)
     monkeypatch.setattr(BowenSystem, "_walks", _refuse)
     monkeypatch.setattr(bowen, "_invert_profile", _refuse)
+    monkeypatch.setattr(fatcantor, "zeta_value", _refuse)
     system = ps.bowen
     cc = system.cc
     b, a, fb = system.m.b, system.m.a, system.fb
@@ -38,6 +39,7 @@ def test_oracles_reach_no_array_kernel(monkeypatch):
     source = oracles.gap_diffeo(system, "01")
     words = ["", "0", "1", "01", "110"]
     runs = {
+        "zeta_long_sum": [oracles.zeta_long_sum(p) for p in (1.5, 2.0)],
         "branch_derivative": [oracles.branch_derivative(system.m.c, x) for x in line],
         "right_branch_inverse": [oracles.right_branch_inverse(system.m.c, y) for y in line],
         "interval": [oracles.interval(cc, w) for w in words],
@@ -74,3 +76,5 @@ def test_oracles_reach_no_array_kernel(monkeypatch):
         system.base_value(a)
     with pytest.raises(AssertionError, match="array kernel"):
         cc.to_tree_json(2)
+    with pytest.raises(AssertionError, match="array kernel"):
+        GapLengthSequence(first_length=1.0, exponent=2.0).zeta
