@@ -5,7 +5,6 @@ from .cones import (
     ConeSystem,
     brute_force_slice,
     cone_map,
-    make_cone_system,
     preimage_level,
     slice_measure,
     verify_cone_bound,
@@ -24,7 +23,6 @@ from .fatcantor import CantorConstruction, GapLengthSequence, make_construction,
 from .horseshoe import (
     HorseshoeEstimate,
     PoincareSystem,
-    WitnessReport,
     make_poincare_system,
     suspension_volume,
 )

@@ -398,9 +398,12 @@ def verify_surgery(sys: BowenSystem, max_level: int, monotone_grid: int = 100_00
     on a dense grid (positive when it is increasing) are reported.
 
     Gap lengths shrink like 2^-n, so the slope ratio taken from endpoint
-    differences loses about one digit per two levels; the formula
-    comparison is reliable to 1e-9 through level 11 or so and degrades
-    gently beyond (the deviation values themselves stay fine).
+    differences loses about one digit per two levels, faster for larger
+    gap exponents.  Through level 10 the largest formula error is 1.0e-10
+    at (c, p) = (1.8, 2) and 1.8e-10 at (1.8, 2.5), but 2.2e-9 at
+    (1.95, 3), which the config admits and which fails the run's 1e-9
+    bound (ROADMAP item 2: closed-form gap slopes).  The deviation values
+    themselves stay fine.
     """
     check_depth(max_level, LEVEL_ARRAY_CAP - 1, "surgery level")
     if not monotone_grid >= 2:

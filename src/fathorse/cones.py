@@ -33,9 +33,6 @@ from .lorenz import branch_value
 
 __all__ = [
     "ConeSystem",
-    "ConeBoundReport",
-    "BruteForceSlice",
-    "make_cone_system",
     "cone_map",
     "preimage_level",
     "slice_measure",
@@ -70,10 +67,6 @@ class ConeSystem:
         if not isinstance(self.k, numbers.Real) or not float(self.k).is_integer() or self.k < 2:
             raise InvalidParameterError(f"fiber exponent k must be an integer >= 2, got {self.k!r}")
         object.__setattr__(self, "k", int(self.k))  # 3.0 becomes 3, as the figure JSON writes it
-
-
-def make_cone_system(k: int) -> ConeSystem:
-    return ConeSystem(k=k)
 
 
 def cone_map(sys: ConeSystem, x: float, y):
@@ -240,25 +233,17 @@ class ConeBoundRow:
     ratio: float
 
 
-@dataclass(frozen=True)
-class ConeBoundReport:
-    k: int
-    a: float
-    rows: tuple[ConeBoundRow, ...]
-
-
-def verify_cone_bound(sys: ConeSystem, a: float, n_max: int) -> ConeBoundReport:
-    """Tabulate each level's total, its 2/4^{n/k} bound and its ratio to
-    the previous level's total (nan at n = 0)."""
+def verify_cone_bound(sys: ConeSystem, a: float, n_max: int) -> tuple[ConeBoundRow, ...]:
+    """One row per level 0..n_max: the level's total, its 2/4^{n/k} bound
+    and its ratio to the previous level's total (nan at n = 0)."""
     _check_slice(a, n_max)  # before the first level, not after level LEVEL_HARD_CAP
     # deepest level first: a table with no walk kept for a walks once
     totals = [slice_measure(sys, a, n) for n in range(n_max, -1, -1)][::-1]
     ratios = [math.nan] + [t / prev for prev, t in zip(totals, totals[1:])]
-    rows = tuple(
+    return tuple(
         ConeBoundRow(n, total, 2.0 / 4.0 ** (n / sys.k), ratio)
         for n, (total, ratio) in enumerate(zip(totals, ratios))
     )
-    return ConeBoundReport(k=sys.k, a=a, rows=rows)
 
 
 def _branch_preimage(v: float, sign: int) -> float:
@@ -279,19 +264,8 @@ def _branch_preimage(v: float, sign: int) -> float:
     return 0.5 * (lo + hi)
 
 
-@dataclass(frozen=True)
-class BruteForceSlice:
-    a: float
-    n: int
-    k: int
-    resolution: float
-    total: float
-    leaf_count: int
-    warning: str | None = None
-
-
-def brute_force_slice(sys: ConeSystem, a: float, n: int, resolution: float) -> BruteForceSlice:
-    """Independent slice estimate: bisect preimages, push dense fiber grids.
+def brute_force_slice(sys: ConeSystem, a: float, n: int, resolution: float) -> float:
+    """Independent slice total: bisect preimages, push dense fiber grids.
 
     Every level-n preimage of a is found by per-branch bisection (no use
     of the analytic inverse or the width recursion).  A dense y-grid on
@@ -303,9 +277,6 @@ def brute_force_slice(sys: ConeSystem, a: float, n: int, resolution: float) -> B
     _check_slice(a, n, BRUTE_FORCE_LEVEL_CAP)
     if not 0.0 < resolution < math.inf:  # also rejects NaN
         raise DomainError(f"resolution must be positive and finite, got {resolution}")
-    warning = None
-    if resolution > 1e-3:
-        warning = f"resolution {resolution} coarser than 1e-3; estimate may be imprecise"
 
     level = [a]
     for _ in range(n):
@@ -330,15 +301,7 @@ def brute_force_slice(sys: ConeSystem, a: float, n: int, resolution: float) -> B
             pieces.append(cur_hi - cur_lo)
             cur_lo, cur_hi = lo, hi
     pieces.append(cur_hi - cur_lo)
-    return BruteForceSlice(
-        a=a,
-        n=n,
-        k=sys.k,
-        resolution=resolution,
-        total=math.fsum(pieces),
-        leaf_count=len(level),
-        warning=warning,
-    )
+    return math.fsum(pieces)
 
 
 def exact_preimage_table(n: int, a: Fraction = Fraction(0)) -> tuple[list[list[Fraction]], list[int]]:

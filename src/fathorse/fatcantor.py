@@ -14,7 +14,6 @@ approach slope 2 uniformly.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 
@@ -91,13 +90,8 @@ class GapLengthSequence:
     def partial_sum(self, count: int) -> float:
         return math.fsum(self.length(n) for n in range(count))
 
-    @functools.cached_property
-    def zeta(self) -> float:
-        """zeta(exponent), summed once per sequence."""
-        return zeta_value(self.exponent)
-
     def total(self) -> float:
-        return self.first_length * self.zeta
+        return self.first_length * zeta_value(self.exponent)
 
 
 def word_cell(word: str) -> int:
@@ -190,7 +184,7 @@ def make_construction(m: LorenzBranchMap, p: float) -> CantorConstruction:
     length, i.e. unless zeta(p) < a/b.
     """
     gaps = GapLengthSequence(first_length=2.0 * m.b, exponent=p)
-    z = gaps.zeta
+    z = zeta_value(p)
     ratio = m.a / m.b
     if z >= ratio:
         raise FeasibilityError(

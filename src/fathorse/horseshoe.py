@@ -43,7 +43,6 @@ __all__ = [
     "PoincareSystem",
     "HorseshoeEstimate",
     "WitnessRecord",
-    "WitnessReport",
     "make_poincare_system",
     "suspension_volume",
 ]
@@ -234,7 +233,7 @@ class PoincareSystem:
 
     def vertical_gap_witness(
         self, sample_count: int, eps: float, seed: int, depth: int = 6
-    ) -> "WitnessReport":
+    ) -> tuple["WitnessRecord", ...]:
         """Certify that no vertical eps-segment lies in the horseshoe.
 
         Members of the depth-N set are sampled from the product cover with
@@ -246,7 +245,8 @@ class PoincareSystem:
         point is tested as a non-member by membership at the gap's own
         depth if that exceeds the sampling depth (the failure certificate
         concerns the full intersection, whose covers shrink with depth).
-        A sample no level certifies ends as a "no gap within eps" failure.
+        One record per sample, in sample order: a non-member sample, or one
+        no level certifies, has its failure set and no witness.
         """
         b = self.bowen.m.b
         if not 0.0 < eps < b:  # also rejects NaN
@@ -289,24 +289,15 @@ class PoincareSystem:
                     v[go] for v in (pending, lo, hi, glo, ghi, above))
             lo, hi = np.where(above, ghi, lo), np.where(above, hi, glo)
 
-        records, failures = [], []
+        records = []
         for i, (x, y) in enumerate(zip(xs.tolist(), ys.tolist())):
             if not member[i]:
-                failures.append(WitnessRecord(i, x, y, None, None, "sample not a member"))
+                records.append(WitnessRecord(x, y, None, None, "sample not a member"))
             elif gap_level[i] < 0:
-                failures.append(WitnessRecord(i, x, y, None, None, "no gap within eps"))
+                records.append(WitnessRecord(x, y, None, None, "no gap within eps"))
             else:
-                level = int(gap_level[i])
-                records.append(WitnessRecord(i, x, y, float(witness_y[i]), level, None))
-        return WitnessReport(
-            sample_count=sample_count,
-            eps=eps,
-            seed=seed,
-            depth=depth,
-            max_level_used=max((r.gap_level for r in records), default=0),
-            failures=tuple(failures),
-            records=tuple(records),
-        )
+                records.append(WitnessRecord(x, y, float(witness_y[i]), int(gap_level[i]), None))
+        return tuple(records)
 
     def fiber_contraction_report(self, samples: int = 2000) -> float:
         """Sampled two-step contraction factor of the fiber on the core
@@ -383,23 +374,14 @@ class HorseshoeEstimate:
 
 @dataclass(frozen=True)
 class WitnessRecord:
-    index: int
+    """One witness sample: failure is None exactly when witness_y and
+    gap_level are set."""
+
     x: float
     y: float
     witness_y: float | None
     gap_level: int | None
     failure: str | None
-
-
-@dataclass(frozen=True)
-class WitnessReport:
-    sample_count: int
-    eps: float
-    seed: int
-    depth: int
-    max_level_used: int
-    failures: tuple[WitnessRecord, ...]
-    records: tuple[WitnessRecord, ...] = ()
 
 
 def make_poincare_system(bowen: BowenSystem) -> PoincareSystem:

@@ -86,11 +86,11 @@ def _cones_suite(cfg: ExperimentConfig, checks: _Checks, artifacts: dict) -> Non
     # own block of cones.csv.  The first also serves the oracle sample and
     # the figure sweep.  The tables walk once per abscissa for every k:
     # walk_slices leaves each system the level totals its table reads.
-    systems = [cones_mod.make_cone_system(k) for k in cfg.k_list]
+    systems = [cones_mod.ConeSystem(k) for k in cfg.k_list]
     system = systems[0]
     oracle_a = cfg.a_list[len(cfg.a_list) // 2]
     bf = cones_mod.brute_force_slice(system, oracle_a, min(4, cfg.n_max), 1e-3)
-    oracle_dev = abs(bf.total - cones_mod.slice_measure(system, oracle_a, min(4, cfg.n_max)))
+    oracle_dev = abs(bf - cones_mod.slice_measure(system, oracle_a, min(4, cfg.n_max)))
 
     sweep_n = min(6, cfg.n_max)
     slices = []
@@ -109,15 +109,16 @@ def _cones_suite(cfg: ExperimentConfig, checks: _Checks, artifacts: dict) -> Non
     rows = []
     worst_excess = worst_decay = -math.inf
     k2_dev = 0.0
-    for report in [report for table in tables for report in table]:  # k outer, a inner
-        decay = 2.0 ** (-2.0 / report.k)
-        for row in report.rows:
-            rows.append([report.k, report.a, row.n, row.total, row.bound, row.ratio])
-            worst_excess = max(worst_excess, row.total - row.bound)
-            if row.n > 0:
-                worst_decay = max(worst_decay, row.ratio / decay)
-            if report.k == 2:
-                k2_dev = max(k2_dev, abs(row.total - 2.0 ** (1 - row.n)))
+    for system, table in zip(systems, tables):  # k outer, a inner
+        decay = 2.0 ** (-2.0 / system.k)
+        for a, bound_rows in zip(cfg.a_list, table):
+            for row in bound_rows:
+                rows.append([system.k, a, row.n, row.total, row.bound, row.ratio])
+                worst_excess = max(worst_excess, row.total - row.bound)
+                if row.n > 0:
+                    worst_decay = max(worst_decay, row.ratio / decay)
+                if system.k == 2:
+                    k2_dev = max(k2_dev, abs(row.total - 2.0 ** (1 - row.n)))
     artifacts["cones.csv"] = ["k", "a", "n", "total", "bound", "ratio"], rows
     checks.add("cone_bound_excess", worst_excess, 1e-12)
     checks.add("cone_level_decay", worst_decay, 1.0 + 1e-12)
@@ -225,7 +226,8 @@ def _horseshoe_suite(cfg: ExperimentConfig, checks: _Checks, artifacts: dict, bo
 
     eps = cc.gaps.length(3) / 16.0
     witness = ps.vertical_gap_witness(1000, eps, seed=cfg.seed, depth=cfg.N)
-    checks.add("horseshoe_vertical_witness", float(len(witness.failures)), 0.0)
+    failures = sum(record.failure is not None for record in witness)
+    checks.add("horseshoe_vertical_witness", float(failures), 0.0)
 
     volume = suspension_volume(cc.level_measure(cfg.N) ** 2, cfg.delta)
     checks.add("suspension_positive_exact", volume, 0.0, ">")

@@ -14,10 +14,10 @@ from hypothesis import strategies as st
 
 from fathorse import cones
 from fathorse.cones import (
+    ConeSystem,
     brute_force_slice,
     cone_map,
     exact_preimage_table,
-    make_cone_system,
     preimage_level,
     slice_intervals,
     slice_measure,
@@ -31,12 +31,12 @@ from fathorse.runner import run
 
 @pytest.fixture(scope="module")
 def k2():
-    return make_cone_system(2)
+    return ConeSystem(2)
 
 
 @pytest.fixture(scope="module")
 def k3():
-    return make_cone_system(3)
+    return ConeSystem(3)
 
 
 class TestConeMap:
@@ -70,9 +70,9 @@ class TestConeMap:
         # the check sees k as given: 2.5 is not truncated to 2, nor "3" parsed
         for k in (1, 2.5, "3", math.nan, math.inf):
             with pytest.raises(InvalidParameterError):
-                make_cone_system(k)
-        assert type(make_cone_system(3.0).k) is int
-        assert make_cone_system(3.0) == make_cone_system(3)
+                ConeSystem(k)
+        assert type(ConeSystem(3.0).k) is int
+        assert ConeSystem(3.0) == ConeSystem(3)
 
 
 class TestPreimageLevel:
@@ -181,7 +181,7 @@ class TestSliceMeasure:
 
     @pytest.mark.parametrize("k,a", [(2, 0.0), (3, 0.42), (5, -0.9)])
     def test_monotone_decay(self, k, a):
-        system = make_cone_system(k)
+        system = ConeSystem(k)
         totals = [slice_measure(system, a, n) for n in range(13)]
         assert all(t2 < t1 for t1, t2 in zip(totals, totals[1:]))
 
@@ -201,7 +201,7 @@ class TestSliceMeasure:
         # scalar reference: carry each leaf's affine composite of fiber maps
         # (slope, offset) back to the slice; numpy and Python powers may
         # differ by an ulp per level, hence a tolerance of a few ulps per level
-        system = make_cone_system(k)
+        system = ConeSystem(k)
         n = 7
         for a in (-0.9, 0.0, 0.42):
             level = [(a, 1.0, 0.0)]
@@ -230,8 +230,8 @@ def _traced_peak(fn):
         tracemalloc.stop()
 
 
-def _assert_bound_and_decay(report, k):
-    for row in report.rows:
+def _assert_bound_and_decay(rows, k):
+    for row in rows:
         assert row.total <= row.bound + 1e-12
         if row.n > 0:
             assert row.ratio <= 2.0 ** (-2.0 / k) * (1.0 + 1e-12)
@@ -239,20 +239,20 @@ def _assert_bound_and_decay(report, k):
 
 class TestConeBound:
     def test_k2_equality_case(self, k2):
-        report = verify_cone_bound(k2, 0.0, 14)
-        _assert_bound_and_decay(report, 2)
-        for row in report.rows:
+        rows = verify_cone_bound(k2, 0.0, 14)
+        _assert_bound_and_decay(rows, 2)
+        for row in rows:
             assert row.total == pytest.approx(row.bound, abs=1e-12)
 
     def test_k3_strict(self, k3):
-        report = verify_cone_bound(k3, 0.3, 12)
-        _assert_bound_and_decay(report, 3)
-        assert all(row.total < row.bound for row in report.rows if row.n > 0)
+        rows = verify_cone_bound(k3, 0.3, 12)
+        _assert_bound_and_decay(rows, 3)
+        assert all(row.total < row.bound for row in rows if row.n > 0)
 
     def test_base_case_row(self):
-        report = verify_cone_bound(make_cone_system(5), 0.0, 1)
-        assert report.rows[0].total == 2.0
-        assert report.rows[0].bound == 2.0
+        rows = verify_cone_bound(ConeSystem(5), 0.0, 1)
+        assert rows[0].total == 2.0
+        assert rows[0].bound == 2.0
 
     def test_nmax_precondition(self, k2):
         with pytest.raises(DomainError):
@@ -269,13 +269,13 @@ class TestConeBound:
         # the table walks its levels once, in the same blocks as a single
         # measure, so it peaks no higher than the measure of its deepest
         # level alone; each side gets a fresh system
-        single = _traced_peak(lambda: slice_measure(make_cone_system(3), 0.42, 16))
-        table = _traced_peak(lambda: verify_cone_bound(make_cone_system(3), 0.42, 16))
+        single = _traced_peak(lambda: slice_measure(ConeSystem(3), 0.42, 16))
+        table = _traced_peak(lambda: verify_cone_bound(ConeSystem(3), 0.42, 16))
         assert table <= 1.05 * single
 
     def test_warm_system_allocates_no_levels(self):
         # a second table on the same system reads its stored totals
-        system = make_cone_system(3)
+        system = ConeSystem(3)
         cold = _traced_peak(lambda: verify_cone_bound(system, 0.42, 16))
         warm = _traced_peak(lambda: verify_cone_bound(system, 0.42, 16))
         assert warm < 0.05 * cold
@@ -289,14 +289,14 @@ class TestConeBound:
                                output_dir=str(tmp_path))
         with contextlib.redirect_stdout(io.StringIO()):
             assert _traced_peak(lambda: run(cfg, only="cones")) < TABLE_MEMORY_BOUND
-        table = _traced_peak(lambda: verify_cone_bound(make_cone_system(3), 0.42, 22))
+        table = _traced_peak(lambda: verify_cone_bound(ConeSystem(3), 0.42, 22))
         assert table < TABLE_MEMORY_BOUND
 
     def test_nmax_zero_single_row(self, k3):
-        report = verify_cone_bound(k3, 0.42, 0)
-        assert len(report.rows) == 1
-        _assert_bound_and_decay(report, 3)
-        row = report.rows[0]
+        rows = verify_cone_bound(k3, 0.42, 0)
+        assert len(rows) == 1
+        _assert_bound_and_decay(rows, 3)
+        row = rows[0]
         assert (row.n, row.total, row.bound) == (0, 2.0, 2.0)
         assert math.isnan(row.ratio)
 
@@ -304,22 +304,17 @@ class TestConeBound:
 class TestBruteForce:
     def test_k2_small_levels(self, k2):
         for n, expected in ((1, 1.0), (2, 0.5)):
-            est = brute_force_slice(k2, 0.0, n, 1e-5)
-            assert abs(est.total - expected) < 1e-3
+            assert abs(brute_force_slice(k2, 0.0, n, 1e-5) - expected) < 1e-3
 
     def test_level_zero(self, k3):
-        assert brute_force_slice(k3, 0.0, 0, 1e-2).total == 2.0
+        assert brute_force_slice(k3, 0.0, 0, 1e-2) == 2.0
 
     def test_oracle_matches_recursion(self, k3):
         for a in (0.0, 0.42):
             for n in (3, 5):
                 est = brute_force_slice(k3, a, n, 1e-5)
                 exact = slice_measure(k3, a, n)
-                assert abs(est.total - exact) <= max(10 * 1e-5, 1e-6)
-
-    def test_coarse_resolution_warns_in_result(self, k2):
-        est = brute_force_slice(k2, 0.0, 1, 0.01)
-        assert est.warning is not None
+                assert abs(est - exact) <= max(10 * 1e-5, 1e-6)
 
     def test_cost_guard(self, k2):
         with pytest.raises(SizeGuardError):
@@ -333,10 +328,10 @@ class TestBruteForce:
     "entry",
     [
         lambda a: preimage_level(a, 3),
-        lambda a: slice_measure(make_cone_system(3), a, 3),
-        lambda a: slice_intervals(make_cone_system(3), a, 3),
-        lambda a: verify_cone_bound(make_cone_system(3), a, 3),
-        lambda a: brute_force_slice(make_cone_system(3), a, 3, 1e-3),
+        lambda a: slice_measure(ConeSystem(3), a, 3),
+        lambda a: slice_intervals(ConeSystem(3), a, 3),
+        lambda a: verify_cone_bound(ConeSystem(3), a, 3),
+        lambda a: brute_force_slice(ConeSystem(3), a, 3, 1e-3),
     ],
     ids=["preimage_level", "slice_measure", "slice_intervals", "verify_cone_bound", "brute_force_slice"],
 )
@@ -387,11 +382,11 @@ class TestScratchParity:
 
     @pytest.mark.parametrize("k", (2, 3, 7))
     def test_intervals_on_warm_system_match_fresh(self, k):
-        warm = make_cone_system(k)
+        warm = ConeSystem(k)
         verify_cone_bound(warm, -0.6, 12)
         for a in (-0.9, 0.0, 0.42):
             got = slice_intervals(warm, a, 7)
-            assert got.tobytes() == slice_intervals(make_cone_system(k), a, 7).tobytes()
+            assert got.tobytes() == slice_intervals(ConeSystem(k), a, 7).tobytes()
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -409,7 +404,7 @@ class TestScratchParity:
 
 def _fresh_total(k, a, n):
     """The oracle of a stored total: the oracle's level n, summed with np.sum."""
-    _, widths = _last_level(make_cone_system(k), a, n)
+    _, widths = _last_level(ConeSystem(k), a, n)
     return float(np.sum(widths)).hex()
 
 
@@ -424,7 +419,7 @@ def _assert_totals(system, a, n_top):
 class TestStoredTotals:
     @pytest.mark.parametrize("k", WIDE_K)
     def test_deep_then_shallow(self, k):
-        system = make_cone_system(k)
+        system = ConeSystem(k)
         for a in STORED_A:
             assert slice_measure(system, a, STORED_N).hex() == _fresh_total(k, a, STORED_N)
             _assert_totals(system, a, STORED_N)
@@ -433,7 +428,7 @@ class TestStoredTotals:
 
     @pytest.mark.parametrize("k", WIDE_K)
     def test_shallow_then_deep(self, k):
-        system = make_cone_system(k)
+        system = ConeSystem(k)
         for a in STORED_A:
             assert slice_measure(system, a, 5).hex() == _fresh_total(k, a, 5)
             assert slice_measure(system, a, STORED_N).hex() == _fresh_total(k, a, STORED_N)
@@ -442,7 +437,7 @@ class TestStoredTotals:
     @pytest.mark.parametrize("k", WIDE_K)
     def test_interleaved_abscissas(self, k):
         # a2 replaces the totals of a1, so a1 must walk again, not read a2's
-        system = make_cone_system(k)
+        system = ConeSystem(k)
         for a1, a2 in zip(STORED_A, STORED_A[1:] + STORED_A[:1]):
             slice_measure(system, a1, STORED_N)
             assert slice_measure(system, a2, 4).hex() == _fresh_total(k, a2, 4)
@@ -452,12 +447,12 @@ class TestStoredTotals:
     def test_below_an_earlier_walk(self, k):
         # slice_intervals walks without keeping totals, and
         # verify_cone_bound keeps them through slice_measure
-        system = make_cone_system(k)
+        system = ConeSystem(k)
         for a in STORED_A:
             slice_intervals(system, a, 10)
             _assert_totals(system, a, 10)
-            report = verify_cone_bound(system, a, 12)
-            assert [row.total.hex() for row in report.rows] == [
+            rows = verify_cone_bound(system, a, 12)
+            assert [row.total.hex() for row in rows] == [
                 _fresh_total(k, a, n) for n in range(13)
             ]
             _assert_totals(system, a, 12)
@@ -485,7 +480,7 @@ class TestStoredTotals:
 
         monkeypatch.setattr(cones, "_walk_totals", counted_walk)
         monkeypatch.setattr(cones, "slice_measure", counted_measure)
-        system = make_cone_system(3)
+        system = ConeSystem(3)
         verify_cone_bound(system, 0.42, 12)
         assert walks == [12]
         assert calls == list(range(12, -1, -1))
@@ -546,19 +541,18 @@ class TestOneSkewProduct:
     def test_k_is_the_only_parameter(self):
         assert [f.name for f in dataclasses.fields(cones.ConeSystem)] == ["k", "_totals"]
         assert [f.name for f in dataclasses.fields(cones.ConeSystem) if f.init] == ["k"]
-        assert make_cone_system(3) == cones.ConeSystem(3)
 
     @pytest.mark.parametrize("k", WIDE_K)
     def test_brute_force_matches_inline_fiber_step(self, k):
-        system = make_cone_system(k)
+        system = ConeSystem(k)
         for a in WIDE_A:
             for n in range(5):
-                got = brute_force_slice(system, a, n, 1e-3).total
+                got = brute_force_slice(system, a, n, 1e-3)
                 assert got.hex() == _inline_brute_force_total(k, a, n, 1e-3).hex()
 
     @pytest.mark.parametrize("k", WIDE_K)
     def test_array_fiber_matches_scalar(self, k):
-        system = make_cone_system(k)
+        system = ConeSystem(k)
         ys = np.concatenate([np.linspace(-1.0, 1.0, 201), [-0.0, 1e-300, -0.3333333333333333]])
         for x in (-1.0, -0.6, -1e-9, 2.0 ** -40, 0.42, 0.75, 1.0):
             xa, ya = cone_map(system, x, ys)

@@ -102,15 +102,6 @@ class TestGapLengthSequence:
         with pytest.raises(InvalidParameterError):
             GapLengthSequence(first_length=0.1, exponent=1.0)
 
-    def test_zeta_summed_once(self, lorenz18, monkeypatch):
-        calls = []
-        monkeypatch.setattr(fatcantor, "zeta_value", lambda p: calls.append(p) or zeta_value(p))
-        cc = make_construction(lorenz18, 2.0)
-        for _ in range(3):
-            assert cc.gaps.total() == 2.0 * lorenz18.b * zeta_value(2.0)
-            assert cc.limit_measure() == 2.0 * lorenz18.a - cc.gaps.total()
-        assert calls == [2.0]
-
     def test_half_gap_table_matches_formula(self, lorenz18):
         # a fresh construction, read deepest level first
         cc = make_construction(lorenz18, 2.0)

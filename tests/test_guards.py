@@ -22,7 +22,7 @@ from fathorse.errors import DomainError, SizeGuardError, check_depth
 from fathorse.fatcantor import LEVEL_ARRAY_CAP, LEVEL_MEASURE_CAP, TREE_JSON_CAP
 from fathorse.horseshoe import FIBER_DEPTH_CAP, MEASURE_DEPTH_CAP, WITNESS_SEARCH_LEVEL
 
-K3 = cones.make_cone_system(3)
+K3 = cones.ConeSystem(3)
 
 # (id, call taking the depth, cap, what the message names)
 SITES = [

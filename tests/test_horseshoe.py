@@ -7,12 +7,12 @@ import pytest
 
 from fathorse.bowen import BowenSystem, build_base_map
 from fathorse.errors import DomainError, SingularityError, SizeGuardError
+from fathorse import horseshoe
 from fathorse.fatcantor import make_construction
 from fathorse.horseshoe import (
     FIBER_DEPTH_CAP,
     WITNESS_SEARCH_LEVEL,
     WitnessRecord,
-    WitnessReport,
     make_poincare_system,
     suspension_volume,
 )
@@ -415,21 +415,29 @@ def _scalar_non_member(ps, x, y, depth):
     return not (oracles.x_condition(ps, x, depth) and oracles.x_condition(ps, y, depth))
 
 
-def _scalar_witness(ps, sample_count, eps, seed, depth):
-    """vertical_gap_witness as a plain loop over scalar membership: the
-    oracle of the array witness."""
+def _scalar_samples(ps, sample_count, seed, depth):
+    """The (x, y) samples of the witness, drawn one at a time from the
+    stream and placed by the word descent."""
     cc = ps.bowen.cc
     rng = SplitMix64(seed)
-    records, failures = [], []
-    for i in range(sample_count):
+    samples = []
+    for _ in range(sample_count):
         wx, wy = rng.bits(depth), rng.bits(depth)
         ux, uy = rng.random(), rng.random()
         xlo, xhi = oracles.interval(cc, wx)
         ylo, yhi = oracles.interval(cc, wy)
-        x = xlo + ux * (xhi - xlo)
-        y = ylo + uy * (yhi - ylo)
+        samples.append((xlo + ux * (xhi - xlo), ylo + uy * (yhi - ylo)))
+    return samples
+
+
+def _scalar_witness(ps, sample_count, eps, seed, depth):
+    """vertical_gap_witness as a plain loop over scalar membership: the
+    oracle of the array witness."""
+    cc = ps.bowen.cc
+    records = []
+    for x, y in _scalar_samples(ps, sample_count, seed, depth):
         if not oracles.membership(ps, (x, y), depth):
-            failures.append(WitnessRecord(i, x, y, None, None, "sample not a member"))
+            records.append(WitnessRecord(x, y, None, None, "sample not a member"))
             continue
         word = ""
         for level in range(WITNESS_SEARCH_LEVEL + 1):
@@ -443,20 +451,20 @@ def _scalar_witness(ps, sample_count, eps, seed, depth):
             else:
                 inside = min(max(y, glo + 0.25 * (ghi - glo)), ghi - 0.25 * (ghi - glo))
             if inside is not None and _scalar_non_member(ps, x, inside, max(depth, level + 1)):
-                records.append(WitnessRecord(i, x, y, inside, level, None))
+                records.append(WitnessRecord(x, y, inside, level, None))
                 break
             word += "0" if y > ghi else "1"
         else:
-            failures.append(WitnessRecord(i, x, y, None, None, "no gap within eps"))
-    return WitnessReport(
-        sample_count=sample_count,
-        eps=eps,
-        seed=seed,
-        depth=depth,
-        max_level_used=max((r.gap_level for r in records), default=0),
-        failures=tuple(failures),
-        records=tuple(records),
-    )
+            records.append(WitnessRecord(x, y, None, None, "no gap within eps"))
+    return tuple(records)
+
+
+def _failures(records):
+    return [rec for rec in records if rec.failure is not None]
+
+
+def _deepest(records):
+    return max((rec.gap_level for rec in records if rec.failure is None), default=0)
 
 
 class TestWitness:
@@ -466,27 +474,40 @@ class TestWitness:
         ps = _poincare(c)
         for eps in (ps.bowen.cc.gaps.length(3) / 16.0, 1e-4):
             for seed in (1, 7):
-                report = ps.vertical_gap_witness(100, eps, seed=seed, depth=depth)
-                assert repr(report) == repr(_scalar_witness(ps, 100, eps, seed, depth))
+                records = ps.vertical_gap_witness(100, eps, seed=seed, depth=depth)
+                assert repr(records) == repr(_scalar_witness(ps, 100, eps, seed, depth))
 
     def test_no_samples(self, poincare18):
-        report = poincare18.vertical_gap_witness(0, 1e-3, seed=1)
-        assert report == WitnessReport(0, 1e-3, 1, 6, 0, (), ())
-        assert report == _scalar_witness(poincare18, 0, 1e-3, 1, 6)
+        records = poincare18.vertical_gap_witness(0, 1e-3, seed=1)
+        assert records == ()
+        assert records == _scalar_witness(poincare18, 0, 1e-3, 1, 6)
+
+    @pytest.mark.parametrize("search_level", [2, WITNESS_SEARCH_LEVEL])
+    def test_one_record_per_sample_in_order(self, poincare18, monkeypatch, search_level):
+        # a search cut at level 2 leaves some samples with no gap within eps;
+        # it also caps membership at depth 3, so the samples are drawn at depth 2
+        monkeypatch.setattr(horseshoe, "WITNESS_SEARCH_LEVEL", search_level)
+        eps = poincare18.bowen.cc.gaps.length(3) / 16.0
+        records = poincare18.vertical_gap_witness(60, eps, seed=5, depth=2)
+        assert [(rec.x, rec.y) for rec in records] == _scalar_samples(poincare18, 60, 5, 2)
+        failed = [rec.failure is not None for rec in records]
+        assert [rec.witness_y is None for rec in records] == failed
+        assert [rec.gap_level is None for rec in records] == failed
+        assert any(failed) == (search_level == 2) and not all(failed)
 
     def test_small_run_finds_gaps(self, poincare18):
         eps = poincare18.bowen.cc.gaps.length(3) / 16.0
-        report = poincare18.vertical_gap_witness(50, eps, seed=42, depth=6)
-        assert not report.failures
-        assert all(rec.witness_y is not None for rec in report.records)
-        assert all(abs(rec.witness_y - rec.y) < eps for rec in report.records)
+        records = poincare18.vertical_gap_witness(50, eps, seed=42, depth=6)
+        assert not _failures(records)
+        assert all(rec.witness_y is not None for rec in records)
+        assert all(abs(rec.witness_y - rec.y) < eps for rec in records)
 
     def test_wide_eps_uses_shallow_gap(self, poincare18):
         # eps just under the gap scale: the top-level gap is within reach
         eps = poincare18.bowen.m.b * 0.99
-        report = poincare18.vertical_gap_witness(20, eps, seed=3, depth=4)
-        assert not report.failures
-        assert report.max_level_used <= 3
+        records = poincare18.vertical_gap_witness(20, eps, seed=3, depth=4)
+        assert not _failures(records)
+        assert _deepest(records) <= 3
 
     def test_eps_precondition(self, poincare18):
         with pytest.raises(DomainError):
@@ -519,10 +540,10 @@ class TestWitness:
         # oracle runs the x-orbit
         eps = poincare18.bowen.cc.gaps.length(3) / 16.0
         for seed in (1, 2, 3):
-            report = poincare18.vertical_gap_witness(100, eps, seed=seed, depth=depth)
-            assert not report.failures
-            assert len(report.records) == 100
-            for rec in report.records:
+            records = poincare18.vertical_gap_witness(100, eps, seed=seed, depth=depth)
+            assert not _failures(records)
+            assert len(records) == 100
+            for rec in records:
                 deep = max(depth, rec.gap_level + 1)
                 assert not oracles.membership(poincare18, (rec.x, rec.witness_y), deep)
 
@@ -533,12 +554,12 @@ class TestWitness:
         deepest = 0
         for c in (1.7, 1.8, 1.95):
             ps = _poincare(c)
-            report = ps.vertical_gap_witness(20, eps, seed=1, depth=4)
-            assert repr(report) == repr(_scalar_witness(ps, 20, eps, 1, 4))
-            assert not report.failures and len(report.records) == 20
-            for rec in report.records:
+            records = ps.vertical_gap_witness(20, eps, seed=1, depth=4)
+            assert repr(records) == repr(_scalar_witness(ps, 20, eps, 1, 4))
+            assert not _failures(records) and len(records) == 20
+            for rec in records:
                 assert _scalar_non_member(ps, rec.x, rec.witness_y, max(4, rec.gap_level + 1))
-            deepest = max(deepest, report.max_level_used)
+            deepest = max(deepest, _deepest(records))
         assert (deepest > FIBER_DEPTH_CAP) == (eps < 1e-5)
 
     def test_deterministic_given_seed(self, poincare18):

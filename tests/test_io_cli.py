@@ -357,8 +357,8 @@ class TestRunner:
         # equals the one a fresh system gives
         from fathorse import cones
 
-        make, built = cones.make_cone_system, []
-        monkeypatch.setattr(cones, "make_cone_system", lambda k: built.append(k) or make(k))
+        make, built = cones.ConeSystem, []
+        monkeypatch.setattr(cones, "ConeSystem", lambda k: built.append(k) or make(k))
         k_list, a_list, n_max = [3, 2, 3], [-0.6, 0.0, 0.42], 5
         cfg = ExperimentConfig(**{**SMALL, "k_list": k_list, "a_list": a_list,
                                   "n_max": n_max, "output_dir": str(tmp_path)})
@@ -368,14 +368,14 @@ class TestRunner:
         expected = [
             (str(k), a.hex(), str(row.n), row.total.hex(), row.bound.hex(), row.ratio.hex())
             for k in k_list for a in a_list
-            for row in cones.verify_cone_bound(make(k), a, n_max).rows
+            for row in cones.verify_cone_bound(make(k), a, n_max)
         ]
         got = [line.split(",") for line in rows]
         assert [(r[0], float(r[1]).hex(), r[2], *(float(v).hex() for v in r[3:])) for r in got] == expected
 
         report = {rec["id"]: rec for rec in json.loads((tmp_path / "report.json").read_text())["criteria"]}
         a, n = a_list[1], min(4, n_max)
-        oracle = abs(cones.brute_force_slice(make(3), a, n, 1e-3).total - cones.slice_measure(make(3), a, n))
+        oracle = abs(cones.brute_force_slice(make(3), a, n, 1e-3) - cones.slice_measure(make(3), a, n))
         assert report["cone_oracle_sample"]["value"].hex() == oracle.hex()
         sweep = json.loads((tmp_path / "figures" / "cones.json").read_text())
         assert (sweep["k"], sweep["n"], len(sweep["slices"])) == (3, 5, 161)
@@ -400,7 +400,7 @@ class TestRunner:
 
         cfg = ExperimentConfig(**{**SMALL, "k_list": [3, 3, 3, 3], "a_list": [0.42],
                                   "n_max": 18, "output_dir": str(tmp_path)})
-        single = peak(lambda: cones.verify_cone_bound(cones.make_cone_system(3), 0.42, 18))
+        single = peak(lambda: cones.verify_cone_bound(cones.ConeSystem(3), 0.42, 18))
         assert peak(lambda: run(cfg, only="cones")) < 1.5 * single
 
     def test_n_zero_single_row(self, tmp_path):
@@ -420,7 +420,7 @@ def test_slice_interval_positions_match_forward_push():
     # grid along each orbit
     import numpy as np
 
-    from fathorse.cones import _branch_preimage, make_cone_system, slice_intervals
+    from fathorse.cones import ConeSystem, _branch_preimage, slice_intervals
     from fathorse.lorenz import branch_value
 
     a, n = 0.42, 4
@@ -429,7 +429,7 @@ def test_slice_interval_positions_match_forward_push():
         level = [x for v in level for x in (_branch_preimage(v, -1), _branch_preimage(v, +1))]
     grid = np.linspace(-1.0, 1.0, 10_001)
     for k in (2, 3):
-        system = make_cone_system(k)
+        system = ConeSystem(k)
         intervals = slice_intervals(system, a, n)
         assert intervals.shape == (2**n, 2)
         for (lo, hi), x0 in zip(intervals, level):
