@@ -11,7 +11,8 @@ its SVG, once every enabled suite has finished.  Outputs:
     horseshoe.csv   per depth: grid estimate, exact product, envelope
     report.json     one {id, value, bound, rule, pass} record per check
     figures/*.svg   partition, image, cones, horseshoe renderings
-    figures/*.json  the datasets the figures were rendered from
+    figures/*.json  the datasets the figures were rendered from; the cones
+                    figure holds its leaf intervals merged at one canvas pixel
 
 Exit codes: 0 all checks pass, 1 some check failed, 2 invalid or
 infeasible parameters (no file written, no directory created, an existing
@@ -81,6 +82,19 @@ class _Checks:
         return all(r["pass"] for r in self.records)
 
 
+def _pixel_merge(intervals: np.ndarray) -> np.ndarray:
+    """Merge sorted, disjoint [lo, hi] rows whose gap is under one canvas pixel.
+
+    The figure cannot tell such neighbours apart.  In the endpoint sequence
+    lo0, hi0, lo1, hi1, ... a merge drops the hi and the lo on either side
+    of its gap, so the pairs left are the merged rows.
+    """
+    ends = intervals.ravel()
+    drop = np.zeros(ends.size, dtype=bool)
+    drop[1:-1:2] = drop[2::2] = ends[2::2] - ends[1:-1:2] < svgfig.PIXEL
+    return ends[~drop].reshape(-1, 2)
+
+
 def _cones_suite(cfg: ExperimentConfig, checks: _Checks, artifacts: dict) -> None:
     # One system per k_list entry, in config order, so a repeated k gets its
     # own block of cones.csv.  The first also serves the oracle sample and
@@ -97,7 +111,7 @@ def _cones_suite(cfg: ExperimentConfig, checks: _Checks, artifacts: dict) -> Non
     for i in range(161):
         a = -0.98 + i * (1.96 / 160)
         total = cones_mod.slice_measure(system, a, sweep_n)
-        intervals = cones_mod.slice_intervals(system, a, sweep_n).tolist()
+        intervals = _pixel_merge(cones_mod.slice_intervals(system, a, sweep_n)).tolist()
         slices.append({"a": a, "intervals": intervals, "total": total})
     artifacts["figures/cones.json"] = {"k": system.k, "n": sweep_n, "slices": slices}
 

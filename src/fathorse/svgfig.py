@@ -10,12 +10,15 @@ from __future__ import annotations
 
 from .errors import DomainError
 
-__all__ = ["render_section_svg", "FIGURE_KINDS"]
+__all__ = ["render_section_svg", "FIGURE_KINDS", "CANVAS_PX", "PIXEL"]
 
 FIGURE_KINDS = ("partition", "image", "cones", "horseshoe")
 
+CANVAS_PX = 800
+PIXEL = 2 / CANVAS_PX  # one canvas pixel in section coordinates
+
 _HEADER = (
-    '<svg xmlns="http://www.w3.org/2000/svg" width="800" height="800" '
+    f'<svg xmlns="http://www.w3.org/2000/svg" width="{CANVAS_PX}" height="{CANVAS_PX}" '
     'viewBox="-1 -1 2 2">\n<g transform="scale(1,-1)">\n'
 )
 _FOOTER = "</g>\n</svg>\n"

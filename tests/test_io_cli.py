@@ -22,7 +22,7 @@ from fathorse.horseshoe import MEASURE_DEPTH_CAP, MEASURE_RESOLUTION_FLOOR, make
 from fathorse.lorenz import LorenzBranchMap
 from fathorse.rng import SplitMix64
 from fathorse.runner import SUITES, run
-from fathorse.svgfig import render_section_svg
+from fathorse.svgfig import FIGURE_KINDS, PIXEL, render_section_svg
 
 
 def _write(path: Path, obj) -> Path:
@@ -37,6 +37,18 @@ def _strict_json(path: Path):
         raise ValueError(f"{path.name}: non-finite token {token}")
 
     return json.loads(path.read_text(), parse_constant=refuse)
+
+
+def _merge_at_pixel(rows):
+    """Reference for runner._pixel_merge: join each [lo, hi] to the run before
+    it while the gap between them is under one canvas pixel."""
+    merged = []
+    for lo, hi in rows:
+        if merged and lo - merged[-1][1] < PIXEL:
+            merged[-1][1] = max(merged[-1][1], hi)
+        else:
+            merged.append([lo, hi])
+    return merged
 
 
 SMALL = {
@@ -204,6 +216,32 @@ class TestSvg:
         assert svg.count("<rect") >= 3  # frame plus the two strips
 
 
+class TestPixelMerge:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.floats(-0.98, 0.98, allow_nan=False),
+        st.sampled_from([2, 3, 5]),
+        st.integers(0, 7),
+    )
+    @example(0.0, 2, 0)
+    def test_merge_of_cone_leaves(self, a, k, n):
+        import numpy as np
+
+        from fathorse.cones import ConeSystem, slice_intervals
+
+        leaves = slice_intervals(ConeSystem(k), a, n)
+        merged = runner._pixel_merge(leaves)
+        assert merged.tolist() == _merge_at_pixel(leaves.tolist())
+        assert np.all(np.diff(merged.ravel()) >= 0)  # sorted, each lo <= hi
+        assert np.all(merged[1:, 0] - merged[:-1, 1] >= PIXEL)
+        inside = (merged[:, 0] <= leaves[:, :1]) & (leaves[:, 1:] <= merged[:, 1])
+        assert np.all(inside.sum(axis=1) == 1)
+        assert set(merged[:, 0]) <= set(leaves[:, 0]) and set(merged[:, 1]) <= set(leaves[:, 1])
+        assert runner._pixel_merge(merged).tobytes() == merged.tobytes()
+        if n == 0:
+            assert merged.tolist() == leaves.tolist() == [[-1.0, 1.0]]
+
+
 @pytest.fixture(scope="module")
 def outcome(tmp_path_factory):
     out = tmp_path_factory.mktemp("run")
@@ -354,7 +392,7 @@ class TestRunner:
     def test_repeated_k_gets_its_own_block(self, tmp_path, monkeypatch):
         # one system per k_list entry, in config order; the first one also
         # serves the oracle sample and the figure sweep, and every figure
-        # equals the one a fresh system gives
+        # slice equals the pixel merge of the leaves a fresh system gives
         from fathorse import cones
 
         make, built = cones.ConeSystem, []
@@ -381,7 +419,8 @@ class TestRunner:
         assert (sweep["k"], sweep["n"], len(sweep["slices"])) == (3, 5, 161)
         for entry in sweep["slices"]:
             assert entry["total"].hex() == cones.slice_measure(make(3), entry["a"], 5).hex()
-            assert entry["intervals"] == cones.slice_intervals(make(3), entry["a"], 5).tolist()
+            leaves = cones.slice_intervals(make(3), entry["a"], 5).tolist()
+            assert entry["intervals"] == _merge_at_pixel(leaves)
 
     def test_cones_suite_holds_one_scratch(self, tmp_path):
         # the tables share one blocked walk per abscissa, so the suite's
@@ -444,12 +483,15 @@ def test_slice_interval_positions_match_forward_push():
 
 class TestCli:
     def test_run_and_render(self, tmp_path, capsys):
+        # each figure the run writes is what `fathorse render` makes of its dataset
         conf = _write(tmp_path / "conf.json", {**SMALL, "output_dir": str(tmp_path / "out")})
         assert main(["run", "--config", str(conf)]) == 0
-        dataset = tmp_path / "out" / "figures" / "partition.json"
-        target = tmp_path / "fig.svg"
-        assert main(["render", "--input", str(dataset), "--kind", "partition", "--out", str(target)]) == 0
-        assert target.read_text().startswith("<svg")
+        figures = tmp_path / "out" / "figures"
+        for kind in FIGURE_KINDS:
+            target = tmp_path / f"{kind}.svg"
+            assert main(["render", "--input", str(figures / f"{kind}.json"), "--kind", kind,
+                         "--out", str(target)]) == 0
+            assert target.read_bytes() == (figures / f"{kind}.svg").read_bytes()
         capsys.readouterr()
 
     def test_render_to_stdout(self, tmp_path, capsys):
