@@ -37,6 +37,7 @@ __all__ = [
 
 _SNAP = 1e-14  # absolute snap distance for exact endpoint semantics
 _TOL = 1e-12  # probe-interval length below which the tree walks go affine
+JUMP = 10  # walk levels read off the level arrays; verify_surgery builds level 11 anyway
 _TWO_PI = 2.0 * math.pi
 
 
@@ -154,6 +155,7 @@ class BowenSystem:
     cc: CantorConstruction
     m: LorenzBranchMap = field(init=False)
     fb: float = field(init=False)
+    _jump: int = field(init=False, repr=False)
 
     def __post_init__(self):
         self.m = self.cc.source_map
@@ -171,59 +173,91 @@ class BowenSystem:
                 f"reach level {n}, whose gaps ({2.0 * self.cc.half_gap(n):.3g} long) are "
                 f"narrower than the spacing of doubles at a = {self.m.a:.6g}"
             )
+        # the jump's deepest probe cells, at level jump + 1, stay two levels
+        # above _TOL, so no walk level it skips or enters at goes affine
+        self._jump = max(0, min(JUMP, n - 3))
 
     # -- base map -----------------------------------------------------------
 
     def _walks(self, xs: np.ndarray, forward: bool):
         """Walk the paired trees (source I_{0w}, target I_w) toward every
-        point of xs at once, level by level.
+        point of xs at once: one lookup for the first levels, then level
+        by level.
 
         The points lie in the probe tree: the source tree for the base map
         (forward), the target tree for its inverse.  The other tree is the
         partner; both descend in lockstep, the source one level below the
         target, with the half gaps from the construction's half_gap.  A
-        point that snaps to a probe endpoint takes the partner
-        endpoint and slope exactly 2; once its probe interval is below
-        _TOL it takes the affine partner-over-probe interpolation and that
-        interval-length ratio as slope.  Returns those values and slopes,
-        the indices of the points in closed probe gaps, and one GapDiffeo
-        over the gaps of all levels, which the caller applies once.
+        point that snaps to a probe endpoint takes the partner endpoint
+        and slope exactly 2; once its probe interval is below _TOL it
+        takes the affine partner-over-probe interpolation and that
+        interval-length ratio as slope.
+
+        Walk levels 0..jump-1 are one searchsorted into the level arrays,
+        whose cells are the walk's probe and partner intervals bit for
+        bit.  With i the last probe cell whose lo is below x: x at or past
+        hi[i] lies in the closed gap up to lo[i + 1], removed at walk level
+        jump - 1 - ctz(i + 1); x within _SNAP of an end of cell i snaps to
+        it, as the walk does where that end first bounds x's interval (a
+        cell is far wider than 2 _SNAP, so x meets no other end first).
+        Every other point enters the level loop at cell i.
+
+        Returns the values and slopes, the indices of the points in closed
+        probe gaps, and one GapDiffeo over the gaps of all levels, which
+        the caller applies once.
         """
-        cc = self.cc
+        cc, jump = self.cc, self._jump
+        cells = 2 ** jump
+        source = tuple(v[cells:] for v in cc.level(jump + 1))  # the I_{0w} with |w| = jump
+        target = cc.level(jump)
+        (plos, phis), (qlos, qhis), dp, dq = (
+            (source, target, 1, 0) if forward else (target, source, 0, 1))
+        i = np.searchsorted(plos[1:], xs)  # the last cell whose lo is below x; 0 at the root's lo
+        x, plo, phi = xs, plos[i], phis[i]
+        gap = (x >= phi) & (i < cells - 1)
+        at_lo = x - plo <= _SNAP
+        at_hi = ~gap & (phi - x <= _SNAP)
         out, slope = np.empty_like(xs), np.empty_like(xs)
-        lo, hi = cc.level(1)
-        root, right = (-cc.half_width, cc.half_width), (lo[1], hi[1])  # I and I_0
-        (plo, phi), (qlo, qhi), dp, dq = (right, root, 1, 0) if forward else (root, right, 0, 1)
-        # rows: x, probe interval (plo, phi), partner interval (qlo, qhi)
-        state = np.array([xs, np.full_like(xs, plo), np.full_like(xs, phi),
-                          np.full_like(xs, qlo), np.full_like(xs, qhi)])
-        idx = np.arange(xs.size)
-        # per point in a gap: its level and the probe and partner gap ends
+        out[at_lo], out[at_hi] = qlos[i[at_lo]], qhis[i[at_hi]]
+        slope[at_lo | at_hi] = 2.0
+        # per point in a gap: its walk level and the probe and partner gap ends;
+        # frexp(2^k) has exponent k + 1, so the level is jump - frexp(i + 1 & -(i + 1))
         levels, ends = np.full(xs.size, -1), np.empty((4, xs.size))
-        n = 0
+        g = i[gap]
+        levels[gap] = jump - np.frexp((g + 1) & -(g + 1))[1]
+        ends[:, gap] = phis[g], plos[g + 1], qhis[g], qlos[g + 1]
+        idx = np.flatnonzero(~(gap | at_lo | at_hi))
+        i = i[idx]
+        x, plo, phi, qlo, qhi = xs[idx], plos[i], phis[i], qlos[i], qhis[i]
+        n = jump
         while idx.size:
-            x, plo, phi, qlo, qhi = state
             deep = phi - plo < _TOL
-            if deep.any():
-                dx, dplo, dphi, dqlo, dqhi = state[:, deep]
-                out[idx[deep]] = dqlo + (dx - dplo) * (dqhi - dqlo) / (dphi - dplo)
-                slope[idx[deep]] = (dqhi - dqlo) / (dphi - dplo)
-            at_lo = ~deep & (np.abs(x - plo) <= _SNAP)
-            out[idx[at_lo]] = qlo[at_lo]
-            at_hi = ~deep & ~at_lo & (np.abs(x - phi) <= _SNAP)
-            out[idx[at_hi]] = qhi[at_hi]
-            slope[idx[at_lo | at_hi]] = 2.0
+            at_lo = x - plo <= _SNAP
+            at_hi = phi - x <= _SNAP
             glo, ghi = cc._gap_from(plo, phi, n + dp)
+            gap = (glo <= x) & (x <= ghi)
+            stop = deep | at_lo | at_hi | gap
+            if stop.any():
+                if deep.any():
+                    k = idx[deep]
+                    slope[k] = (qhi[deep] - qlo[deep]) / (phi[deep] - plo[deep])
+                    out[k] = qlo[deep] + (x[deep] - plo[deep]) * (qhi[deep] - qlo[deep]) / (
+                        phi[deep] - plo[deep])
+                at_lo &= ~deep
+                at_hi &= ~(deep | at_lo)
+                gap &= ~(deep | at_lo | at_hi)
+                out[idx[at_lo]], out[idx[at_hi]] = qlo[at_lo], qhi[at_hi]
+                slope[idx[at_lo | at_hi]] = 2.0
+                k = idx[gap]
+                levels[k] = n
+                ends[:, k] = (glo[gap], ghi[gap], *cc._gap_from(qlo[gap], qhi[gap], n + dq))
+                go = ~stop
+                x, plo, phi, qlo, qhi, glo, ghi, idx = (
+                    v[go] for v in (x, plo, phi, qlo, qhi, glo, ghi, idx))
             tlo, thi = cc._gap_from(qlo, qhi, n + dq)
-            walking = ~(deep | at_lo | at_hi)
-            gap = walking & (glo <= x) & (x <= ghi)
-            levels[idx[gap]] = n
-            ends[:, idx[gap]] = np.array([glo, ghi, tlo, thi])[:, gap]
             right = x > ghi
-            state = np.array([x, np.where(right, ghi, plo), np.where(right, phi, glo),
-                              np.where(right, thi, qlo), np.where(right, qhi, tlo)])
-            walking &= ~gap
-            state, idx = state[:, walking], idx[walking]
+            plo, phi = np.where(right, ghi, plo), np.where(right, phi, glo)
+            qlo, qhi = np.where(right, thi, qlo), np.where(right, qhi, tlo)
             n += 1
         gap = np.flatnonzero(levels >= 0)
         plo, phi, qlo, qhi = ends[:, gap]

@@ -36,7 +36,6 @@ import numpy as np
 
 from .bowen import BowenSystem, _like, _points
 from .errors import DomainError, SingularityError, SizeGuardError, check_depth
-from .fatcantor import word_cell
 from .rng import SplitMix64
 
 __all__ = [
@@ -255,12 +254,13 @@ class PoincareSystem:
         check_depth(depth, FIBER_DEPTH_CAP, "witness depth")
         cc = self.bowen.cc
         rng = SplitMix64(seed)
-        words, us = [], []
+        cells, us = [], []
+        # a cell is word_cell of the word spelled by the top depth bits of one output
+        last, shift = 2 ** depth - 1, 64 - depth
         for _ in range(sample_count):
-            words += rng.bits(depth), rng.bits(depth)
+            cells += last - (rng.next_uint64() >> shift), last - (rng.next_uint64() >> shift)
             us += rng.random(), rng.random()
-        lo, hi = cc.level(depth) if words else (np.empty(0), np.empty(0))
-        cells = [word_cell(w) for w in words]
+        lo, hi = cc.level(depth) if cells else (np.empty(0), np.empty(0))
         samples = lo[cells] + np.array(us) * (hi[cells] - lo[cells])  # x, y, x, y, ...
         xs, ys = samples[0::2], samples[1::2]
         member = self.membership((xs, ys), depth)

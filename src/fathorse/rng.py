@@ -31,10 +31,3 @@ class SplitMix64:
     def random(self) -> float:
         """Uniform double in [0, 1)."""
         return (self.next_uint64() >> 11) * 2.0 ** -53
-
-    def bits(self, n: int) -> str:
-        """A word of n '0'/'1' letters from the top bits of one output."""
-        if not 0 <= n <= 64:
-            raise ValueError("bit count must be in [0, 64]")
-        word = self.next_uint64()
-        return "".join("1" if (word >> (63 - i)) & 1 else "0" for i in range(n))

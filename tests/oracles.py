@@ -19,7 +19,9 @@ them compares the array code with independent per-point code.
 
 zeta_long_sum is the 200,000-term sum that fathorse.fatcantor.zeta_value
 replaced with a short Euler-Maclaurin sum; it is kept as that sum's
-oracle.
+oracle.  bits is the '0'/'1' word draw that
+PoincareSystem.vertical_gap_witness replaced with an integer cell draw;
+it is kept as that draw's oracle.
 """
 
 from __future__ import annotations
@@ -66,6 +68,17 @@ def zeta_long_sum(p: float) -> float:
     m = 200_000.0
     remainder = m ** (1.0 - p) / (p - 1.0) - 0.5 * m ** -p + p / 12.0 * m ** (-p - 1.0)
     return partial + remainder
+
+
+# -- witness sampler -----------------------------------------------------------
+
+
+def bits(rng, n: int) -> str:
+    """A word of n '0'/'1' letters from the top bits of one output of rng."""
+    if not 0 <= n <= 64:
+        raise ValueError("bit count must be in [0, 64]")
+    word = rng.next_uint64()
+    return "".join("1" if (word >> (63 - i)) & 1 else "0" for i in range(n))
 
 
 # -- interval tree -------------------------------------------------------------

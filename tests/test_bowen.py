@@ -7,7 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fathorse.bowen import _SNAP, GapDiffeo, _sample_words, build_base_map, verify_surgery
+from fathorse.bowen import (
+    _SNAP,
+    JUMP,
+    GapDiffeo,
+    _sample_words,
+    build_base_map,
+    verify_surgery,
+)
 from fathorse.errors import DomainError, SingularityError, SizeGuardError
 from fathorse.fatcantor import make_construction
 from fathorse.lorenz import LorenzBranchMap, branch_value
@@ -405,6 +412,116 @@ class TestArrayKernels:
         for merged, scalar in pairs:
             assert type(merged) is float
             assert merged.hex() == scalar.hex()
+
+
+# -- the jump: walk levels 0..JUMP-1 read off the level arrays ---------------
+
+JUMP_CONFIGS = ((1.8, 2.0), (1.95, 3.0))
+
+
+@functools.lru_cache(maxsize=None)
+def _jump_system(c, p):
+    return build_base_map(make_construction(LorenzBranchMap.from_coefficient(c), p))
+
+
+def _scalar_maps(system, points, forward):
+    """The oracle walk once per point: B and B' forward, B^{-1} backward,
+    and how the walks end, with the walk level of each gap."""
+    values, slopes, exits = [], [], set()
+    for x in points.tolist():
+        kind, *leaf = oracles.walk(system, x, forward)
+        exits.add((kind, leaf[0].level if kind == "gap" else None))
+        if kind == "gap":
+            d = leaf[0]
+            if forward:
+                values.append(oracles.gap_value(d, x))
+                slopes.append(oracles.gap_derivative(d, x))
+            else:
+                values.append(oracles.gap_invert(d, x))
+        else:
+            values.append(leaf[0])
+            slopes.append(2.0 if kind == "endpoint" else leaf[1])
+    return values, slopes, exits
+
+
+def _assert_jump_parity(system, points, forward):
+    """The array maps bit-equal to the oracle walk; returns the walks' exits."""
+    values, slopes, exits = _scalar_maps(system, points, forward)
+    if forward:
+        assert np.array_equal(_bits(system.base_value(points)), _bits(values))
+        assert np.array_equal(_bits(system.base_derivative(points)), _bits(slopes))
+    else:
+        assert np.array_equal(_bits(system.base_invert(points)), _bits(values))
+    return exits
+
+
+def _jump_points(system, forward):
+    """Every probe-tree endpoint of levels 0..JUMP+1, exactly, at +-_SNAP,
+    just past +-_SNAP and +-1 ulp; both ends of every probe gap of those
+    levels, exactly and +-1 ulp; b, a and -a; all inside the probe root."""
+    cc, b, a = system.cc, system.m.b, system.m.a
+    ends, gap_ends, frontier = set(), set(), ["0" if forward else ""]
+    for _ in range(JUMP + 2):
+        ends.update(v for w in frontier for v in oracles.interval(cc, w))
+        gap_ends.update(v for w in frontier for v in oracles.gap(cc, w))
+        frontier = [w + ch for w in frontier for ch in "01"]
+    ends, gap_ends = np.array(sorted(ends)), np.array(sorted(gap_ends))
+    snapped = [ends + side * _SNAP for side in (-1.0, 1.0)]
+    points = np.concatenate([
+        ends, *snapped, *(np.nextafter(v, side * np.inf) for v, side in zip(snapped, (-1, 1))),
+        *(np.nextafter(v, side) for v in (ends, gap_ends) for side in (-np.inf, np.inf)),
+        gap_ends, [b, a, -a],
+    ])
+    lo, hi = (b, a) if forward else (-a, a)
+    return np.unique(points[(lo <= points) & (points <= hi)])
+
+
+@pytest.mark.parametrize("c, p", JUMP_CONFIGS, ids=lambda v: str(v))
+class TestJump:
+    def test_base_maps_bit_equal_at_jump_points(self, c, p):
+        system = _jump_system(c, p)
+        for forward in (True, False):
+            points = _jump_points(system, forward)
+            assert points.size > 2 ** (JUMP + 3)
+            exits = _assert_jump_parity(system, points, forward)
+            # they snap, walk past the jump, and hit gaps of every jumped level and the next
+            assert {("endpoint", None), ("deep", None)} <= exits
+            assert {("gap", n) for n in range(JUMP + 1)} <= exits
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    config=st.sampled_from(JUMP_CONFIGS),
+    forward=st.booleans(),
+    level=st.integers(0, JUMP + 1),
+    cell=st.integers(0, 2 ** (JUMP + 1) - 1),
+    end=st.sampled_from(["lo", "hi", "gap_lo", "gap_hi"]),
+    snaps=st.floats(-3.0, 3.0),
+    ulps=st.integers(-3, 3),
+)
+def test_jump_matches_walk_near_level_endpoints(config, forward, level, cell, end, snaps, ulps):
+    """A point a few _SNAP and a few ulps from an endpoint or gap end of a
+    probe-tree level the jump reads or enters at."""
+    system = _jump_system(*config)
+    word = ("0" if forward else "") + (format(cell % 2 ** level, f"0{level}b") if level else "")
+    lo, hi = oracles.interval(system.cc, word)
+    glo, ghi = oracles.gap(system.cc, word)
+    x = {"lo": lo, "hi": hi, "gap_lo": glo, "gap_hi": ghi}[end] + snaps * _SNAP
+    for _ in range(abs(ulps)):
+        x = math.nextafter(x, math.copysign(math.inf, ulps))
+    bound = system.m.a
+    x = min(max(x, system.m.b if forward else -bound), bound)
+    _assert_jump_parity(system, np.array([x]), forward)
+
+
+def test_walks_build_no_level_past_the_jump():
+    # the jump reads only levels the run builds anyway: verify_surgery reaches level 11
+    cc = make_construction(LorenzBranchMap.from_coefficient(1.8), 2.0)
+    system = build_base_map(cc)
+    b, a = system.m.b, system.m.a
+    system.base_value(np.linspace(b, a, 1_000))
+    system.base_invert(np.linspace(-a, a, 1_000))
+    assert len(cc._levels) <= JUMP + 2
 
 
 @settings(max_examples=60, deadline=None)

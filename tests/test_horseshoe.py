@@ -422,7 +422,7 @@ def _scalar_samples(ps, sample_count, seed, depth):
     rng = SplitMix64(seed)
     samples = []
     for _ in range(sample_count):
-        wx, wy = rng.bits(depth), rng.bits(depth)
+        wx, wy = oracles.bits(rng, depth), oracles.bits(rng, depth)
         ux, uy = rng.random(), rng.random()
         xlo, xhi = oracles.interval(cc, wx)
         ylo, yhi = oracles.interval(cc, wy)
@@ -495,6 +495,14 @@ class TestWitness:
         assert [rec.gap_level is None for rec in records] == failed
         assert any(failed) == (search_level == 2) and not all(failed)
 
+    @pytest.mark.parametrize("depth", range(FIBER_DEPTH_CAP + 1))
+    def test_cells_are_the_oracle_word_cells(self, poincare18, depth):
+        # each cell is the top depth bits of one output, which oracles.bits
+        # spells as a word that the scalar samples place by word descent
+        records = poincare18.vertical_gap_witness(40, 1e-3, seed=depth + 3, depth=depth)
+        assert [(rec.x, rec.y) for rec in records] == _scalar_samples(
+            poincare18, 40, depth + 3, depth)
+
     def test_small_run_finds_gaps(self, poincare18):
         eps = poincare18.bowen.cc.gaps.length(3) / 16.0
         records = poincare18.vertical_gap_witness(50, eps, seed=42, depth=6)
@@ -522,7 +530,7 @@ class TestWitness:
         with pytest.raises(DomainError, match="sample count"):
             poincare18.vertical_gap_witness(-5, 1e-3, seed=1)
         # the depth is refused before the first sample is drawn, also with no samples
-        monkeypatch.setattr(SplitMix64, "bits", None)
+        monkeypatch.setattr(SplitMix64, "next_uint64", None)
         for count in (0, 5):
             with pytest.raises(DomainError, match="witness depth"):
                 poincare18.vertical_gap_witness(count, 1e-3, seed=1, depth=-1)

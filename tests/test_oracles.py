@@ -16,6 +16,7 @@ from fathorse.bowen import BowenSystem, build_base_map
 from fathorse.fatcantor import CantorConstruction, GapLengthSequence, make_construction
 from fathorse.horseshoe import make_poincare_system
 from fathorse.lorenz import LorenzBranchMap
+from fathorse.rng import SplitMix64
 
 
 def _refuse(*args, **kwargs):
@@ -40,6 +41,7 @@ def test_oracles_reach_no_array_kernel(monkeypatch):
     words = ["", "0", "1", "01", "110"]
     runs = {
         "zeta_long_sum": [oracles.zeta_long_sum(p) for p in (1.5, 2.0)],
+        "bits": [oracles.bits(SplitMix64(5), n) for n in (1, 8, 64)],
         "branch_derivative": [oracles.branch_derivative(system.m.c, x) for x in line],
         "right_branch_inverse": [oracles.right_branch_inverse(system.m.c, y) for y in line],
         "interval": [oracles.interval(cc, w) for w in words],
