@@ -197,10 +197,8 @@ class BowenSystem:
         whose cells are the walk's probe and partner intervals bit for
         bit.  With i the last probe cell whose lo is below x: x at or past
         hi[i] lies in the closed gap up to lo[i + 1], removed at walk level
-        jump - 1 - ctz(i + 1); x within _SNAP of an end of cell i snaps to
-        it, as the walk does where that end first bounds x's interval (a
-        cell is far wider than 2 _SNAP, so x meets no other end first).
-        Every other point enters the level loop at cell i.
+        jump - 1 - ctz(i + 1).  Every other point enters the level loop at
+        cell i.
 
         Returns the values and slopes, the indices of the points in closed
         probe gaps, and one GapDiffeo over the gaps of all levels, which
@@ -213,20 +211,15 @@ class BowenSystem:
         (plos, phis), (qlos, qhis), dp, dq = (
             (source, target, 1, 0) if forward else (target, source, 0, 1))
         i = np.searchsorted(plos[1:], xs)  # the last cell whose lo is below x; 0 at the root's lo
-        x, plo, phi = xs, plos[i], phis[i]
-        gap = (x >= phi) & (i < cells - 1)
-        at_lo = x - plo <= _SNAP
-        at_hi = ~gap & (phi - x <= _SNAP)
-        out, slope = np.empty_like(xs), np.empty_like(xs)
-        out[at_lo], out[at_hi] = qlos[i[at_lo]], qhis[i[at_hi]]
-        slope[at_lo | at_hi] = 2.0
+        gap = (xs >= phis[i]) & (i < cells - 1)
         # per point in a gap: its walk level and the probe and partner gap ends;
         # frexp(2^k) has exponent k + 1, so the level is jump - frexp(i + 1 & -(i + 1))
         levels, ends = np.full(xs.size, -1), np.empty((4, xs.size))
         g = i[gap]
         levels[gap] = jump - np.frexp((g + 1) & -(g + 1))[1]
         ends[:, gap] = phis[g], plos[g + 1], qhis[g], qlos[g + 1]
-        idx = np.flatnonzero(~(gap | at_lo | at_hi))
+        out, slope = np.empty_like(xs), np.empty_like(xs)
+        idx = np.flatnonzero(~gap)
         i = i[idx]
         x, plo, phi, qlo, qhi = xs[idx], plos[i], phis[i], qlos[i], qhis[i]
         n = jump
@@ -235,6 +228,7 @@ class BowenSystem:
             at_lo = x - plo <= _SNAP
             at_hi = phi - x <= _SNAP
             glo, ghi = cc._gap_from(plo, phi, n + dp)
+            tlo, thi = cc._gap_from(qlo, qhi, n + dq)
             gap = (glo <= x) & (x <= ghi)
             stop = deep | at_lo | at_hi | gap
             if stop.any():
@@ -250,11 +244,10 @@ class BowenSystem:
                 slope[idx[at_lo | at_hi]] = 2.0
                 k = idx[gap]
                 levels[k] = n
-                ends[:, k] = (glo[gap], ghi[gap], *cc._gap_from(qlo[gap], qhi[gap], n + dq))
+                ends[:, k] = glo[gap], ghi[gap], tlo[gap], thi[gap]
                 go = ~stop
-                x, plo, phi, qlo, qhi, glo, ghi, idx = (
-                    v[go] for v in (x, plo, phi, qlo, qhi, glo, ghi, idx))
-            tlo, thi = cc._gap_from(qlo, qhi, n + dq)
+                x, plo, phi, qlo, qhi, glo, ghi, tlo, thi, idx = (
+                    v[go] for v in (x, plo, phi, qlo, qhi, glo, ghi, tlo, thi, idx))
             right = x > ghi
             plo, phi = np.where(right, ghi, plo), np.where(right, phi, glo)
             qlo, qhi = np.where(right, thi, qlo), np.where(right, qhi, tlo)
@@ -318,8 +311,9 @@ class BowenSystem:
         h on the left zone, odd reflection -h(-x) on the right zone."""
         if (xs == 0.0).any():
             raise SingularityError("spliced map is undefined at x = 0")
-        if (np.abs(xs) > 1.0).any():
-            raise DomainError(f"x = {xs[np.abs(xs) > 1.0][0]} outside [-1, 1]")
+        bad = ~(np.abs(xs) <= 1.0)  # also rejects NaN
+        if bad.any():
+            raise DomainError(f"x = {xs[bad][0]} outside [-1, 1]")
         c, root = self.m.c, np.sqrt(np.abs(xs))
         out = np.where(xs > 0.0, c * root - 1.0, -c * root + 1.0)
         left = self._in_left_surgery(xs)
@@ -342,7 +336,7 @@ class BowenSystem:
         corner identities survive repeated composition.
         """
         c, a, fb = self.m.c, self.m.a, self.fb
-        bad = (ys <= -1.0) | (ys > (c - 1.0) + 1e-12)
+        bad = ~((-1.0 < ys) & (ys <= (c - 1.0) + 1e-12))  # also rejects NaN
         if bad.any():
             raise DomainError(f"y = {ys[bad][0]} outside the right-branch range")
         t = (np.minimum(ys, c - 1.0) + 1.0) / c
@@ -445,16 +439,23 @@ def verify_surgery(sys: BowenSystem, max_level: int, monotone_grid: int = 100_00
     cc, gaps = sys.cc, sys.cc.gaps
     ts = np.arange(21) / 20.0
 
-    # every sampled source-gap point of every level through one derivative call
+    # the source gap of I_{0w} is removed at level |w| + 1, at cell word_cell(w) of
+    # that level's right half.  Each level's gaps are computed once: the sampled
+    # words pick theirs, and the ends of levels 1..max_level with b and a are the
+    # endpoints (distinct, the gaps being disjoint), so all go through one call
+    source_gaps = []
+    for n in range(1, max_level + 2):
+        lo, hi = cc.level(n)
+        source_gaps.append(cc._gap_from(lo[2 ** (n - 1):], hi[2 ** (n - 1):], n))
     words = [_sample_words(n) for n in range(max_level + 1)]
     points = []
-    for n, ws in enumerate(words):  # the source gap of I_{0w} is removed at level n + 1
-        lo, hi = cc.level(n + 1)
-        cells = [word_cell("0" + w) for w in ws]
-        glo, ghi = cc._gap_from(lo[cells], hi[cells], n + 1)
+    for (glo, ghi), ws in zip(source_gaps, words):
+        cells = [word_cell(w) for w in ws]
+        glo, ghi = glo[cells], ghi[cells]
         points.append(glo[:, None] + ts * (ghi - glo)[:, None])
-    devs = np.abs(2.0 - sys.core_second_derivative(np.concatenate(points, axis=None)))
-    devs = devs.reshape(-1, ts.size)
+    endpoints = np.concatenate([[sys.m.b, sys.m.a], *source_gaps[:-1]], axis=None)
+    devs = np.abs(2.0 - sys.core_second_derivative(np.concatenate([*points, endpoints], axis=None)))
+    devs, endpoint_devs = devs[:-endpoints.size].reshape(-1, ts.size), devs[-endpoints.size:]
     levels = []
     for n, level_devs in enumerate(np.split(devs, np.cumsum([len(ws) for ws in words])[:-1])):
         s_n = 2.0 * gaps.length(n) / gaps.length(n + 1)
@@ -470,12 +471,6 @@ def verify_surgery(sys: BowenSystem, max_level: int, monotone_grid: int = 100_00
             )
         )
 
-    endpoints = {sys.m.b, sys.m.a}
-    for n in range(1, max_level + 1):  # source gaps: the right half of each level
-        lo, hi = cc.level(n)
-        glo, ghi = cc._gap_from(lo[2 ** (n - 1):], hi[2 ** (n - 1):], n)
-        endpoints.update(glo.tolist() + ghi.tolist())
-    endpoint_devs = np.abs(2.0 - sys.core_second_derivative(np.array(sorted(endpoints))))
     endpoint_max = float(endpoint_devs.max())
 
     a, fb = sys.m.a, sys.fb
@@ -495,7 +490,7 @@ def verify_surgery(sys: BowenSystem, max_level: int, monotone_grid: int = 100_00
 
     return SurgeryReport(
         levels=tuple(levels),
-        endpoint_count=len(endpoints),
+        endpoint_count=endpoints.size,
         endpoint_max_dev=endpoint_max,
         splice_margins=margins,
         min_increment=float(min(dpos.min(), dneg.min())),

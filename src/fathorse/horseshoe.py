@@ -121,7 +121,7 @@ class PoincareSystem:
         base-map walk."""
         a = self.bowen.m.a
         ys, s = _points(y), np.asarray(sign, dtype=float)
-        bad = np.abs(ys) > a + 1e-12
+        bad = ~(np.abs(ys) <= a + 1e-12)  # also rejects NaN
         if bad.any():
             raise DomainError(f"fiber argument {ys[bad][0]} outside [-a, a]")
         if s.ndim and s.size != ys.size or not (np.abs(s) == 1.0).all():  # also rejects NaN

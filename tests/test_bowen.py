@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from fathorse.bowen import (
     _SNAP,
     JUMP,
+    BowenSystem,
     GapDiffeo,
     _sample_words,
     build_base_map,
@@ -235,6 +236,14 @@ class TestVerifySurgery:
             assert level.sup_dev == max(
                 abs(2.0 - oracles.core_second_derivative(bowen18, x)) for x in points)
 
+    def test_one_derivative_call(self, bowen18, monkeypatch):
+        # the sampled gap points and the endpoints go through one walk together
+        calls, derivative = [], BowenSystem.core_second_derivative
+        monkeypatch.setattr(BowenSystem, "core_second_derivative",
+                            lambda self, xs: calls.append(xs.size) or derivative(self, xs))
+        verify_surgery(bowen18, max_level=10, monotone_grid=200)
+        assert calls == [3_245]
+
     def test_splice_continuity(self, report):
         assert max(report.splice_margins.values()) <= 1e-10
 
@@ -416,7 +425,7 @@ class TestArrayKernels:
 
 # -- the jump: walk levels 0..JUMP-1 read off the level arrays ---------------
 
-JUMP_CONFIGS = ((1.8, 2.0), (1.95, 3.0))
+JUMP_CONFIGS = ((1.8, 2.0), (1.95, 3.0), (1.7, 2.5))
 
 
 @functools.lru_cache(maxsize=None)

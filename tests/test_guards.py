@@ -4,7 +4,7 @@ Every depth or level argument passes through errors.check_depth, so each
 entry point below rejects one step past either end of its range, a
 non-integral depth and a bool, with check_depth's wording; a guard that
 bypasses the owner fails here.  Sample counts pass through the same guard with no cap.
-The scalar domain tests are written so that NaN fails them too, and the
+The scalar and array domain tests are written so that NaN fails them too, and the
 entry points that read a point of the section reject unequal x and y sizes
 and, through bowen._points, arrays of more than one dimension; fiber_map
 rejects a sign other than +1 or -1 and a sign array of the wrong size.
@@ -19,10 +19,13 @@ import pytest
 from fathorse import bowen, cones, horseshoe, lorenz
 from fathorse.bowen import verify_surgery
 from fathorse.errors import DomainError, SizeGuardError, check_depth
-from fathorse.fatcantor import LEVEL_ARRAY_CAP, LEVEL_MEASURE_CAP, TREE_JSON_CAP
+from fathorse.fatcantor import LEVEL_ARRAY_CAP, LEVEL_MEASURE_CAP, TREE_JSON_CAP, make_construction
 from fathorse.horseshoe import FIBER_DEPTH_CAP, MEASURE_DEPTH_CAP, WITNESS_SEARCH_LEVEL
+from fathorse.lorenz import LorenzBranchMap
 
 K3 = cones.ConeSystem(3)
+PS18 = horseshoe.make_poincare_system(
+    bowen.build_base_map(make_construction(LorenzBranchMap.from_coefficient(1.8), 2.0)))
 
 # (id, call taking the depth, cap, what the message names)
 SITES = [
@@ -112,6 +115,12 @@ NAN_SITES = [
      lambda: horseshoe.suspension_volume(-1.0, 0.1)),
     ("suspension_delta", lambda: horseshoe.suspension_volume(1.0, nan),
      lambda: horseshoe.suspension_volume(1.0, -0.1)),
+    ("modified_value", lambda: PS18.bowen.modified_value(nan),
+     lambda: PS18.bowen.modified_value(1.5)),
+    ("second_iterate", lambda: PS18.bowen.second_iterate(nan),
+     lambda: PS18.bowen.second_iterate(1.5)),
+    ("invert_right", lambda: PS18.bowen.invert_right(nan), lambda: PS18.bowen.invert_right(0.9)),
+    ("fiber_map", lambda: PS18.fiber_map(1.0, nan), lambda: PS18.fiber_map(1.0, 0.9)),
 ]
 
 
