@@ -4,11 +4,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
 from .config import load_config
-from .errors import ConfigError, FathorseError
+from .errors import ConfigError, DomainError, FathorseError
 from .runner import SUITES, run
 from .svgfig import FIGURE_KINDS, render_section_svg
 
@@ -33,6 +34,17 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _finite(token: str) -> float:
+    """A dataset number as a finite float.  json.loads hands every number
+    and its NaN, Infinity and -Infinity tokens here; those tokens, and
+    literals past the doubles such as 1e400, are refused, since no figure
+    can draw them and the run's datasets never hold them."""
+    value = float(token)
+    if not math.isfinite(value):
+        raise DomainError(f"dataset holds the non-finite number {token}")
+    return value
+
+
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     if args.command == "run":
@@ -47,12 +59,12 @@ def main(argv: list[str] | None = None) -> int:
         return run(cfg, only=args.only, out_dir=args.out)
 
     try:
-        dataset = json.loads(Path(args.input).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
+        text = Path(args.input).read_text(encoding="utf-8")
+        dataset = json.loads(text, parse_float=_finite, parse_int=_finite, parse_constant=_finite)
+        svg = render_section_svg(dataset, args.kind)
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         print(f"cannot read dataset: {exc}", file=sys.stderr)
         return 3
-    try:
-        svg = render_section_svg(dataset, args.kind)
     except FathorseError as exc:
         print(f"render error: {exc}", file=sys.stderr)
         return 2

@@ -36,7 +36,6 @@ import numpy as np
 
 from .bowen import BowenSystem, _like, _points
 from .errors import DomainError, SingularityError, SizeGuardError, check_depth
-from .rng import SplitMix64
 
 __all__ = [
     "PoincareSystem",
@@ -236,9 +235,9 @@ class PoincareSystem:
         """Certify that no vertical eps-segment lies in the horseshoe.
 
         Members of the depth-N set are sampled from the product cover with
-        the seeded splitmix64 stream, drawn one sample at a time in stream
-        order, placed in their cells of the depth-N level arrays and then
-        tested together by one array membership call.  For
+        the seeded splitmix64 stream, drawn as one array of four outputs
+        per sample, placed in their cells of the depth-N level arrays and
+        then tested together by one array membership call.  For
         every member at once, the interval tree under y is descended level
         by level until a removed gap sits within eps, and the nudged gap
         point is tested as a non-member by membership at the gap's own
@@ -253,16 +252,13 @@ class PoincareSystem:
         check_depth(sample_count, math.inf, "sample count")
         check_depth(depth, FIBER_DEPTH_CAP, "witness depth")
         cc = self.bowen.cc
-        rng = SplitMix64(seed)
-        cells, us = [], []
-        # a cell is word_cell of the word spelled by the top depth bits of one output
-        last, shift = 2 ** depth - 1, 64 - depth
-        for _ in range(sample_count):
-            cells += last - (rng.next_uint64() >> shift), last - (rng.next_uint64() >> shift)
-            us += rng.random(), rng.random()
-        lo, hi = cc.level(depth) if cells else (np.empty(0), np.empty(0))
-        samples = lo[cells] + np.array(us) * (hi[cells] - lo[cells])  # x, y, x, y, ...
-        xs, ys = samples[0::2], samples[1::2]
+        # four outputs per sample: x cell, y cell, x offset, y offset; a cell
+        # is word_cell of the word spelled by the top depth bits of its output
+        words = splitmix64(seed, 4 * sample_count).reshape(-1, 4)
+        cells = 2 ** depth - 1 - (words[:, :2] >> (64 - depth))
+        offsets = (words[:, 2:] >> 11) * 2.0 ** -53
+        lo, hi = cc.level(depth)
+        xs, ys = (lo[cells] + offsets * (hi[cells] - lo[cells])).T
         member = self.membership((xs, ys), depth)
 
         witness_y, gap_level = np.empty(ys.size), np.full(ys.size, -1)
@@ -290,13 +286,14 @@ class PoincareSystem:
             lo, hi = np.where(above, ghi, lo), np.where(above, hi, glo)
 
         records = []
-        for i, (x, y) in enumerate(zip(xs.tolist(), ys.tolist())):
-            if not member[i]:
+        for x, y, inside, wy, level in zip(xs.tolist(), ys.tolist(), member.tolist(),
+                                           witness_y.tolist(), gap_level.tolist()):
+            if not inside:
                 records.append(WitnessRecord(x, y, None, None, "sample not a member"))
-            elif gap_level[i] < 0:
+            elif level < 0:
                 records.append(WitnessRecord(x, y, None, None, "no gap within eps"))
             else:
-                records.append(WitnessRecord(x, y, float(witness_y[i]), int(gap_level[i]), None))
+                records.append(WitnessRecord(x, y, wy, level, None))
         return tuple(records)
 
     def fiber_contraction_report(self, samples: int = 2000) -> float:
@@ -311,6 +308,19 @@ class PoincareSystem:
         ys = -a + (2.0 * a) * (np.arange(samples) + 0.5) / samples
         up, down = self.fiber_map(-1, np.concatenate([ys + h, ys - h])).reshape(2, -1)
         return float(np.max(np.abs(up - down) / (2.0 * h), initial=0.0))
+
+
+def splitmix64(seed: int, count: int) -> np.ndarray:
+    """The first count outputs of the splitmix64 stream of a seed (taken
+    mod 2^64), as uint64.  The stream is counter-based: output i, from 1,
+    is the 30/27/31 xor-multiply mix of seed + i * 0x9E3779B97F4A7C15, and
+    uint64 arithmetic wraps mod 2^64.  tests/oracles.py keeps the stateful
+    generator as its oracle."""
+    counter = np.arange(1, count + 1, dtype=np.uint64)
+    z = np.uint64(seed % 2 ** 64) + counter * 0x9E3779B97F4A7C15
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EB
+    return z ^ (z >> 31)
 
 
 def _check_square(xs: np.ndarray, ys: np.ndarray, half: float, name: str, inner=None):

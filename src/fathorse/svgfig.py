@@ -139,11 +139,11 @@ _RENDERERS = {
 
 def render_section_svg(dataset: dict, kind: str) -> str:
     """Render one figure kind from its dataset, or raise DomainError if it is
-    malformed.  Empty image, cones and horseshoe datasets give the bare
-    canvas with axes; a partition needs `b` and `strip_halfheight`."""
+    malformed or not a dict.  An empty dict as an image, cones or
+    horseshoe dataset gives the bare canvas with axes; a partition needs
+    `b` and `strip_halfheight`."""
     if kind not in _RENDERERS:
         raise DomainError(f"unknown figure kind {kind!r}; expected one of {FIGURE_KINDS}")
-    dataset = dataset or {}
     if not isinstance(dataset, dict):
         raise DomainError(f"{kind} dataset must be a JSON object")
     try:

@@ -19,9 +19,11 @@ them compares the array code with independent per-point code.
 
 zeta_long_sum is the 200,000-term sum that fathorse.fatcantor.zeta_value
 replaced with a short Euler-Maclaurin sum; it is kept as that sum's
-oracle.  bits is the '0'/'1' word draw that
+oracle.  SplitMix64 is the stateful generator that
+fathorse.horseshoe.splitmix64 replaced with one counter-based uint64
+array, and bits is the '0'/'1' word draw that
 PoincareSystem.vertical_gap_witness replaced with an integer cell draw;
-it is kept as that draw's oracle.
+they are kept as the oracles of the array draw and of the cells.
 """
 
 from __future__ import annotations
@@ -71,6 +73,28 @@ def zeta_long_sum(p: float) -> float:
 
 
 # -- witness sampler -----------------------------------------------------------
+
+_MASK = (1 << 64) - 1
+
+
+class SplitMix64:
+    """The splitmix64 stream, one output per call: the state advances by
+    the 64-bit golden ratio constant and the output is the finalized mix
+    of the new state."""
+
+    def __init__(self, seed: int):
+        self._state = seed & _MASK
+
+    def next_uint64(self) -> int:
+        self._state = (self._state + 0x9E3779B97F4A7C15) & _MASK
+        z = self._state
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
+        return z ^ (z >> 31)
+
+    def random(self) -> float:
+        """Uniform double in [0, 1): the top 53 bits of one output scaled by 2^-53."""
+        return (self.next_uint64() >> 11) * 2.0 ** -53
 
 
 def bits(rng, n: int) -> str:

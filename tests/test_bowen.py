@@ -19,7 +19,7 @@ from fathorse.bowen import (
 from fathorse.errors import DomainError, SingularityError, SizeGuardError
 from fathorse.fatcantor import make_construction
 from fathorse.lorenz import LorenzBranchMap, branch_value
-from fathorse.rng import SplitMix64
+from oracles import SplitMix64
 
 
 class TestGapDiffeo:

@@ -17,7 +17,7 @@ from fathorse.horseshoe import (
     suspension_volume,
 )
 from fathorse.lorenz import LorenzBranchMap, branch_value
-from fathorse.rng import SplitMix64
+from oracles import SplitMix64
 
 
 @functools.lru_cache(maxsize=None)
@@ -530,13 +530,19 @@ class TestWitness:
         with pytest.raises(DomainError, match="sample count"):
             poincare18.vertical_gap_witness(-5, 1e-3, seed=1)
         # the depth is refused before the first sample is drawn, also with no samples
-        monkeypatch.setattr(SplitMix64, "next_uint64", None)
+        monkeypatch.setattr(horseshoe, "splitmix64", None)
         for count in (0, 5):
             with pytest.raises(DomainError, match="witness depth"):
                 poincare18.vertical_gap_witness(count, 1e-3, seed=1, depth=-1)
             for depth in (FIBER_DEPTH_CAP + 1, 20):
                 with pytest.raises(SizeGuardError, match="witness depth"):
                     poincare18.vertical_gap_witness(count, 1e-3, seed=1, depth=depth)
+
+    def test_seed_taken_mod_two_to_the_64(self, poincare18):
+        # the config admits negative seeds; -1 is 2^64 - 1 mod 2^64
+        eps = poincare18.bowen.cc.gaps.length(3) / 16.0
+        records = poincare18.vertical_gap_witness(100, eps, seed=-1)
+        assert repr(records) == repr(poincare18.vertical_gap_witness(100, eps, seed=2 ** 64 - 1))
 
     def test_gap_point_trivially_non_member(self, poincare18, construction18):
         glo, ghi = oracles.gap(construction18, "0")

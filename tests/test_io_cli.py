@@ -19,11 +19,16 @@ from fathorse.config import ExperimentConfig, load_config, validate
 from fathorse.cones import LEVEL_HARD_CAP
 from fathorse.errors import ConfigError, DomainError
 from fathorse.fatcantor import LEVEL_MEASURE_CAP, make_construction
-from fathorse.horseshoe import MEASURE_DEPTH_CAP, MEASURE_RESOLUTION_FLOOR, make_poincare_system
+from fathorse.horseshoe import (
+    MEASURE_DEPTH_CAP,
+    MEASURE_RESOLUTION_FLOOR,
+    make_poincare_system,
+    splitmix64,
+)
 from fathorse.lorenz import LorenzBranchMap
-from fathorse.rng import SplitMix64
 from fathorse.runner import SUITES, run
 from fathorse.svgfig import FIGURE_KINDS, PIXEL, render_section_svg
+from oracles import SplitMix64
 
 
 def _write(path: Path, obj) -> Path:
@@ -178,6 +183,18 @@ class TestSplitMix:
         vals = [rng.random() for _ in range(1000)]
         assert all(0.0 <= v < 1.0 for v in vals)
         assert len(set(vals)) == 1000
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(-2 ** 70, 2 ** 70), st.integers(0, 64))
+    def test_array_draw_is_the_stream(self, seed, count):
+        rng = SplitMix64(seed)
+        assert splitmix64(seed, count).tolist() == [rng.next_uint64() for _ in range(count)]
+
+    @pytest.mark.parametrize("seed", [0, 1, 2 ** 63 + 5, 2 ** 64 - 1])
+    def test_array_draw_over_a_witness_run(self, seed):
+        # the 4,000 outputs of the default run's 1,000 witness samples
+        rng = SplitMix64(seed)
+        assert splitmix64(seed, 4000).tolist() == [rng.next_uint64() for _ in range(4000)]
 
     def test_bits(self):
         assert oracles.bits(SplitMix64(5), 8) == oracles.bits(SplitMix64(5), 8)
@@ -507,6 +524,16 @@ class TestCli:
             pytest.param("partition", {"b": "x"}, id="partition-missing-key"),
             pytest.param("partition", {}, id="partition-empty"),
             pytest.param("horseshoe", [[0.1, 0.2]], id="top-level-list"),
+            # the NaN, Infinity and -Infinity tokens json.loads admits
+            pytest.param("horseshoe", {"half_width": math.nan, "points": [[math.inf, 0.1]]},
+                         id="horseshoe-non-finite"),
+            pytest.param("cones", {"slices": [{"a": -math.inf, "intervals": [[0.0, 0.1]]}]},
+                         id="cones-minus-infinity"),
+            pytest.param("partition", {"b": 0.2, "strip_halfheight": 0.8, "note": math.nan},
+                         id="partition-unread-nan"),
+            # falsy non-objects are not the empty dataset
+            *(pytest.param(kind, value, id=f"{kind}-{value!r}")
+              for kind in ("cones", "image", "horseshoe") for value in ([], 0, None, False, "")),
         ],
     )
     def test_render_malformed_dataset_exits_two(self, tmp_path, capsys, kind, dataset):
@@ -514,6 +541,26 @@ class TestCli:
         assert main(["render", "--input", str(path), "--kind", kind]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
+        assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+
+    @pytest.mark.parametrize(
+        "text, code",
+        [
+            # number literals past the doubles parse to inf, or crashed the renderer
+            pytest.param(b'{"half_width": 1e400}', 2, id="float-past-the-doubles"),
+            pytest.param(b'{"points": [[-1e400, 0.1]]}', 2, id="negative-float-past-the-doubles"),
+            pytest.param(b'{"half_width": ' + b"9" * 400 + b"}", 2, id="int-past-the-doubles"),
+            pytest.param(b"\xff\xfe{}", 3, id="not-utf-8"),
+            pytest.param(b'{"half_width": ', 3, id="truncated-json"),
+        ],
+    )
+    def test_render_dataset_text(self, tmp_path, capsys, text, code):
+        path = tmp_path / "d.json"
+        path.write_bytes(text)
+        assert main(["render", "--input", str(path), "--kind", "horseshoe",
+                     "--out", str(tmp_path / "d.svg")]) == code
+        captured = capsys.readouterr()
+        assert not (tmp_path / "d.svg").exists()
         assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
 
     @pytest.mark.parametrize("c", [1.7, 1.8, 1.95])

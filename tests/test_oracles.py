@@ -2,8 +2,9 @@
 
 Every function of tests/oracles.py runs here with the level arrays of
 the interval tree, the array walk of the paired trees, the array
-Newton-bisection and the short zeta sum patched to raise, so no oracle
-can reach the code that its parity tests compare it with.
+Newton-bisection, the short zeta sum and the array splitmix64 draw
+patched to raise, so no oracle can reach the code that its parity tests
+compare it with.
 """
 
 import inspect
@@ -11,12 +12,12 @@ import inspect
 import oracles
 import pytest
 
-from fathorse import bowen, fatcantor
+from fathorse import bowen, fatcantor, horseshoe
 from fathorse.bowen import BowenSystem, build_base_map
 from fathorse.fatcantor import CantorConstruction, GapLengthSequence, make_construction
 from fathorse.horseshoe import make_poincare_system
 from fathorse.lorenz import LorenzBranchMap
-from fathorse.rng import SplitMix64
+from oracles import SplitMix64
 
 
 def _refuse(*args, **kwargs):
@@ -31,6 +32,7 @@ def test_oracles_reach_no_array_kernel(monkeypatch):
     monkeypatch.setattr(BowenSystem, "_walks", _refuse)
     monkeypatch.setattr(bowen, "_invert_profile", _refuse)
     monkeypatch.setattr(fatcantor, "zeta_value", _refuse)
+    monkeypatch.setattr(horseshoe, "splitmix64", _refuse)
     system = ps.bowen
     cc = system.cc
     b, a, fb = system.m.b, system.m.a, system.fb
@@ -80,3 +82,5 @@ def test_oracles_reach_no_array_kernel(monkeypatch):
         cc.to_tree_json(2)
     with pytest.raises(AssertionError, match="array kernel"):
         GapLengthSequence(first_length=1.0, exponent=2.0).total()
+    with pytest.raises(AssertionError, match="array kernel"):
+        ps.vertical_gap_witness(1, 1e-3, seed=5, depth=0)
