@@ -16,16 +16,17 @@ its SVG, once every enabled suite has finished.  Outputs:
 
 Exit codes: 0 all checks pass, 1 some check failed, 2 invalid or
 infeasible parameters (no file written, no directory created, an existing
-one left as it was), 3 I/O failure on any write.  Numbers are written with
-17 significant digits and LF line endings so repeated runs are byte-identical.
+one left as it was), 3 I/O failure on any write.  Floats are written as .17g
+in CSV, as the shortest round-trip repr in JSON and with six decimals in
+SVG, all with LF line endings, so repeated runs are byte-identical.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import json
 import math
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _encode_str
 from pathlib import Path
 
 import numpy as np
@@ -54,10 +55,40 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
     path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
 
+def _json(obj, ind: str = "\n", end: str = "") -> str:
+    """obj as json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
+    writes it at the indent `ind` (a newline and spaces), then `end`.  An
+    all-float list is one join and a list of [float, float] rows one
+    template; a dict key that is not a str raises TypeError."""
+    inner = ind + "  "
+    sep = "," + inner
+    if isinstance(obj, dict):
+        body = sep.join([f"{_encode_str(k)}: {_json(obj[k], inner)}" for k in sorted(obj)])
+        return f"{{{inner}{body}{ind}}}{end}" if obj else "{}" + end
+    if isinstance(obj, str):
+        return _encode_str(obj) + end
+    if obj is None or obj is True or obj is False:
+        return ("null" if obj is None else "true" if obj else "false") + end
+    if isinstance(obj, int):
+        return int.__repr__(obj) + end
+    if isinstance(obj, float):
+        text = float.__repr__(obj)
+    elif not isinstance(obj, (list, tuple)):
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+    elif all(isinstance(v, float) for v in obj):
+        text = f"[{inner}{sep.join(map(float.__repr__, obj))}{ind}]" if obj else "[]"
+    elif all(type(r) is list and len(r) == 2 and type(r[0]) is type(r[1]) is float for r in obj):
+        row = f"[{inner}  %r,{inner}  %r{inner}]"
+        text = f"[{inner}{sep.join([row] * len(obj))}{ind}]" % tuple(v for r in obj for v in r)
+    else:
+        return f"[{inner}{sep.join([_json(v, inner) for v in obj])}{ind}]{end}"
+    if "n" in text:  # only floats are in text, and no finite float's repr has an n
+        raise ValueError(f"Out of range float values are not JSON compliant: {text}")
+    return text + end
+
+
 def _write_json(path: Path, obj) -> None:
-    # strict JSON: a non-finite float raises ValueError instead of writing Infinity or NaN
-    text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
-    path.write_text(text + "\n", encoding="utf-8", newline="\n")
+    path.write_text(_json(obj, end="\n"), encoding="utf-8", newline="\n")
 
 
 class _Checks:

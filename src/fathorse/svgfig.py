@@ -106,11 +106,11 @@ def _image(dataset: dict) -> list[str]:
 
 
 def _cones(dataset: dict) -> list[str]:
+    line = '<line x1="%.6f" y1="%.6f" x2="%.6f" y2="%.6f" stroke="#303030" stroke-width="0.004"/>\n'
     parts = []
     for entry in dataset.get("slices", []):
         x = entry["a"]
-        for lo, hi in entry["intervals"]:
-            parts.append(_line(x, lo, x, hi, "#303030", 0.004))
+        parts.extend([line % (x, lo, x, hi) for lo, hi in entry["intervals"]])
     parts.append(_line(0, -1, 0, 1, "black", 0.006))
     return parts
 
@@ -121,11 +121,9 @@ def _horseshoe(dataset: dict) -> list[str]:
     if a:
         parts.append(_rect(-a, -a, a, a, "none", stroke="black"))
     r = dataset.get("point_size", 0.002)
-    for x, y in dataset.get("points", []):
-        parts.append(
-            f'<rect x="{_f(x - r)}" y="{_f(y - r)}" width="{_f(2 * r)}" '
-            f'height="{_f(2 * r)}" fill="#202020"/>\n'
-        )
+    side = _f(2 * r)
+    rect = f'<rect x="%.6f" y="%.6f" width="{side}" height="{side}" fill="#202020"/>\n'
+    parts.extend([rect % (x - r, y - r) for x, y in dataset.get("points", [])])
     return parts
 
 
@@ -148,6 +146,6 @@ def render_section_svg(dataset: dict, kind: str) -> str:
         raise DomainError(f"{kind} dataset must be a JSON object")
     try:
         body = _RENDERERS[kind](dataset)
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
         raise DomainError(f"malformed {kind} dataset: {type(exc).__name__}: {exc}") from exc
     return _HEADER + _FRAME + _axes() + "".join(body) + _FOOTER

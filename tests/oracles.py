@@ -24,6 +24,10 @@ fathorse.horseshoe.splitmix64 replaced with one counter-based uint64
 array, and bits is the '0'/'1' word draw that
 PoincareSystem.vertical_gap_witness replaced with an integer cell draw;
 they are kept as the oracles of the array draw and of the cells.
+
+cones_svg and horseshoe_svg are the figure bodies that fathorse.svgfig
+wrote one `_f` call per coordinate before each element became one
+%-template; they are the oracles of those templates.
 """
 
 from __future__ import annotations
@@ -35,6 +39,7 @@ from typing import NamedTuple
 from fathorse.bowen import _SNAP, _TOL, _TWO_PI, GapDiffeo
 from fathorse.errors import DomainError, SingularityError
 from fathorse.lorenz import branch_value
+from fathorse.svgfig import _f, _line, _rect
 
 # -- branch family -------------------------------------------------------------
 
@@ -412,3 +417,32 @@ def membership(ps, point, depth: int) -> bool:
     if abs(x) > a or abs(y) > a:
         raise DomainError(f"point {point} outside the core square")
     return x_condition(ps, x, depth) and y_condition(ps, y, depth)
+
+
+# -- SVG figure bodies -----------------------------------------------------------
+
+
+def cones_svg(dataset: dict) -> list[str]:
+    """The cones figure's elements: one vertical line per slice interval."""
+    parts = []
+    for entry in dataset.get("slices", []):
+        x = entry["a"]
+        for lo, hi in entry["intervals"]:
+            parts.append(_line(x, lo, x, hi, "#303030", 0.004))
+    parts.append(_line(0, -1, 0, 1, "black", 0.006))
+    return parts
+
+
+def horseshoe_svg(dataset: dict) -> list[str]:
+    """The horseshoe figure's elements: the core square, then one square per point."""
+    parts = []
+    a = dataset.get("half_width")
+    if a:
+        parts.append(_rect(-a, -a, a, a, "none", stroke="black"))
+    r = dataset.get("point_size", 0.002)
+    for x, y in dataset.get("points", []):
+        parts.append(
+            f'<rect x="{_f(x - r)}" y="{_f(y - r)}" width="{_f(2 * r)}" '
+            f'height="{_f(2 * r)}" fill="#202020"/>\n'
+        )
+    return parts

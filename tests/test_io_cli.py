@@ -222,6 +222,19 @@ class TestSvg:
         with pytest.raises(DomainError):
             render_section_svg({}, "sections")
 
+    @pytest.mark.parametrize(
+        "kind, dataset",
+        [
+            pytest.param("horseshoe", {"half_width": 10**400}, id="half-width"),
+            pytest.param("horseshoe", {"points": [[0.1, 10**400]]}, id="horseshoe-point"),
+            pytest.param("cones", {"slices": [{"a": 10**400, "intervals": [[0.0, 0.1]]}]},
+                         id="cones-a"),
+        ],
+    )
+    def test_int_past_the_doubles_is_malformed(self, kind, dataset):
+        with pytest.raises(DomainError, match=f"^malformed {kind} dataset: OverflowError"):
+            render_section_svg(dataset, kind)
+
     def test_deterministic(self):
         dataset = {"b": 0.25, "strip_halfheight": 0.9}
         assert render_section_svg(dataset, "partition") == render_section_svg(
@@ -353,6 +366,24 @@ class TestRunner:
     def test_nonfinite_json_raises(self, tmp_path):
         with pytest.raises(ValueError):
             runner._write_json(tmp_path / "bad.json", {"x": math.nan})
+        assert not (tmp_path / "bad.json").exists()
+
+    @pytest.mark.parametrize(
+        "obj",
+        [
+            pytest.param({"x": [0.5, math.inf]}, id="float-list-inf"),
+            pytest.param({"x": [-math.inf, 0.5]}, id="float-list-minus-inf"),
+            pytest.param({"x": [0.1, math.nan, 0.2]}, id="float-list-nan"),
+            pytest.param({"x": [[0.1, math.inf]]}, id="row-inf"),
+            pytest.param({"x": [[0.1, 0.2], [-math.inf, 0.3]]}, id="row-minus-inf"),
+            pytest.param({"x": [[math.nan, 0.2]]}, id="row-nan"),
+        ],
+    )
+    def test_nonfinite_in_float_lists_raises(self, tmp_path, obj):
+        # the all-float list and the [float, float] rows are written without
+        # a per-element check; they must still refuse inf and nan
+        with pytest.raises(ValueError):
+            runner._write_json(tmp_path / "bad.json", obj)
         assert not (tmp_path / "bad.json").exists()
 
     def test_console_line_names_the_rule(self, tmp_path, capsys):

@@ -2,9 +2,9 @@
 
 Every function of tests/oracles.py runs here with the level arrays of
 the interval tree, the array walk of the paired trees, the array
-Newton-bisection, the short zeta sum and the array splitmix64 draw
-patched to raise, so no oracle can reach the code that its parity tests
-compare it with.
+Newton-bisection, the short zeta sum, the array splitmix64 draw and the
+templates of the cones and horseshoe figures patched to raise, so no
+oracle can reach the code that its parity tests compare it with.
 """
 
 import inspect
@@ -12,7 +12,7 @@ import inspect
 import oracles
 import pytest
 
-from fathorse import bowen, fatcantor, horseshoe
+from fathorse import bowen, fatcantor, horseshoe, svgfig
 from fathorse.bowen import BowenSystem, build_base_map
 from fathorse.fatcantor import CantorConstruction, GapLengthSequence, make_construction
 from fathorse.horseshoe import make_poincare_system
@@ -33,6 +33,8 @@ def test_oracles_reach_no_array_kernel(monkeypatch):
     monkeypatch.setattr(bowen, "_invert_profile", _refuse)
     monkeypatch.setattr(fatcantor, "zeta_value", _refuse)
     monkeypatch.setattr(horseshoe, "splitmix64", _refuse)
+    monkeypatch.setitem(svgfig._RENDERERS, "cones", _refuse)
+    monkeypatch.setitem(svgfig._RENDERERS, "horseshoe", _refuse)
     system = ps.bowen
     cc = system.cc
     b, a, fb = system.m.b, system.m.a, system.fb
@@ -70,6 +72,10 @@ def test_oracles_reach_no_array_kernel(monkeypatch):
         "y_condition": [oracles.y_condition(ps, y, 4) for y in target],
         "x_condition": [oracles.x_condition(ps, x, 4) for x in core],
         "membership": [oracles.membership(ps, (x, y), 4) for x in core for y in target],
+        "cones_svg": [oracles.cones_svg({"slices": [{"a": x, "intervals": [[-a, a]]}]})
+                      for x in line],
+        "horseshoe_svg": [oracles.horseshoe_svg({"half_width": a, "points": [[x, x]]})
+                          for x in core],
     }
     public = {name for name, f in vars(oracles).items()
               if inspect.isfunction(f) and f.__module__ == oracles.__name__
@@ -84,3 +90,6 @@ def test_oracles_reach_no_array_kernel(monkeypatch):
         GapLengthSequence(first_length=1.0, exponent=2.0).total()
     with pytest.raises(AssertionError, match="array kernel"):
         ps.vertical_gap_witness(1, 1e-3, seed=5, depth=0)
+    for kind in ("cones", "horseshoe"):
+        with pytest.raises(AssertionError, match="array kernel"):
+            svgfig.render_section_svg({}, kind)
