@@ -45,6 +45,21 @@ def _finite(token: str) -> float:
     return value
 
 
+def _no_booleans(dataset) -> None:
+    """Refuse a JSON true or false anywhere in a dataset.  A figure reads
+    only numbers, and a bool is an int in Python, so true would draw as 1;
+    the run's datasets hold no booleans."""
+    stack = [dataset]
+    while stack:
+        value = stack.pop()
+        if isinstance(value, bool):
+            raise DomainError(f"dataset holds the boolean {str(value).lower()}, not a number")
+        if isinstance(value, dict):
+            stack.extend(value.values())
+        elif isinstance(value, list):
+            stack.extend(value)
+
+
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     if args.command == "run":
@@ -61,6 +76,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         text = Path(args.input).read_text(encoding="utf-8")
         dataset = json.loads(text, parse_float=_finite, parse_int=_finite, parse_constant=_finite)
+        _no_booleans(dataset)
         svg = render_section_svg(dataset, args.kind)
     except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         print(f"cannot read dataset: {exc}", file=sys.stderr)

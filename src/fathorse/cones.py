@@ -92,9 +92,9 @@ def _children(r: np.ndarray, out: np.ndarray) -> np.ndarray:
     Odd m takes the negative branch preimage -((r-1)/2)^2, even m the
     positive one ((r+1)/2)^2, so signs alternate -,+,-,+ along the level.
     """
-    neg = out[0::2]
+    neg = out[..., 0::2]
     np.subtract(r, 1.0, out=neg)
-    np.add(r, 1.0, out=out[1::2])
+    np.add(r, 1.0, out=out[..., 1::2])
     out /= 2.0
     np.square(out, out=out)
     np.negative(neg, out=neg)
@@ -109,17 +109,18 @@ def _widths(r: np.ndarray, parent: np.ndarray, inv_k: float, out: np.ndarray) ->
     np.abs(r, out=out)
     out **= inv_k
     out *= 0.5
-    out[0::2] *= parent
-    out[1::2] *= parent
+    out[..., 0::2] *= parent
+    out[..., 1::2] *= parent
     return out
 
 
-def _preimages(a: float, n: int):
-    """Yield the normalized preimages of a for levels 0..n, each a fresh array."""
-    r = np.array([a], dtype=float)
+def _preimages(a, n: int):
+    """Yield the normalized preimages of a for levels 0..n, each a fresh array;
+    an array of abscissas gives one row per abscissa, stepped along the last axis."""
+    r = np.asarray(a, dtype=float)[..., None]
     yield r
     for _ in range(n):
-        r = _children(r, np.empty(2 * r.size))
+        r = _children(r, np.empty((*r.shape[:-1], 2 * r.shape[-1])))
         yield r
 
 
@@ -205,24 +206,30 @@ def slice_measure(sys: ConeSystem, a: float, n: int) -> float:
     return totals[n]
 
 
-def slice_intervals(sys: ConeSystem, a: float, n: int) -> np.ndarray:
+def slice_intervals(sys: ConeSystem, a, n: int) -> np.ndarray:
     """Fiber intervals [lo, hi] of the level-n cover at abscissa a, one row per leaf.
 
-    A leaf interval is its parent's image under the child's fiber map
-    y -> (|r|^{1/k} y +- 1)/2, so the child center sits a quarter of the
-    parent width below (negative branch) or above (positive branch) the
-    parent center.
+    A float a gives a (2^n, 2) array; a 1-D array of abscissas gives one
+    such array per abscissa, shape (len(a), 2^n, 2), from the same
+    recursion along the last axis.  A leaf interval is its parent's image
+    under the child's fiber map y -> (|r|^{1/k} y +- 1)/2, so the child
+    center sits a quarter of the parent width below (negative branch) or
+    above (positive branch) the parent center.
     """
-    _check_slice(a, n)
+    a = np.asarray(a, dtype=float)
+    if a.ndim > 1:
+        raise DomainError(f"slice abscissas must be a float or a 1-D array, got shape {a.shape}")
+    outside = a[~(np.abs(a) < 1.0)]  # also NaN
+    _check_slice(outside[0] if outside.size else 0.0, n)
     levels = _preimages(a, n)
     next(levels)
-    centers, widths = np.zeros(1), np.full(1, 2.0)
+    centers, widths = np.zeros((*a.shape, 1)), np.full((*a.shape, 1), 2.0)
     for r in levels:
-        centers = np.repeat(centers, 2)
-        centers[0::2] -= 0.25 * widths
-        centers[1::2] += 0.25 * widths
-        widths = _widths(r, widths, 1.0 / sys.k, np.empty(r.size))
-    return np.stack([centers - 0.5 * widths, centers + 0.5 * widths], axis=1)
+        centers = np.repeat(centers, 2, axis=-1)
+        centers[..., 0::2] -= 0.25 * widths
+        centers[..., 1::2] += 0.25 * widths
+        widths = _widths(r, widths, 1.0 / sys.k, np.empty(r.shape))
+    return np.stack([centers - 0.5 * widths, centers + 0.5 * widths], axis=-1)
 
 
 @dataclass(frozen=True)

@@ -126,25 +126,32 @@ def _pixel_merge(intervals: np.ndarray) -> np.ndarray:
     return ends[~drop].reshape(-1, 2)
 
 
+def _cone_figure(system: cones_mod.ConeSystem, n: int) -> dict:
+    """The cone figure's 161 slices at level n: each slice's total and its
+    leaf intervals merged at one pixel.  One slice_intervals call gives the
+    leaves of every slice, released on return, before the tables walk."""
+    abscissas = [-0.98 + i * (1.96 / 160) for i in range(161)]
+    leaves = cones_mod.slice_intervals(system, np.array(abscissas), n)
+    slices = []
+    for a, rows in zip(abscissas, leaves):
+        total = cones_mod.slice_measure(system, a, n)
+        slices.append({"a": a, "intervals": _pixel_merge(rows).tolist(), "total": total})
+    return {"k": system.k, "n": n, "slices": slices}
+
+
 def _cones_suite(cfg: ExperimentConfig, checks: _Checks, artifacts: dict) -> None:
     # One system per k_list entry, in config order, so a repeated k gets its
     # own block of cones.csv.  The first also serves the oracle sample and
-    # the figure sweep.  The tables walk once per abscissa for every k:
-    # walk_slices leaves each system the level totals its table reads.
+    # the figure, whose totals stay one slice_measure call per abscissa, the
+    # count perfbench/selftest.py pins.
+    # The tables walk once per abscissa for every k: walk_slices leaves
+    # each system the level totals its table reads.
     systems = [cones_mod.ConeSystem(k) for k in cfg.k_list]
     system = systems[0]
     oracle_a = cfg.a_list[len(cfg.a_list) // 2]
     bf = cones_mod.brute_force_slice(system, oracle_a, min(4, cfg.n_max), 1e-3)
     oracle_dev = abs(bf - cones_mod.slice_measure(system, oracle_a, min(4, cfg.n_max)))
-
-    sweep_n = min(6, cfg.n_max)
-    slices = []
-    for i in range(161):
-        a = -0.98 + i * (1.96 / 160)
-        total = cones_mod.slice_measure(system, a, sweep_n)
-        intervals = _pixel_merge(cones_mod.slice_intervals(system, a, sweep_n)).tolist()
-        slices.append({"a": a, "intervals": intervals, "total": total})
-    artifacts["figures/cones.json"] = {"k": system.k, "n": sweep_n, "slices": slices}
+    artifacts["figures/cones.json"] = _cone_figure(system, min(6, cfg.n_max))
 
     tables = [[] for _ in systems]
     for a in cfg.a_list:

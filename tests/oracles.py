@@ -25,6 +25,12 @@ array, and bits is the '0'/'1' word draw that
 PoincareSystem.vertical_gap_witness replaced with an integer cell draw;
 they are kept as the oracles of the array draw and of the cells.
 
+slice_intervals_1d is the body of fathorse.cones.slice_intervals before
+it took an array of abscissas: one abscissa, one 1-D level at a time,
+with its own copies of the preimage and width steps.  It uses numpy, as
+that body did, with the same operations in the same order, so its leaf
+intervals are the oracle of the batched recursion bit for bit.
+
 cones_svg and horseshoe_svg are the figure bodies that fathorse.svgfig
 wrote one `_f` call per coordinate before each element became one
 %-template; they are the oracles of those templates.
@@ -35,6 +41,8 @@ from __future__ import annotations
 import bisect
 import math
 from typing import NamedTuple
+
+import numpy as np
 
 from fathorse.bowen import _SNAP, _TOL, _TWO_PI, GapDiffeo
 from fathorse.errors import DomainError, SingularityError
@@ -417,6 +425,41 @@ def membership(ps, point, depth: int) -> bool:
     if abs(x) > a or abs(y) > a:
         raise DomainError(f"point {point} outside the core square")
     return x_condition(ps, x, depth) and y_condition(ps, y, depth)
+
+
+# -- cone slice leaves -----------------------------------------------------------
+
+
+def slice_intervals_1d(sys, a: float, n: int) -> np.ndarray:
+    """Fiber intervals [lo, hi] of the level-n cover at one abscissa a, shape (2^n, 2).
+
+    Each level's preimages are the children -((r-1)/2)^2 and ((r+1)/2)^2
+    of the level above; each leaf interval is its parent's image under
+    the fiber map y -> (|r|^{1/k} y +- 1)/2.
+    """
+    if not abs(a) < 1.0:  # also rejects NaN
+        raise DomainError(f"slice abscissa must satisfy |a| < 1, got {a}")
+    r = np.array([a], dtype=float)
+    centers, widths = np.zeros(1), np.full(1, 2.0)
+    for _ in range(n):
+        child = np.empty(2 * r.size)
+        neg = child[0::2]
+        np.subtract(r, 1.0, out=neg)
+        np.add(r, 1.0, out=child[1::2])
+        child /= 2.0
+        np.square(child, out=child)
+        np.negative(neg, out=neg)
+        r = child
+        centers = np.repeat(centers, 2)
+        centers[0::2] -= 0.25 * widths
+        centers[1::2] += 0.25 * widths
+        child_widths = np.abs(r)
+        child_widths **= 1.0 / sys.k
+        child_widths *= 0.5
+        child_widths[0::2] *= widths
+        child_widths[1::2] *= widths
+        widths = child_widths
+    return np.stack([centers - 0.5 * widths, centers + 0.5 * widths], axis=1)
 
 
 # -- SVG figure bodies -----------------------------------------------------------

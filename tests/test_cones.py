@@ -8,6 +8,7 @@ from fractions import Fraction
 from unittest import mock
 
 import numpy as np
+import oracles
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -502,6 +503,70 @@ class TestStoredTotals:
         sweep = [(-0.98 + i * (1.96 / 160), 6, (3,)) for i in range(161)]
         tables = [(a, n_max, (3, 2)) for a in a_list]
         assert walks == [(a_list[2], 4, (3,))] + sweep + tables
+
+
+SWEEP_A = [-0.98 + i * (1.96 / 160) for i in range(161)]  # the cone figure's abscissas
+
+
+def _assert_rows_match_oracle(system, abscissas, n):
+    got = slice_intervals(system, np.array(abscissas, dtype=float), n)
+    assert got.shape == (len(abscissas), 2**n, 2)
+    for a, row in zip(abscissas, got):
+        want = oracles.slice_intervals_1d(system, a, n).tobytes()
+        assert row.tobytes() == want, (system.k, a, n)
+        assert slice_intervals(system, a, n).tobytes() == want, (system.k, a, n)
+
+
+class TestBatchedIntervals:
+    """slice_intervals over an array of abscissas against the per-abscissa
+    oracle, tobytes()-equal, so a zero of the wrong sign counts."""
+
+    @pytest.mark.parametrize("k", (2, 3, 5, 7))
+    def test_sweep_abscissas_match_oracle(self, k):
+        for n in range(7):
+            _assert_rows_match_oracle(ConeSystem(k), SWEEP_A, n)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(st.floats(-1.0, 1.0, exclude_min=True, exclude_max=True)
+                 | st.sampled_from([-0.0, 0.98, -0.98]), max_size=20),
+        st.integers(2, 8),
+        st.integers(0, 8),
+    )
+    def test_batch_property(self, abscissas, k, n):
+        _assert_rows_match_oracle(ConeSystem(k), abscissas, n)
+
+    @pytest.mark.parametrize("a", [[0.1, 1.0], [-1.0], [0.3, -2.5, 0.0], [0.2, math.nan]],
+                             ids=["one", "minus-one", "past-minus-one", "nan"])
+    def test_abscissa_outside_raises(self, k3, a):
+        with pytest.raises(DomainError, match="abscissa"):
+            slice_intervals(k3, np.array(a), 3)
+
+    def test_two_dimensional_array_raises(self, k3):
+        with pytest.raises(DomainError, match="1-D"):
+            slice_intervals(k3, np.zeros((2, 2)), 3)
+
+    @pytest.mark.parametrize("n", (0, 3))
+    def test_empty_array(self, k3, n):
+        assert slice_intervals(k3, np.array([]), n).shape == (0, 2**n, 2)
+
+    def test_depth_guard_holds_for_arrays(self, k3):
+        with pytest.raises(SizeGuardError):
+            slice_intervals(k3, np.array([0.1]), cones.LEVEL_HARD_CAP + 1)
+
+    def test_figure_takes_leaves_from_one_call(self, monkeypatch, tmp_path):
+        # the 161 figure slices are one batched call; the totals stay one
+        # slice_measure call per abscissa
+        calls, leaves = [], cones.slice_intervals
+        monkeypatch.setattr(cones, "slice_intervals",
+                            lambda system, a, n: calls.append((system.k, a, n)) or leaves(system, a, n))
+        cfg = ExperimentConfig(k_list=[3, 2], n_max=8, output_dir=str(tmp_path))
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert run(cfg, only="cones") == 0
+        assert len(calls) == 1
+        k, a, n = calls[0]
+        assert (k, n) == (3, 6)
+        assert np.asarray(a).tobytes() == np.array(SWEEP_A).tobytes()
 
 
 def _inline_brute_force_total(k, a, n, resolution):

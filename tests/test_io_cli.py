@@ -29,6 +29,7 @@ from fathorse.lorenz import LorenzBranchMap
 from fathorse.runner import SUITES, run
 from fathorse.svgfig import FIGURE_KINDS, PIXEL, render_section_svg
 from oracles import SplitMix64
+from test_writers import _first_difference
 
 
 def _write(path: Path, obj) -> Path:
@@ -540,7 +541,10 @@ class TestCli:
             target = tmp_path / f"{kind}.svg"
             assert main(["render", "--input", str(figures / f"{kind}.json"), "--kind", kind,
                          "--out", str(target)]) == 0
-            assert target.read_bytes() == (figures / f"{kind}.svg").read_bytes()
+            got, want = target.read_bytes(), (figures / f"{kind}.svg").read_bytes()
+            # byte equality, reported as the first differing line: a failing ==
+            # on the 300 KB cones.svg would make pytest diff it for minutes
+            assert _first_difference(got.decode("utf-8"), want.decode("utf-8")) is None, kind
         capsys.readouterr()
 
     def test_render_to_stdout(self, tmp_path, capsys):
@@ -562,6 +566,18 @@ class TestCli:
                          id="cones-minus-infinity"),
             pytest.param("partition", {"b": 0.2, "strip_halfheight": 0.8, "note": math.nan},
                          id="partition-unread-nan"),
+            # a JSON true or false is not a number, though a bool is an int
+            pytest.param("horseshoe", {"points": [[True, False]], "point_size": True,
+                                       "half_width": True}, id="horseshoe-booleans"),
+            pytest.param("horseshoe", {"points": [[0.1, False]]}, id="horseshoe-point-boolean"),
+            pytest.param("horseshoe", {"point_size": True}, id="horseshoe-size-boolean"),
+            pytest.param("cones", {"slices": [{"a": True, "intervals": [[0.0, 0.1]]}]},
+                         id="cones-abscissa-boolean"),
+            pytest.param("cones", {"slices": [{"a": 0.5, "intervals": [[False, 0.1]]}]},
+                         id="cones-interval-boolean"),
+            pytest.param("partition", {"b": True, "strip_halfheight": 0.8}, id="partition-b-boolean"),
+            pytest.param("partition", {"b": 0.2, "strip_halfheight": False},
+                         id="partition-height-boolean"),
             # falsy non-objects are not the empty dataset
             *(pytest.param(kind, value, id=f"{kind}-{value!r}")
               for kind in ("cones", "image", "horseshoe") for value in ([], 0, None, False, "")),

@@ -2,8 +2,9 @@
 
 Every function of tests/oracles.py runs here with the level arrays of
 the interval tree, the array walk of the paired trees, the array
-Newton-bisection, the short zeta sum, the array splitmix64 draw and the
-templates of the cones and horseshoe figures patched to raise, so no
+Newton-bisection, the short zeta sum, the array splitmix64 draw, the
+preimage and width steps of the cone recursion and the templates of the
+cones and horseshoe figures patched to raise, so no
 oracle can reach the code that its parity tests compare it with.
 """
 
@@ -12,8 +13,9 @@ import inspect
 import oracles
 import pytest
 
-from fathorse import bowen, fatcantor, horseshoe, svgfig
+from fathorse import bowen, cones, fatcantor, horseshoe, svgfig
 from fathorse.bowen import BowenSystem, build_base_map
+from fathorse.cones import ConeSystem
 from fathorse.fatcantor import CantorConstruction, GapLengthSequence, make_construction
 from fathorse.horseshoe import make_poincare_system
 from fathorse.lorenz import LorenzBranchMap
@@ -33,6 +35,8 @@ def test_oracles_reach_no_array_kernel(monkeypatch):
     monkeypatch.setattr(bowen, "_invert_profile", _refuse)
     monkeypatch.setattr(fatcantor, "zeta_value", _refuse)
     monkeypatch.setattr(horseshoe, "splitmix64", _refuse)
+    monkeypatch.setattr(cones, "_children", _refuse)
+    monkeypatch.setattr(cones, "_widths", _refuse)
     monkeypatch.setitem(svgfig._RENDERERS, "cones", _refuse)
     monkeypatch.setitem(svgfig._RENDERERS, "horseshoe", _refuse)
     system = ps.bowen
@@ -72,6 +76,8 @@ def test_oracles_reach_no_array_kernel(monkeypatch):
         "y_condition": [oracles.y_condition(ps, y, 4) for y in target],
         "x_condition": [oracles.x_condition(ps, x, 4) for x in core],
         "membership": [oracles.membership(ps, (x, y), 4) for x in core for y in target],
+        "slice_intervals_1d": [oracles.slice_intervals_1d(ConeSystem(k), x, 4)
+                               for k in (2, 3) for x in (-0.9, -0.0, 0.42)],
         "cones_svg": [oracles.cones_svg({"slices": [{"a": x, "intervals": [[-a, a]]}]})
                       for x in line],
         "horseshoe_svg": [oracles.horseshoe_svg({"half_width": a, "points": [[x, x]]})
@@ -90,6 +96,8 @@ def test_oracles_reach_no_array_kernel(monkeypatch):
         GapLengthSequence(first_length=1.0, exponent=2.0).total()
     with pytest.raises(AssertionError, match="array kernel"):
         ps.vertical_gap_witness(1, 1e-3, seed=5, depth=0)
+    with pytest.raises(AssertionError, match="array kernel"):
+        cones.slice_intervals(ConeSystem(3), 0.42, 2)
     for kind in ("cones", "horseshoe"):
         with pytest.raises(AssertionError, match="array kernel"):
             svgfig.render_section_svg({}, kind)
