@@ -78,7 +78,7 @@ def main(argv: list[str] | None = None) -> int:
         dataset = json.loads(text, parse_float=_finite, parse_int=_finite, parse_constant=_finite)
         _no_booleans(dataset)
         svg = render_section_svg(dataset, args.kind)
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (OSError, RecursionError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         print(f"cannot read dataset: {exc}", file=sys.stderr)
         return 3
     except FathorseError as exc:

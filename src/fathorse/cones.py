@@ -295,6 +295,9 @@ def brute_force_slice(sys: ConeSystem, a: float, n: int, resolution: float) -> f
     for x0 in level:
         x, y = x0, ygrid
         for _ in range(n):
+            if x == 0.0:  # an a this close to +-1 has bisected preimages such as +-0.25
+                raise DomainError(f"cannot resolve the level-{n} brute-force slice at a = {a}: "
+                                  "an orbit of its bisected preimages meets the line x = 0")
             x, y = cone_map(sys, x, y)
         intervals.append((float(y.min()), float(y.max())))
 

@@ -89,7 +89,7 @@ def load_config(path: str | Path) -> ExperimentConfig:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             raw = json.load(fh)
-        except ValueError as exc:  # malformed JSON or not UTF-8
+        except (RecursionError, ValueError) as exc:  # malformed, too deep or not UTF-8
             raise ConfigError(f"invalid JSON in {path}: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")

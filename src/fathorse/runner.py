@@ -11,8 +11,9 @@ its SVG, once every enabled suite has finished.  Outputs:
     horseshoe.csv   per depth: grid estimate, exact product, envelope
     report.json     one {id, value, bound, rule, pass} record per check
     figures/*.svg   partition, image, cones, horseshoe renderings
-    figures/*.json  the datasets the figures were rendered from; the cones
-                    figure holds its leaf intervals merged at one canvas pixel
+    figures/*.json  the datasets the figures were rendered from: the cones
+                    slices as flat endpoint lists merged at one canvas pixel,
+                    the horseshoe points as the two axes of their product
 
 Exit codes: 0 all checks pass, 1 some check failed, 2 invalid or
 infeasible parameters (no file written, no directory created, an existing
@@ -58,8 +59,8 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
 def _json(obj, ind: str = "\n", end: str = "") -> str:
     """obj as json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
     writes it at the indent `ind` (a newline and spaces), then `end`.  An
-    all-float list is one join and a list of [float, float] rows one
-    template; a dict key that is not a str raises TypeError."""
+    all-float list is one join; a dict key that is not a str raises
+    TypeError."""
     inner = ind + "  "
     sep = "," + inner
     if isinstance(obj, dict):
@@ -77,9 +78,6 @@ def _json(obj, ind: str = "\n", end: str = "") -> str:
         raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
     elif all(isinstance(v, float) for v in obj):
         text = f"[{inner}{sep.join(map(float.__repr__, obj))}{ind}]" if obj else "[]"
-    elif all(type(r) is list and len(r) == 2 and type(r[0]) is type(r[1]) is float for r in obj):
-        row = f"[{inner}  %r,{inner}  %r{inner}]"
-        text = f"[{inner}{sep.join([row] * len(obj))}{ind}]" % tuple(v for r in obj for v in r)
     else:
         return f"[{inner}{sep.join([_json(v, inner) for v in obj])}{ind}]{end}"
     if "n" in text:  # only floats are in text, and no finite float's repr has an n
@@ -114,28 +112,28 @@ class _Checks:
 
 
 def _pixel_merge(intervals: np.ndarray) -> np.ndarray:
-    """Merge sorted, disjoint [lo, hi] rows whose gap is under one canvas pixel.
+    """Merge sorted, disjoint [lo, hi] rows whose gap is under one canvas
+    pixel, returning the merged endpoints lo0, hi0, lo1, hi1, ... flat.
 
     The figure cannot tell such neighbours apart.  In the endpoint sequence
-    lo0, hi0, lo1, hi1, ... a merge drops the hi and the lo on either side
-    of its gap, so the pairs left are the merged rows.
+    a merge drops the hi and the lo on either side of its gap.
     """
     ends = intervals.ravel()
     drop = np.zeros(ends.size, dtype=bool)
     drop[1:-1:2] = drop[2::2] = ends[2::2] - ends[1:-1:2] < svgfig.PIXEL
-    return ends[~drop].reshape(-1, 2)
+    return ends[~drop]
 
 
 def _cone_figure(system: cones_mod.ConeSystem, n: int) -> dict:
     """The cone figure's 161 slices at level n: each slice's total and its
-    leaf intervals merged at one pixel.  One slice_intervals call gives the
+    leaf ends merged at one pixel.  One slice_intervals call gives the
     leaves of every slice, released on return, before the tables walk."""
     abscissas = [-0.98 + i * (1.96 / 160) for i in range(161)]
     leaves = cones_mod.slice_intervals(system, np.array(abscissas), n)
     slices = []
     for a, rows in zip(abscissas, leaves):
         total = cones_mod.slice_measure(system, a, n)
-        slices.append({"a": a, "intervals": _pixel_merge(rows).tolist(), "total": total})
+        slices.append({"a": a, "ends": _pixel_merge(rows).tolist(), "total": total})
     return {"k": system.k, "n": n, "slices": slices}
 
 
@@ -294,13 +292,13 @@ def _horseshoe_suite(cfg: ExperimentConfig, checks: _Checks, artifacts: dict, bo
     artifacts["figures/image.json"] = _image_dataset(ps)
     coarse_resolution = max(cfg.resolution, 2.0 * a / 160)
     xs, ys = ps.member_centers(cfg.N, coarse_resolution)
-    points = [[x, y] for x in xs.tolist() for y in ys.tolist()]
     artifacts["figures/horseshoe.json"] = {
         "half_width": a,
         "depth": cfg.N,
         "point_size": ps.exit_times(cfg.N, coarse_resolution).cell / 2.0,
-        "points": points,
         "tree": cc.to_tree_json(min(4, cfg.level_max)),
+        "xs": xs.tolist(),
+        "ys": ys.tolist(),
     }
 
 

@@ -109,8 +109,8 @@ def _cones(dataset: dict) -> list[str]:
     line = '<line x1="%.6f" y1="%.6f" x2="%.6f" y2="%.6f" stroke="#303030" stroke-width="0.004"/>\n'
     parts = []
     for entry in dataset.get("slices", []):
-        x = entry["a"]
-        parts.extend([line % (x, lo, x, hi) for lo, hi in entry["intervals"]])
+        x, ends = entry["a"], entry["ends"]
+        parts.extend([line % (x, lo, x, hi) for lo, hi in zip(ends[0::2], ends[1::2], strict=True)])
     parts.append(_line(0, -1, 0, 1, "black", 0.006))
     return parts
 
@@ -123,7 +123,8 @@ def _horseshoe(dataset: dict) -> list[str]:
     r = dataset.get("point_size", 0.002)
     side = _f(2 * r)
     rect = f'<rect x="%.6f" y="%.6f" width="{side}" height="{side}" fill="#202020"/>\n'
-    parts.extend([rect % (x - r, y - r) for x, y in dataset.get("points", [])])
+    xs, ys = dataset.get("xs", []), dataset.get("ys", [])
+    parts.extend([rect % (x - r, y - r) for x in xs for y in ys])
     return parts
 
 

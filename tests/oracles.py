@@ -33,7 +33,8 @@ intervals are the oracle of the batched recursion bit for bit.
 
 cones_svg and horseshoe_svg are the figure bodies that fathorse.svgfig
 wrote one `_f` call per coordinate before each element became one
-%-template; they are the oracles of those templates.
+%-template; they are the oracles of those templates, and read the
+datasets' flat `ends` lists and `xs`/`ys` axes as the renderers do.
 """
 
 from __future__ import annotations
@@ -466,26 +467,29 @@ def slice_intervals_1d(sys, a: float, n: int) -> np.ndarray:
 
 
 def cones_svg(dataset: dict) -> list[str]:
-    """The cones figure's elements: one vertical line per slice interval."""
+    """The cones figure's elements: one vertical line per slice interval,
+    read from the slice's endpoints lo0, hi0, lo1, hi1, ..."""
     parts = []
     for entry in dataset.get("slices", []):
-        x = entry["a"]
-        for lo, hi in entry["intervals"]:
-            parts.append(_line(x, lo, x, hi, "#303030", 0.004))
+        x, ends = entry["a"], entry["ends"]
+        for i in range(0, len(ends), 2):
+            parts.append(_line(x, ends[i], x, ends[i + 1], "#303030", 0.004))
     parts.append(_line(0, -1, 0, 1, "black", 0.006))
     return parts
 
 
 def horseshoe_svg(dataset: dict) -> list[str]:
-    """The horseshoe figure's elements: the core square, then one square per point."""
+    """The horseshoe figure's elements: the core square, then one square per
+    point of the product of the axes xs and ys, x outer."""
     parts = []
     a = dataset.get("half_width")
     if a:
         parts.append(_rect(-a, -a, a, a, "none", stroke="black"))
     r = dataset.get("point_size", 0.002)
-    for x, y in dataset.get("points", []):
-        parts.append(
-            f'<rect x="{_f(x - r)}" y="{_f(y - r)}" width="{_f(2 * r)}" '
-            f'height="{_f(2 * r)}" fill="#202020"/>\n'
-        )
+    for x in dataset.get("xs", []):
+        for y in dataset.get("ys", []):
+            parts.append(
+                f'<rect x="{_f(x - r)}" y="{_f(y - r)}" width="{_f(2 * r)}" '
+                f'height="{_f(2 * r)}" fill="#202020"/>\n'
+            )
     return parts

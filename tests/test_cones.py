@@ -317,6 +317,20 @@ class TestBruteForce:
                 exact = slice_measure(k3, a, n)
                 assert abs(est - exact) <= max(10 * 1e-5, 1e-6)
 
+    @pytest.mark.parametrize("a", [0.99999999, -0.99999999])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_near_unit_abscissa_names_the_slice(self, k3, a, n):
+        # bisection puts level-2 preimages at +-0.25, which the map sends to
+        # exactly 0.0; the error names the slice the caller asked for
+        with pytest.raises(DomainError, match=rf"^cannot resolve the level-{n} brute-force "
+                           rf"slice at a = {a}: .* meets the line x = 0$"):
+            brute_force_slice(k3, a, n, 1e-3)
+
+    @pytest.mark.parametrize("a", [1 - 1e-7, -(1 - 1e-7)])
+    def test_abscissa_just_farther_from_one_resolves(self, k3, a):
+        for n in (2, 4):
+            assert abs(brute_force_slice(k3, a, n, 1e-3) - slice_measure(k3, a, n)) <= 1e-2
+
     def test_cost_guard(self, k2):
         with pytest.raises(SizeGuardError):
             brute_force_slice(k2, 0.0, 9, 1e-4)

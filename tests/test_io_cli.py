@@ -227,9 +227,8 @@ class TestSvg:
         "kind, dataset",
         [
             pytest.param("horseshoe", {"half_width": 10**400}, id="half-width"),
-            pytest.param("horseshoe", {"points": [[0.1, 10**400]]}, id="horseshoe-point"),
-            pytest.param("cones", {"slices": [{"a": 10**400, "intervals": [[0.0, 0.1]]}]},
-                         id="cones-a"),
+            pytest.param("horseshoe", {"xs": [0.1], "ys": [10**400]}, id="horseshoe-point"),
+            pytest.param("cones", {"slices": [{"a": 10**400, "ends": [0.0, 0.1]}]}, id="cones-a"),
         ],
     )
     def test_int_past_the_doubles_is_malformed(self, kind, dataset):
@@ -262,16 +261,18 @@ class TestPixelMerge:
         from fathorse.cones import ConeSystem, slice_intervals
 
         leaves = slice_intervals(ConeSystem(k), a, n)
-        merged = runner._pixel_merge(leaves)
+        ends = runner._pixel_merge(leaves)
+        assert ends.ndim == 1 and ends.size % 2 == 0  # lo0, hi0, lo1, hi1, ...
+        merged = ends.reshape(-1, 2)
         assert merged.tolist() == _merge_at_pixel(leaves.tolist())
-        assert np.all(np.diff(merged.ravel()) >= 0)  # sorted, each lo <= hi
+        assert np.all(np.diff(ends) >= 0)  # sorted, each lo <= hi
         assert np.all(merged[1:, 0] - merged[:-1, 1] >= PIXEL)
         inside = (merged[:, 0] <= leaves[:, :1]) & (leaves[:, 1:] <= merged[:, 1])
         assert np.all(inside.sum(axis=1) == 1)
         assert set(merged[:, 0]) <= set(leaves[:, 0]) and set(merged[:, 1]) <= set(leaves[:, 1])
-        assert runner._pixel_merge(merged).tobytes() == merged.tobytes()
+        assert runner._pixel_merge(merged).tobytes() == ends.tobytes()
         if n == 0:
-            assert merged.tolist() == leaves.tolist() == [[-1.0, 1.0]]
+            assert ends.tolist() == [-1.0, 1.0] and leaves.tolist() == [[-1.0, 1.0]]
 
 
 @pytest.fixture(scope="module")
@@ -381,8 +382,8 @@ class TestRunner:
         ],
     )
     def test_nonfinite_in_float_lists_raises(self, tmp_path, obj):
-        # the all-float list and the [float, float] rows are written without
-        # a per-element check; they must still refuse inf and nan
+        # an all-float list, a [float, float] row among them, is written
+        # without a per-element check; it must still refuse inf and nan
         with pytest.raises(ValueError):
             runner._write_json(tmp_path / "bad.json", obj)
         assert not (tmp_path / "bad.json").exists()
@@ -439,6 +440,19 @@ class TestRunner:
         out = capsys.readouterr().out
         assert out.count("\n") == 1 and "k_list" in out
 
+    def test_horseshoe_axes_are_the_member_centers(self, outcome):
+        # the figure stores the product's two axes; its SVG draws every pair
+        _, out = outcome
+        dataset = json.loads((out / "figures" / "horseshoe.json").read_text())
+        cc = make_construction(LorenzBranchMap.from_coefficient(SMALL["c"]), SMALL["p"])
+        ps = make_poincare_system(build_base_map(cc))
+        coarse = max(SMALL["resolution"], 2.0 * ps.bowen.m.a / 160)
+        xs, ys = ps.member_centers(SMALL["N"], coarse)
+        assert dataset["xs"] == xs.tolist() and dataset["ys"] == ys.tolist()
+        assert sorted(dataset) == ["depth", "half_width", "point_size", "tree", "xs", "ys"]
+        svg = (out / "figures" / "horseshoe.svg").read_text()
+        assert svg.count('fill="#202020"') == len(xs) * len(ys) > 0
+
     def test_repeated_k_gets_its_own_block(self, tmp_path, monkeypatch):
         # one system per k_list entry, in config order; the first one also
         # serves the oracle sample and the figure sweep, and every figure
@@ -470,7 +484,7 @@ class TestRunner:
         for entry in sweep["slices"]:
             assert entry["total"].hex() == cones.slice_measure(make(3), entry["a"], 5).hex()
             leaves = cones.slice_intervals(make(3), entry["a"], 5).tolist()
-            assert entry["intervals"] == _merge_at_pixel(leaves)
+            assert entry["ends"] == [v for row in _merge_at_pixel(leaves) for v in row]
 
     def test_cones_suite_holds_one_scratch(self, tmp_path):
         # the tables share one blocked walk per abscissa, so the suite's
@@ -560,21 +574,26 @@ class TestCli:
             pytest.param("partition", {}, id="partition-empty"),
             pytest.param("horseshoe", [[0.1, 0.2]], id="top-level-list"),
             # the NaN, Infinity and -Infinity tokens json.loads admits
-            pytest.param("horseshoe", {"half_width": math.nan, "points": [[math.inf, 0.1]]},
+            pytest.param("horseshoe", {"half_width": math.nan, "xs": [math.inf], "ys": [0.1]},
                          id="horseshoe-non-finite"),
-            pytest.param("cones", {"slices": [{"a": -math.inf, "intervals": [[0.0, 0.1]]}]},
+            pytest.param("cones", {"slices": [{"a": -math.inf, "ends": [0.0, 0.1]}]},
                          id="cones-minus-infinity"),
             pytest.param("partition", {"b": 0.2, "strip_halfheight": 0.8, "note": math.nan},
                          id="partition-unread-nan"),
             # a JSON true or false is not a number, though a bool is an int
-            pytest.param("horseshoe", {"points": [[True, False]], "point_size": True,
+            pytest.param("horseshoe", {"xs": [True], "ys": [False], "point_size": True,
                                        "half_width": True}, id="horseshoe-booleans"),
-            pytest.param("horseshoe", {"points": [[0.1, False]]}, id="horseshoe-point-boolean"),
+            pytest.param("horseshoe", {"xs": [0.1], "ys": [False]}, id="horseshoe-point-boolean"),
             pytest.param("horseshoe", {"point_size": True}, id="horseshoe-size-boolean"),
-            pytest.param("cones", {"slices": [{"a": True, "intervals": [[0.0, 0.1]]}]},
+            pytest.param("cones", {"slices": [{"a": True, "ends": [0.0, 0.1]}]},
                          id="cones-abscissa-boolean"),
-            pytest.param("cones", {"slices": [{"a": 0.5, "intervals": [[False, 0.1]]}]},
+            pytest.param("cones", {"slices": [{"a": 0.5, "ends": [False, 0.1]}]},
                          id="cones-interval-boolean"),
+            # a slice's endpoints come in pairs, and a slice of [lo, hi] rows has no ends
+            pytest.param("cones", {"slices": [{"a": 0.5, "ends": [0.0, 0.1, 0.2]}]},
+                         id="cones-odd-ends"),
+            pytest.param("cones", {"slices": [{"a": 0.5, "intervals": [[0.0, 0.1]]}]},
+                         id="cones-intervals-rows"),
             pytest.param("partition", {"b": True, "strip_halfheight": 0.8}, id="partition-b-boolean"),
             pytest.param("partition", {"b": 0.2, "strip_halfheight": False},
                          id="partition-height-boolean"),
@@ -595,10 +614,13 @@ class TestCli:
         [
             # number literals past the doubles parse to inf, or crashed the renderer
             pytest.param(b'{"half_width": 1e400}', 2, id="float-past-the-doubles"),
-            pytest.param(b'{"points": [[-1e400, 0.1]]}', 2, id="negative-float-past-the-doubles"),
+            pytest.param(b'{"xs": [-1e400, 0.1]}', 2, id="negative-float-past-the-doubles"),
             pytest.param(b'{"half_width": ' + b"9" * 400 + b"}", 2, id="int-past-the-doubles"),
             pytest.param(b"\xff\xfe{}", 3, id="not-utf-8"),
             pytest.param(b'{"half_width": ', 3, id="truncated-json"),
+            # json.loads raises RecursionError past the interpreter's limit
+            pytest.param(b'{"xs": ' + b"[" * 100_000 + b"]" * 100_000 + b"}", 3,
+                         id="nested-past-the-recursion-limit"),
         ],
     )
     def test_render_dataset_text(self, tmp_path, capsys, text, code):
@@ -638,6 +660,25 @@ class TestCli:
         conf = _write(tmp_path / "conf.json", {"nope": 1})
         assert main(["run", "--config", str(conf)]) == 2
         capsys.readouterr()
+
+    def test_deeply_nested_config_exits_two(self, tmp_path, capsys):
+        conf = tmp_path / "conf.json"
+        conf.write_text('{"k_list": ' + "[" * 100_000 + "]" * 100_000 + "}")
+        assert main(["run", "--config", str(conf), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("config error: invalid JSON in ")
+        assert "recursion" in err and not (tmp_path / "out").exists()
+
+    def test_abscissa_near_one_names_the_oracle_slice(self, tmp_path, capsys):
+        # the middle a_list entry goes to the bisecting oracle at level
+        # min(4, n_max); near |a| = 1 its preimages reach x = 0 by rounding
+        conf = _write(tmp_path / "conf.json", {**SMALL, "a_list": [0.99999999]})
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(conf), "--out", str(out), "--only", "cones"]) == 2
+        lines = capsys.readouterr().out.splitlines()
+        assert lines == ["invalid parameters: cannot resolve the level-4 brute-force slice at "
+                         "a = 0.99999999: an orbit of its bisected preimages meets the line x = 0"]
+        assert not out.exists()
 
     def test_invalid_config_value_exits_two(self, tmp_path, capsys):
         conf = _write(tmp_path / "conf.json", {"N": -1})

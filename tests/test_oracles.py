@@ -78,9 +78,9 @@ def test_oracles_reach_no_array_kernel(monkeypatch):
         "membership": [oracles.membership(ps, (x, y), 4) for x in core for y in target],
         "slice_intervals_1d": [oracles.slice_intervals_1d(ConeSystem(k), x, 4)
                                for k in (2, 3) for x in (-0.9, -0.0, 0.42)],
-        "cones_svg": [oracles.cones_svg({"slices": [{"a": x, "intervals": [[-a, a]]}]})
+        "cones_svg": [oracles.cones_svg({"slices": [{"a": x, "ends": [-a, a]}]})
                       for x in line],
-        "horseshoe_svg": [oracles.horseshoe_svg({"half_width": a, "points": [[x, x]]})
+        "horseshoe_svg": [oracles.horseshoe_svg({"half_width": a, "xs": [x], "ys": [x]})
                           for x in core],
     }
     public = {name for name, f in vars(oracles).items()

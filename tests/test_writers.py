@@ -103,7 +103,7 @@ ROW = st.lists(FLOATS, min_size=2, max_size=2)
 LEAVES = (
     SCALARS
     | st.lists(FLOATS)  # an all-float list, one join
-    | st.lists(ROW)  # [float, float] rows, one template
+    | st.lists(ROW)  # [float, float] rows, each one join
     | st.lists(st.lists(FLOATS | FLOATS.map(np.float64), min_size=2, max_size=2))
     | st.lists(st.tuples(FLOATS, FLOATS))
 )
@@ -164,11 +164,13 @@ COORDS = (
     | st.integers(-3, 3)
 )
 PAIRS = st.lists(st.lists(COORDS, min_size=2, max_size=2), max_size=8)
+ENDS = PAIRS.map(lambda pairs: [v for pair in pairs for v in pair])  # lo0, hi0, lo1, hi1, ...
+AXIS = st.lists(COORDS, max_size=8)
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.lists(st.fixed_dictionaries({"a": COORDS, "intervals": PAIRS}), max_size=5))
-@example([{"a": -0.0, "intervals": [[4e-7, -4e-7], [0.0000005, -0.0]]}])
+@given(st.lists(st.fixed_dictionaries({"a": COORDS, "ends": ENDS}), max_size=5))
+@example([{"a": -0.0, "ends": [4e-7, -4e-7, 0.0000005, -0.0]}])
 def test_cones_template_equals_oracle(slices):
     dataset = {"slices": slices}
     assert svgfig.render_section_svg(dataset, "cones") == _oracle_svg(dataset, "cones")
@@ -177,10 +179,11 @@ def test_cones_template_equals_oracle(slices):
 @settings(max_examples=200, deadline=None)
 @given(
     st.fixed_dictionaries(
-        {"points": PAIRS}, optional={"point_size": COORDS, "half_width": COORDS}
+        {"xs": AXIS, "ys": AXIS}, optional={"point_size": COORDS, "half_width": COORDS}
     )
 )
-@example({"points": [[4e-7, -4e-7]], "point_size": 0.0000005, "half_width": -0.0})
+@example({"xs": [4e-7], "ys": [-4e-7], "point_size": 0.0000005, "half_width": -0.0})
+@example({"xs": [0.5, -0.0, 1], "ys": [0.25, -0.75], "point_size": 0.25})
 def test_horseshoe_template_equals_oracle(dataset):
     svg = svgfig.render_section_svg(dataset, "horseshoe")
     assert svg == _oracle_svg(dataset, "horseshoe")
