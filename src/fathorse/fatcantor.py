@@ -31,7 +31,6 @@ __all__ = [
 ]
 
 LEVEL_MEASURE_CAP = 30
-TREE_JSON_CAP = 12
 LEVEL_ARRAY_CAP = 15  # deepest level array; verify_surgery samples one level below its max_level
 ZETA_BERNOULLI = (1 / 12, -1 / 720, 1 / 30240, -1 / 1209600, 1 / 47900160)  # B_2j/(2j)!, j = 1..5
 
@@ -155,25 +154,6 @@ class CantorConstruction:
 
     def limit_measure(self) -> float:
         return 2.0 * self.half_width - self.gaps.total()
-
-    def to_tree_json(self, depth: int) -> dict:
-        """Words, interval endpoints and gaps down to a fixed depth, read
-        level by level from the level arrays."""
-        check_depth(depth, TREE_JSON_CAP, "tree depth")
-        nodes, words = {}, [""]
-        for n in range(depth + 1):
-            lo, hi = self.level(n)
-            rows = np.column_stack((lo, hi, *self._gap_from(lo, hi, n))).tolist()
-            for w in words:
-                row = rows[word_cell(w)]
-                nodes[w] = {"interval": row[:2], "gap": row[2:]}
-            words = [w + ch for w in words for ch in "01"]
-        return {
-            "half_width": self.half_width,
-            "exponent": self.gaps.exponent,
-            "depth": depth,
-            "nodes": dict(sorted(nodes.items())),
-        }
 
 
 def make_construction(m: LorenzBranchMap, p: float) -> CantorConstruction:

@@ -296,7 +296,6 @@ def _horseshoe_suite(cfg: ExperimentConfig, checks: _Checks, artifacts: dict, bo
         "half_width": a,
         "depth": cfg.N,
         "point_size": ps.exit_times(cfg.N, coarse_resolution).cell / 2.0,
-        "tree": cc.to_tree_json(min(4, cfg.level_max)),
         "xs": xs.tolist(),
         "ys": ys.tolist(),
     }

@@ -8,6 +8,8 @@ order, so identical datasets produce byte-identical documents.
 
 from __future__ import annotations
 
+import math
+
 from .errors import DomainError
 
 __all__ = ["render_section_svg", "FIGURE_KINDS", "CANVAS_PX", "PIXEL"]
@@ -31,7 +33,15 @@ _GRAY_LIGHT2 = "#dcdcdc"
 
 
 def _f(v: float) -> str:
+    if not math.isfinite(v):  # finite dataset numbers can overflow in a sum
+        raise ValueError(f"drawn number {v} is not finite")
     return f"{v:.6f}"
+
+
+def _side(length: float) -> str:
+    if length < 0:
+        raise ValueError(f"negative side {length}")
+    return _f(length)
 
 
 def _polygon(points, fill, stroke="none") -> str:
@@ -41,8 +51,8 @@ def _polygon(points, fill, stroke="none") -> str:
 
 def _rect(lo_x, lo_y, hi_x, hi_y, fill, stroke="none") -> str:
     return (
-        f'<rect x="{_f(lo_x)}" y="{_f(lo_y)}" width="{_f(hi_x - lo_x)}" '
-        f'height="{_f(hi_y - lo_y)}" fill="{fill}" stroke="{stroke}" stroke-width="0.003"/>\n'
+        f'<rect x="{_f(lo_x)}" y="{_f(lo_y)}" width="{_side(hi_x - lo_x)}" '
+        f'height="{_side(hi_y - lo_y)}" fill="{fill}" stroke="{stroke}" stroke-width="0.003"/>\n'
     )
 
 
@@ -121,9 +131,11 @@ def _horseshoe(dataset: dict) -> list[str]:
     if a:
         parts.append(_rect(-a, -a, a, a, "none", stroke="black"))
     r = dataset.get("point_size", 0.002)
-    side = _f(2 * r)
+    side = _side(2 * r)
     rect = f'<rect x="%.6f" y="%.6f" width="{side}" height="{side}" fill="#202020"/>\n'
     xs, ys = dataset.get("xs", []), dataset.get("ys", [])
+    if xs and ys:
+        _f(min(min(xs), min(ys)) - r)  # the template skips _f; the lowest corner overflows first
     parts.extend([rect % (x - r, y - r) for x in xs for y in ys])
     return parts
 
@@ -138,7 +150,8 @@ _RENDERERS = {
 
 def render_section_svg(dataset: dict, kind: str) -> str:
     """Render one figure kind from its dataset, or raise DomainError if it is
-    malformed or not a dict.  An empty dict as an image, cones or
+    malformed or not a dict, or draws a negative side or a number that
+    overflows to inf.  An empty dict as an image, cones or
     horseshoe dataset gives the bare canvas with axes; a partition needs
     `b` and `strip_halfheight`."""
     if kind not in _RENDERERS:

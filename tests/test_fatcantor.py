@@ -1,4 +1,3 @@
-import json
 import math
 
 import mpmath
@@ -280,43 +279,6 @@ class TestLevelArrays:
             construction18.level(-1)
         with pytest.raises(SizeGuardError):
             construction18.level(fatcantor.LEVEL_ARRAY_CAP + 1)
-
-
-class TestTreeJson:
-    def test_depth_two(self, construction18):
-        tree = construction18.to_tree_json(2)
-        assert set(tree["nodes"]) == {"", "0", "1", "00", "01", "10", "11"}
-        assert tree["nodes"][""]["interval"] == [-construction18.half_width, construction18.half_width]
-
-    def test_depth_guard(self, construction18):
-        with pytest.raises(SizeGuardError):
-            construction18.to_tree_json(13)
-
-    @pytest.mark.parametrize("c", [1.7, 1.8, 1.95])
-    def test_matches_word_frontier_dump(self, c):
-        cc = make_construction(LorenzBranchMap.from_coefficient(c), 2.0)
-        for depth in range(13):
-            assert json.dumps(cc.to_tree_json(depth)) == json.dumps(_word_frontier_tree(cc, depth))
-
-
-def _word_frontier_tree(cc, depth):
-    """to_tree_json as the word descent built it: a frontier of words,
-    each read by oracles.interval and oracles.gap."""
-    nodes = {}
-    frontier = [""]
-    while frontier:
-        w = frontier.pop()
-        lo, hi = oracles.interval(cc, w)
-        glo, ghi = oracles.gap(cc, w)
-        nodes[w] = {"interval": [lo, hi], "gap": [glo, ghi]}
-        if len(w) < depth:
-            frontier.extend((w + "0", w + "1"))
-    return {
-        "half_width": cc.half_width,
-        "exponent": cc.gaps.exponent,
-        "depth": depth,
-        "nodes": dict(sorted(nodes.items())),
-    }
 
 
 def _memo_interval(cc, word, cache):

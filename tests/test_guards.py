@@ -19,7 +19,7 @@ import pytest
 from fathorse import bowen, cones, horseshoe, lorenz
 from fathorse.bowen import verify_surgery
 from fathorse.errors import DomainError, SizeGuardError, check_depth
-from fathorse.fatcantor import LEVEL_ARRAY_CAP, LEVEL_MEASURE_CAP, TREE_JSON_CAP, make_construction
+from fathorse.fatcantor import LEVEL_ARRAY_CAP, LEVEL_MEASURE_CAP, make_construction
 from fathorse.horseshoe import FIBER_DEPTH_CAP, MEASURE_DEPTH_CAP, WITNESS_SEARCH_LEVEL
 from fathorse.lorenz import LorenzBranchMap
 
@@ -31,7 +31,6 @@ PS18 = horseshoe.make_poincare_system(
 SITES = [
     ("level", lambda ps, n: ps.bowen.cc.level(n), LEVEL_ARRAY_CAP, "level"),
     ("level_measure", lambda ps, n: ps.bowen.cc.level_measure(n), LEVEL_MEASURE_CAP, "level"),
-    ("to_tree_json", lambda ps, n: ps.bowen.cc.to_tree_json(n), TREE_JSON_CAP, "tree depth"),
     ("fiber_intervals", lambda ps, n: ps.fiber_intervals(n), FIBER_DEPTH_CAP, "fiber depth"),
     ("exit_times", lambda ps, n: ps.exit_times(n, 1e-3), MEASURE_DEPTH_CAP, "measure depth"),
     ("slice_measure", lambda ps, n: cones.slice_measure(K3, 0.3, n), cones.LEVEL_HARD_CAP,

@@ -70,6 +70,7 @@ SMALL = {
     "delta": 0.1,
     "seed": 7,
 }
+IMAGE_HALF = {"x_range": [0.1, 0.5], "strip_y": [-0.2, 0.2], "hook_y": [-0.6, 0.6]}
 
 
 class TestConfig:
@@ -449,7 +450,7 @@ class TestRunner:
         coarse = max(SMALL["resolution"], 2.0 * ps.bowen.m.a / 160)
         xs, ys = ps.member_centers(SMALL["N"], coarse)
         assert dataset["xs"] == xs.tolist() and dataset["ys"] == ys.tolist()
-        assert sorted(dataset) == ["depth", "half_width", "point_size", "tree", "xs", "ys"]
+        assert sorted(dataset) == ["depth", "half_width", "point_size", "xs", "ys"]
         svg = (out / "figures" / "horseshoe.svg").read_text()
         assert svg.count('fill="#202020"') == len(xs) * len(ys) > 0
 
@@ -597,6 +598,20 @@ class TestCli:
             pytest.param("partition", {"b": True, "strip_halfheight": 0.8}, id="partition-b-boolean"),
             pytest.param("partition", {"b": 0.2, "strip_halfheight": False},
                          id="partition-height-boolean"),
+            # a side below zero, or a number that overflows to inf, cannot be drawn
+            pytest.param("horseshoe", {"half_width": -0.5, "point_size": -0.01, "xs": [0.1],
+                                       "ys": [0.2]}, id="horseshoe-negative-side"),
+            pytest.param("horseshoe", {"point_size": 1e308}, id="horseshoe-side-overflow"),
+            pytest.param("horseshoe", {"point_size": 1e307, "xs": [-1.7e308], "ys": [0.2]},
+                         id="horseshoe-corner-overflow"),
+            pytest.param("partition", {"b": 2.5, "strip_halfheight": -3},
+                         id="partition-negative-side"),
+            pytest.param("partition", {"b": 0.2, "strip_halfheight": 1e308},
+                         id="partition-side-overflow"),
+            pytest.param("image", {"upper": {**IMAGE_HALF, "x_range": [0.5, 0.1]}},
+                         id="image-negative-side"),
+            pytest.param("image", {"upper": {**IMAGE_HALF, "x_range": [-1e308, 1e308]}},
+                         id="image-side-overflow"),
             # falsy non-objects are not the empty dataset
             *(pytest.param(kind, value, id=f"{kind}-{value!r}")
               for kind in ("cones", "image", "horseshoe") for value in ([], 0, None, False, "")),

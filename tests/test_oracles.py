@@ -91,7 +91,7 @@ def test_oracles_reach_no_array_kernel(monkeypatch):
     with pytest.raises(AssertionError, match="array kernel"):
         system.base_value(a)
     with pytest.raises(AssertionError, match="array kernel"):
-        cc.to_tree_json(2)
+        cc.level(2)
     with pytest.raises(AssertionError, match="array kernel"):
         GapLengthSequence(first_length=1.0, exponent=2.0).total()
     with pytest.raises(AssertionError, match="array kernel"):

@@ -166,6 +166,12 @@ COORDS = (
 PAIRS = st.lists(st.lists(COORDS, min_size=2, max_size=2), max_size=8)
 ENDS = PAIRS.map(lambda pairs: [v for pair in pairs for v in pair])  # lo0, hi0, lo1, hi1, ...
 AXIS = st.lists(COORDS, max_size=8)
+# the half sides render accepts: not negative, and small enough that no side or corner overflows
+HALF_SIDES = (
+    st.floats(0.0, 1e200)
+    | st.sampled_from([-0.0, 4e-7, 5e-7, 0.0000005, 1.0000005, 0.9999995])
+    | st.integers(0, 3)
+)
 
 
 @settings(max_examples=200, deadline=None)
@@ -179,7 +185,7 @@ def test_cones_template_equals_oracle(slices):
 @settings(max_examples=200, deadline=None)
 @given(
     st.fixed_dictionaries(
-        {"xs": AXIS, "ys": AXIS}, optional={"point_size": COORDS, "half_width": COORDS}
+        {"xs": AXIS, "ys": AXIS}, optional={"point_size": HALF_SIDES, "half_width": HALF_SIDES}
     )
 )
 @example({"xs": [4e-7], "ys": [-4e-7], "point_size": 0.0000005, "half_width": -0.0})
