@@ -31,8 +31,9 @@ class ExperimentConfig:
     seed: int = 1
 
 
-# each real's floor and each count's cap, as the kernel that reads the key applies it
-_REALS = {"c": -math.inf, "p": -math.inf, "resolution": MEASURE_RESOLUTION_FLOOR, "delta": 0.0}
+# each real's floor and each count's cap, as the kernel that reads the key applies it;
+# delta's is the runner's, since a flow box of no thickness certifies no volume
+_REALS = {"c": -math.inf, "p": -math.inf, "resolution": MEASURE_RESOLUTION_FLOOR, "delta": math.ulp(0.0)}
 _COUNTS = {"n_max": LEVEL_HARD_CAP, "level_max": LEVEL_MEASURE_CAP, "N": MEASURE_DEPTH_CAP}
 
 

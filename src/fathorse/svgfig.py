@@ -99,7 +99,7 @@ def _image(dataset: dict) -> list[str]:
         ("lower", _GRAY_LIGHT2, _GRAY_DARK2),
     ):
         data = dataset.get(half)
-        if not data:
+        if data is None:
             continue
         x_lo, x_hi = data["x_range"]
         s_lo, s_hi = data["strip_y"]
@@ -140,26 +140,53 @@ def _horseshoe(dataset: dict) -> list[str]:
     return parts
 
 
-_RENDERERS = {
-    "partition": _partition,
-    "image": _image,
-    "cones": _cones,
-    "horseshoe": _horseshoe,
+_HALF = {"x_range": [float], "strip_y": [float], "hook_y": [float], "cap": [[float]]}
+# each kind's drawer and its dataset's shape: float is a finite int or float, [shape] a list
+# of such items, a dict the keys an object may hold; drawers check lengths and required keys
+_KINDS = {
+    "partition": (_partition, {"b": float, "strip_halfheight": float, "epsilon": float}),
+    "image": (_image, {"upper": _HALF, "lower": _HALF}),
+    "cones": (_cones, {"k": float, "n": float,
+                       "slices": [{"a": float, "ends": [float], "total": float}]}),
+    "horseshoe": (_horseshoe, {"half_width": float, "depth": float, "point_size": float,
+                               "xs": [float], "ys": [float]}),
 }
 
 
+def _check(value, shape, where: str) -> None:
+    """Raise ValueError unless value has the shape.  A bool is refused as a
+    number, since true would draw as 1, and so is a key the shape lacks."""
+    if shape is float:
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ValueError(f"{where} must be a number, not {type(value).__name__}")
+        if not math.isfinite(value):
+            raise ValueError(f"{where} must be finite, got {value}")
+    elif not isinstance(value, type(shape)):
+        raise ValueError(f"{where} must be a {type(shape).__name__}, not {type(value).__name__}")
+    elif isinstance(shape, list):
+        if shape[0] is float and set(map(type, value)) <= {int, float} and all(map(math.isfinite, value)):
+            return  # a list of plain finite numbers, the bulk of every dataset, in one pass
+        for item in value:
+            _check(item, shape[0], where + "[]")
+    else:
+        unknown = ", ".join(sorted(map(str, set(value) - set(shape))))
+        if unknown:
+            raise ValueError(f"{where} holds unknown keys {unknown}")
+        for key, item in value.items():
+            _check(item, shape[key], f"{where}.{key}")
+
+
 def render_section_svg(dataset: dict, kind: str) -> str:
-    """Render one figure kind from its dataset, or raise DomainError if it is
-    malformed or not a dict, or draws a negative side or a number that
-    overflows to inf.  An empty dict as an image, cones or
-    horseshoe dataset gives the bare canvas with axes; a partition needs
-    `b` and `strip_halfheight`."""
-    if kind not in _RENDERERS:
+    """Render one figure kind from its dataset, or raise DomainError if the dataset
+    lacks its kind's shape in _KINDS or a key or length its drawer needs, or draws a
+    negative side or a number that overflows to inf.  {} draws the bare canvas for
+    image, cones and horseshoe; a partition needs `b` and `strip_halfheight`."""
+    if kind not in _KINDS:
         raise DomainError(f"unknown figure kind {kind!r}; expected one of {FIGURE_KINDS}")
-    if not isinstance(dataset, dict):
-        raise DomainError(f"{kind} dataset must be a JSON object")
+    draw, shape = _KINDS[kind]
     try:
-        body = _RENDERERS[kind](dataset)
-    except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
+        _check(dataset, shape, "dataset")
+        body = draw(dataset)
+    except (KeyError, OverflowError, ValueError) as exc:
         raise DomainError(f"malformed {kind} dataset: {type(exc).__name__}: {exc}") from exc
     return _HEADER + _FRAME + _axes() + "".join(body) + _FOOTER

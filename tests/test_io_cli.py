@@ -71,6 +71,15 @@ SMALL = {
     "seed": 7,
 }
 IMAGE_HALF = {"x_range": [0.1, 0.5], "strip_y": [-0.2, 0.2], "hook_y": [-0.6, 0.6]}
+# any JSON value under the figures' key names, as `render` and `run` hand it over
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3) | st.floats() | st.text(max_size=2),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.sampled_from(
+        ["b", "strip_halfheight", "epsilon", "upper", "lower", "x_range", "strip_y", "hook_y",
+         "cap", "k", "n", "slices", "a", "ends", "total", "half_width", "depth", "point_size",
+         "xs", "ys", "points"]), inner, max_size=4),
+    max_leaves=25,
+)
 
 
 class TestConfig:
@@ -134,6 +143,7 @@ class TestConfig:
             ("n_max", LEVEL_HARD_CAP + 1),
             ("resolution", MEASURE_RESOLUTION_FLOOR / 2),
             ("delta", -0.1),
+            ("delta", 0.0),
         ],
     )
     def test_kernel_bound_refused_naming_key_and_value(self, tmp_path, key, value):
@@ -146,7 +156,7 @@ class TestConfig:
     def test_kernel_bounds_admit_their_limits(self):
         validate(ExperimentConfig(N=MEASURE_DEPTH_CAP, level_max=LEVEL_MEASURE_CAP,
                                   n_max=LEVEL_HARD_CAP, resolution=MEASURE_RESOLUTION_FLOOR,
-                                  delta=0.0))
+                                  delta=math.ulp(0.0)))
 
     def test_validate_normalizes_python_config(self):
         cfg = validate(ExperimentConfig(c=2, N=3.0, k_list=(2.0, 3)))
@@ -246,6 +256,18 @@ class TestSvg:
         svg = render_section_svg({"b": 0.25, "strip_halfheight": 0.9}, "partition")
         assert svg.count("<polygon") == 2
         assert svg.count("<rect") >= 3  # frame plus the two strips
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(FIGURE_KINDS), JSON_VALUES)
+    # NaNs the `%`-templates would draw on the in-process path unless the check refuses them
+    @example("cones", {"slices": [{"a": math.nan, "ends": [0.0, 0.1]}]})
+    @example("horseshoe", {"xs": [0.1, math.nan], "ys": [0.2]})
+    def test_any_json_draws_finite_numbers_or_is_malformed(self, kind, dataset):
+        try:
+            svg = render_section_svg(dataset, kind)
+        except DomainError:
+            return
+        assert "nan" not in svg and "inf" not in svg
 
 
 class TestPixelMerge:
@@ -615,6 +637,28 @@ class TestCli:
             # falsy non-objects are not the empty dataset
             *(pytest.param(kind, value, id=f"{kind}-{value!r}")
               for kind in ("cones", "image", "horseshoe") for value in ([], 0, None, False, "")),
+            # every value has its kind's shape, also where an empty neighbour leaves it undrawn
+            pytest.param("horseshoe", {"xs": "abc", "ys": []}, id="horseshoe-xs-string"),
+            pytest.param("horseshoe", {"xs": {"q": 1}}, id="horseshoe-xs-object"),
+            pytest.param("horseshoe", {"ys": None}, id="horseshoe-ys-null"),
+            pytest.param("horseshoe", {"ys": "abc"}, id="horseshoe-ys-string"),
+            pytest.param("horseshoe", {"half_width": []}, id="horseshoe-half-width-list"),
+            pytest.param("horseshoe", {"half_width": ""}, id="horseshoe-half-width-string"),
+            pytest.param("cones", {"slices": [{"a": "q", "ends": []}]}, id="cones-abscissa-string"),
+            pytest.param("cones", {"slices": ""}, id="cones-slices-empty-string"),
+            pytest.param("cones", {"slices": [{"a": 0.5, "ends": [], "total": "x"}]},
+                         id="cones-total-string"),
+            *(pytest.param("image", {"upper": value}, id=f"image-upper-{value!r}")
+              for value in ([], "", 0)),
+            *(pytest.param("image", {half: {**IMAGE_HALF, "cap": cap}}, id=f"image-{half}-cap-{cap!r}")
+              for half in ("upper", "lower") for cap in ("", {})),
+            pytest.param("partition", {"b": 0.2, "strip_halfheight": 0.8, "epsilon": "x"},
+                         id="partition-epsilon-string"),
+            # the formats before the two axes and the tree-free dataset
+            pytest.param("horseshoe", {"half_width": 0.5, "points": [[0.1, 0.2]]},
+                         id="horseshoe-points-list"),
+            pytest.param("horseshoe", {"half_width": 0.5, "xs": [0.1], "ys": [0.2],
+                                       "tree": {"": [-0.5, 0.5]}}, id="horseshoe-tree-key"),
         ],
     )
     def test_render_malformed_dataset_exits_two(self, tmp_path, capsys, kind, dataset):

@@ -37,8 +37,8 @@ def test_oracles_reach_no_array_kernel(monkeypatch):
     monkeypatch.setattr(horseshoe, "splitmix64", _refuse)
     monkeypatch.setattr(cones, "_children", _refuse)
     monkeypatch.setattr(cones, "_widths", _refuse)
-    monkeypatch.setitem(svgfig._RENDERERS, "cones", _refuse)
-    monkeypatch.setitem(svgfig._RENDERERS, "horseshoe", _refuse)
+    for kind in ("cones", "horseshoe"):
+        monkeypatch.setitem(svgfig._KINDS, kind, (_refuse, svgfig._KINDS[kind][1]))
     system = ps.bowen
     cc = system.cc
     b, a, fb = system.m.b, system.m.a, system.fb
