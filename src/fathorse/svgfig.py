@@ -164,8 +164,6 @@ def _check(value, shape, where: str) -> None:
     elif not isinstance(value, type(shape)):
         raise ValueError(f"{where} must be a {type(shape).__name__}, not {type(value).__name__}")
     elif isinstance(shape, list):
-        if shape[0] is float and set(map(type, value)) <= {int, float} and all(map(math.isfinite, value)):
-            return  # a list of plain finite numbers, the bulk of every dataset, in one pass
         for item in value:
             _check(item, shape[0], where + "[]")
     else:

@@ -648,8 +648,8 @@ class TestCli:
             pytest.param("cones", {"slices": ""}, id="cones-slices-empty-string"),
             pytest.param("cones", {"slices": [{"a": 0.5, "ends": [], "total": "x"}]},
                          id="cones-total-string"),
-            *(pytest.param("image", {"upper": value}, id=f"image-upper-{value!r}")
-              for value in ([], "", 0)),
+            *(pytest.param("image", {half: value}, id=f"image-{half}-{value!r}")
+              for half in ("upper", "lower") for value in ([], "", 0, {})),
             *(pytest.param("image", {half: {**IMAGE_HALF, "cap": cap}}, id=f"image-{half}-cap-{cap!r}")
               for half in ("upper", "lower") for cap in ("", {})),
             pytest.param("partition", {"b": 0.2, "strip_halfheight": 0.8, "epsilon": "x"},
