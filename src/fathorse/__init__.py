@@ -26,6 +26,6 @@ from .horseshoe import (
     make_poincare_system,
     suspension_volume,
 )
-from .lorenz import LorenzBranchMap, derive_constants
+from .lorenz import LorenzBranchMap
 
 __version__ = "0.1.0"

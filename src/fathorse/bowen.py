@@ -53,7 +53,6 @@ class GapDiffeo:
     per point.
     """
 
-    level: int
     source: tuple[float, float]
     target: tuple[float, float]
 
@@ -196,9 +195,8 @@ class BowenSystem:
         Walk levels 0..jump-1 are one searchsorted into the level arrays,
         whose cells are the walk's probe and partner intervals bit for
         bit.  With i the last probe cell whose lo is below x: x at or past
-        hi[i] lies in the closed gap up to lo[i + 1], removed at walk level
-        jump - 1 - ctz(i + 1).  Every other point enters the level loop at
-        cell i.
+        hi[i] lies in the closed gap up to lo[i + 1].  Every other point
+        enters the level loop at cell i.
 
         Returns the values and slopes, the indices of the points in closed
         probe gaps, and one GapDiffeo over the gaps of all levels, which
@@ -211,15 +209,12 @@ class BowenSystem:
         (plos, phis), (qlos, qhis), dp, dq = (
             (source, target, 1, 0) if forward else (target, source, 0, 1))
         i = np.searchsorted(plos[1:], xs)  # the last cell whose lo is below x; 0 at the root's lo
-        gap = (xs >= phis[i]) & (i < cells - 1)
-        # per point in a gap: its walk level and the probe and partner gap ends;
-        # frexp(2^k) has exponent k + 1, so the level is jump - frexp(i + 1 & -(i + 1))
-        levels, ends = np.full(xs.size, -1), np.empty((4, xs.size))
-        g = i[gap]
-        levels[gap] = jump - np.frexp((g + 1) & -(g + 1))[1]
-        ends[:, gap] = phis[g], plos[g + 1], qhis[g], qlos[g + 1]
+        hit = (xs >= phis[i]) & (i < cells - 1)  # per point: whether it lies in a probe gap
+        ends = np.empty((4, xs.size))  # per point in a gap: the probe and partner gap ends
+        g = i[hit]
+        ends[:, hit] = phis[g], plos[g + 1], qhis[g], qlos[g + 1]
         out, slope = np.empty_like(xs), np.empty_like(xs)
-        idx = np.flatnonzero(~gap)
+        idx = np.flatnonzero(~hit)
         i = i[idx]
         x, plo, phi, qlo, qhi = xs[idx], plos[i], phis[i], qlos[i], qhis[i]
         n = jump
@@ -243,7 +238,7 @@ class BowenSystem:
                 out[idx[at_lo]], out[idx[at_hi]] = qlo[at_lo], qhi[at_hi]
                 slope[idx[at_lo | at_hi]] = 2.0
                 k = idx[gap]
-                levels[k] = n
+                hit[k] = True
                 ends[:, k] = glo[gap], ghi[gap], tlo[gap], thi[gap]
                 go = ~stop
                 x, plo, phi, qlo, qhi, glo, ghi, tlo, thi, idx = (
@@ -252,10 +247,10 @@ class BowenSystem:
             plo, phi = np.where(right, ghi, plo), np.where(right, phi, glo)
             qlo, qhi = np.where(right, thi, qlo), np.where(right, qhi, tlo)
             n += 1
-        gap = np.flatnonzero(levels >= 0)
+        gap = np.flatnonzero(hit)
         plo, phi, qlo, qhi = ends[:, gap]
         source, target = ((plo, phi), (qlo, qhi)) if forward else ((qlo, qhi), (plo, phi))
-        return out, slope, gap, GapDiffeo(level=levels[gap], source=source, target=target)
+        return out, slope, gap, GapDiffeo(source=source, target=target)
 
     @_pointwise
     def base_value(self, xs):
@@ -434,7 +429,8 @@ def verify_surgery(sys: BowenSystem, max_level: int, monotone_grid: int = 100_00
     themselves stay fine.
     """
     check_depth(max_level, LEVEL_ARRAY_CAP - 1, "surgery level")
-    if not monotone_grid >= 2:
+    check_depth(monotone_grid, math.inf, "monotone grid")
+    if monotone_grid < 2:
         raise DomainError(f"monotone grid needs at least 2 points, got {monotone_grid}")
     cc, gaps = sys.cc, sys.cc.gaps
     ts = np.arange(21) / 20.0

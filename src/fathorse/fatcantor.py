@@ -77,8 +77,9 @@ class GapLengthSequence:
             raise InvalidParameterError(
                 f"gap exponent must be finite and exceed 1, got {self.exponent}"
             )
-        if self.first_length <= 0.0:
-            raise InvalidParameterError("first gap length must be positive")
+        if not 0.0 < self.first_length < math.inf:  # also rejects NaN
+            raise InvalidParameterError(
+                f"first gap length must be finite and positive, got {self.first_length}")
 
     def length(self, n: int) -> float:
         try:

@@ -15,18 +15,7 @@ from dataclasses import dataclass
 
 from .errors import DomainError, InvalidParameterError, SingularityError
 
-__all__ = [
-    "LorenzBranchMap",
-    "branch_value",
-    "fixed_point_constant",
-    "preimage_constant",
-    "derive_constants",
-]
-
-
-def _check_coefficient(c: float) -> None:
-    if not 1.0 < c <= 2.0:
-        raise InvalidParameterError(f"branch coefficient must lie in (1, 2], got {c}")
+__all__ = ["LorenzBranchMap", "branch_value"]
 
 
 def branch_value(c: float, x: float) -> float:
@@ -38,42 +27,6 @@ def branch_value(c: float, x: float) -> float:
     if x > 0.0:
         return c * math.sqrt(x) - 1.0
     return -c * math.sqrt(-x) + 1.0
-
-
-def fixed_point_constant(c: float) -> float:
-    """Positive fixed point a of the second iterate, from t^2 + c t - 1 = 0."""
-    _check_coefficient(c)
-    t = (-c + math.sqrt(c * c + 4.0)) / 2.0
-    return t * t
-
-
-def preimage_constant(c: float, a: float) -> float:
-    """The b in (0, a) with f(f(b)) = -a, i.e. sqrt(b) = (1 - ((1+a)/c)^2)/c.
-
-    Raises InvalidParameterError when no such point exists inside the
-    interval (small coefficients push f(b) below -1).
-    """
-    s = (1.0 - ((1.0 + a) / c) ** 2) / c
-    if s <= 0.0:
-        raise InvalidParameterError(
-            f"no preimage constant for c = {c}: f(b) would fall below -1"
-        )
-    b = s * s
-    if not 0.0 < b < a:
-        raise InvalidParameterError(f"preimage constant b = {b} not in (0, a)")
-    return b
-
-
-def derive_constants(c: float) -> tuple[float, float]:
-    """Derive (a, b) for the coefficient and enforce f(1) > -f(b)."""
-    a = fixed_point_constant(c)
-    b = preimage_constant(c, a)
-    if c - 1.0 <= ((1.0 + a) / c) ** 2:
-        raise InvalidParameterError(
-            f"c = {c} rejected: requires f(1) > -f(b), "
-            f"but {c - 1.0} <= {((1.0 + a) / c) ** 2}"
-        )
-    return a, b
 
 
 @dataclass(frozen=True)
@@ -93,5 +46,26 @@ class LorenzBranchMap:
 
     @classmethod
     def from_coefficient(cls, c: float) -> "LorenzBranchMap":
-        a, b = derive_constants(c)
+        """The map with coefficient c, with a = t^2 for t = (-c + sqrt(c^2 + 4))/2
+        the positive root of t^2 + c t - 1 = 0, and b = s^2 for
+        s = (1 - ((1+a)/c)^2)/c, so f(b) = -((1+a)/c)^2 maps to -a.
+
+        InvalidParameterError for c outside (1, 2], for no such b in (0, a)
+        (small coefficients push f(b) below -1), and unless f(1) > -f(b).
+        """
+        if not 1.0 < c <= 2.0:  # also rejects NaN
+            raise InvalidParameterError(f"branch coefficient must lie in (1, 2], got {c}")
+        t = (-c + math.sqrt(c * c + 4.0)) / 2.0
+        a = t * t
+        s = (1.0 - ((1.0 + a) / c) ** 2) / c
+        if s <= 0.0:
+            raise InvalidParameterError(f"no preimage constant for c = {c}: f(b) would fall below -1")
+        b = s * s
+        if not 0.0 < b < a:
+            raise InvalidParameterError(f"preimage constant b = {b} not in (0, a)")
+        if c - 1.0 <= ((1.0 + a) / c) ** 2:
+            raise InvalidParameterError(
+                f"c = {c} rejected: requires f(1) > -f(b), "
+                f"but {c - 1.0} <= {((1.0 + a) / c) ** 2}"
+            )
         return cls(c=c, a=a, b=b, alpha=c / 2.0)

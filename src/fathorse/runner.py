@@ -17,15 +17,17 @@ its SVG, once every enabled suite has finished.  Outputs:
 
 Exit codes: 0 all checks pass, 1 some check failed, 2 invalid or
 infeasible parameters (no file written, no directory created, an existing
-one left as it was), 3 I/O failure on any write.  Floats are written as .17g
-in CSV, as the shortest round-trip repr in JSON and with six decimals in
-SVG, all with LF line endings, so repeated runs are byte-identical.
+one left as it was), 3 I/O failure on any write.  A refusal (exit 2 or 3)
+is one line on stderr, the check lines go to stdout.  Floats are written
+as .17g in CSV, as the shortest round-trip repr in JSON and with six
+decimals in SVG, all with LF line endings, so repeated runs are byte-identical.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
+import sys
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _encode_str
 from pathlib import Path
@@ -326,10 +328,10 @@ def run(cfg: ExperimentConfig, only: str | None = None, out_dir: str | None = No
     try:
         cfg = validate(cfg)
     except ConfigError as exc:
-        print(f"config error: {exc}")
+        print(f"config error: {exc}", file=sys.stderr)
         return 2
     if only is not None and only not in SUITES:
-        print(f"invalid parameters: unknown suite {only!r}; expected one of {SUITES}")
+        print(f"invalid parameters: unknown suite {only!r}; expected one of {SUITES}", file=sys.stderr)
         return 2
     enabled = SUITES if only is None else (only,)
     checks = _Checks()
@@ -350,10 +352,10 @@ def run(cfg: ExperimentConfig, only: str | None = None, out_dir: str | None = No
         if "horseshoe" in enabled:
             _horseshoe_suite(cfg, checks, artifacts, bowen)
     except FeasibilityError as exc:
-        print(f"infeasible parameters: {exc}")
+        print(f"infeasible parameters: {exc}", file=sys.stderr)
         return 2
     except FathorseError as exc:  # any other guard of the kernels
-        print(f"invalid parameters: {exc}")
+        print(f"invalid parameters: {exc}", file=sys.stderr)
         return 2
 
     criteria = [
@@ -373,7 +375,7 @@ def run(cfg: ExperimentConfig, only: str | None = None, out_dir: str | None = No
                 svg = svgfig.render_section_svg(content, path.stem)
                 path.with_suffix(".svg").write_text(svg, encoding="utf-8", newline="\n")
     except OSError as exc:
-        print(f"I/O failure: {exc}")
+        print(f"I/O failure: {exc}", file=sys.stderr)
         return 3
 
     for record in checks.records:

@@ -188,7 +188,7 @@ def subtree_cover_length(cc, word: str, level: int) -> float:
 
 def gap_diffeo(sys, word: str) -> GapDiffeo:
     """The base map on the source gap of I_{0 word}, onto the gap of I_word."""
-    return GapDiffeo(level=len(word), source=gap(sys.cc, "0" + word), target=gap(sys.cc, word))
+    return GapDiffeo(source=gap(sys.cc, "0" + word), target=gap(sys.cc, word))
 
 # -- gap diffeomorphisms -------------------------------------------------------
 
@@ -251,9 +251,9 @@ def walk(sys, x: float, forward: bool):
     (forward), the target tree for its inverse.  The other tree is the
     partner; both descend in lockstep, the source one level below the
     target.  Returns ('endpoint', partner endpoint) when x snaps to a
-    probe endpoint, ('gap', diffeo) when x falls in a closed probe gap,
-    or ('deep', value, slope) once the probe interval is below _TOL,
-    with the affine partner-over-probe interpolation at x.
+    probe endpoint, ('gap', diffeo, walk level) when x falls in a closed
+    probe gap, or ('deep', value, slope) once the probe interval is below
+    _TOL, with the affine partner-over-probe interpolation at x.
     """
     cc = sys.cc
     source, target = interval(cc, "0"), interval(cc, "")
@@ -270,7 +270,7 @@ def walk(sys, x: float, forward: bool):
         gq = cc._gap_from(qlo, qhi, n + dq)
         if gp[0] <= x <= gp[1]:
             source, target = (gp, gq) if forward else (gq, gp)
-            return ("gap", GapDiffeo(level=n, source=source, target=target))
+            return ("gap", GapDiffeo(source=source, target=target), n)
         if x > gp[1]:
             plo, qlo = gp[1], gq[1]
         else:

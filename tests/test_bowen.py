@@ -439,7 +439,7 @@ def _scalar_maps(system, points, forward):
     values, slopes, exits = [], [], set()
     for x in points.tolist():
         kind, *leaf = oracles.walk(system, x, forward)
-        exits.add((kind, leaf[0].level if kind == "gap" else None))
+        exits.add((kind, leaf[1] if kind == "gap" else None))
         if kind == "gap":
             d = leaf[0]
             if forward:
@@ -601,8 +601,8 @@ class TestInverseArrayKernels:
         _, _, gap, diffeo = bowen_c._walks(vs, forward=False)
         assert gap.size > 1_000
         scalars = [
-            GapDiffeo(int(n), (s0, s1), (t0, t1))
-            for n, s0, s1, t0, t1 in zip(diffeo.level, *diffeo.source, *diffeo.target)
+            GapDiffeo((s0, s1), (t0, t1))
+            for s0, s1, t0, t1 in zip(*diffeo.source, *diffeo.target)
         ]
         full = [_full_budget_invert(d, float(v)) for d, v in zip(scalars, vs[gap])]
         assert sum(repeated for _, repeated in full) > 50  # elements that stop on a repeat

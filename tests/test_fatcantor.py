@@ -101,6 +101,12 @@ class TestGapLengthSequence:
         with pytest.raises(InvalidParameterError):
             GapLengthSequence(first_length=0.1, exponent=1.0)
 
+    @pytest.mark.parametrize("first", [math.nan, math.inf, 0.0, -0.1])
+    def test_first_length_must_be_finite_and_positive(self, first):
+        # a NaN first length passed a <= 0 test, and every length was NaN
+        with pytest.raises(InvalidParameterError, match="first gap length must be finite"):
+            GapLengthSequence(first_length=first, exponent=2.0)
+
     def test_half_gap_table_matches_formula(self, lorenz18):
         # a fresh construction, read deepest level first
         cc = make_construction(lorenz18, 2.0)

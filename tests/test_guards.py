@@ -3,7 +3,8 @@
 Every depth or level argument passes through errors.check_depth, so each
 entry point below rejects one step past either end of its range, a
 non-integral depth and a bool, with check_depth's wording; a guard that
-bypasses the owner fails here.  Sample counts pass through the same guard with no cap.
+bypasses the owner fails here.  Sample counts and the surgery's monotone grid pass
+through the same guard with no cap.
 The scalar and array domain tests are written so that NaN fails them too, and the
 entry points that read a point of the section reject unequal x and y sizes
 and, through bowen._points, arrays of more than one dimension; fiber_map
@@ -58,16 +59,19 @@ def test_depth_guard_owner(poincare18, call, cap, what):
     _raises_as_owner(poincare18, call, cap, what, -1, cap + 1, 2.5, True, False)
 
 
-# (id, call taking the sample count); a count has no cap
+# (id, call taking the count, what the message names); a count has no cap
 COUNT_SITES = [
-    ("vertical_gap_witness", lambda ps, n: ps.vertical_gap_witness(n, 1e-3, seed=1, depth=2)),
-    ("fiber_contraction_report", lambda ps, n: ps.fiber_contraction_report(n)),
+    ("vertical_gap_witness", lambda ps, n: ps.vertical_gap_witness(n, 1e-3, seed=1, depth=2),
+     "sample count"),
+    ("fiber_contraction_report", lambda ps, n: ps.fiber_contraction_report(n), "sample count"),
+    ("verify_surgery_grid", lambda ps, n: verify_surgery(ps.bowen, 2, monotone_grid=n),
+     "monotone grid"),
 ]
 
 
-@pytest.mark.parametrize("call", [s[1] for s in COUNT_SITES], ids=[s[0] for s in COUNT_SITES])
-def test_sample_count_guard_owner(poincare18, call):
-    _raises_as_owner(poincare18, call, math.inf, "sample count", -1, 2.5, True, False)
+@pytest.mark.parametrize("call, what", [s[1:] for s in COUNT_SITES], ids=[s[0] for s in COUNT_SITES])
+def test_sample_count_guard_owner(poincare18, call, what):
+    _raises_as_owner(poincare18, call, math.inf, what, -1, 2.5, True, False)
     call(poincare18, np.int64(3))
 
 

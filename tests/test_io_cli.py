@@ -446,22 +446,22 @@ class TestRunner:
         # a config built in Python skips load_config; run validates it itself
         cfg = ExperimentConfig(N=-1, output_dir=str(tmp_path / "out"))
         assert run(cfg, only="horseshoe") == 2
-        out = capsys.readouterr().out
-        assert out.count("\n") == 1 and "'N'" in out
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1 and "'N'" in err
         assert not (tmp_path / "out").exists()
 
     def test_unknown_suite_exits_two(self, tmp_path, capsys):
         cfg = ExperimentConfig(output_dir=str(tmp_path / "out"))
         assert run(cfg, only="bogus") == 2
-        out = capsys.readouterr().out
-        assert out.count("\n") == 1 and "unknown suite 'bogus'" in out
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1 and "unknown suite 'bogus'" in err
         assert not (tmp_path / "out").exists()
 
     def test_unvalidated_empty_k_list_exits_two(self, tmp_path, capsys):
         cfg = ExperimentConfig(k_list=[], output_dir=str(tmp_path / "out"))
         assert run(cfg, only="cones") == 2
-        out = capsys.readouterr().out
-        assert out.count("\n") == 1 and "k_list" in out
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1 and "k_list" in err
 
     def test_horseshoe_axes_are_the_member_centers(self, outcome):
         # the figure stores the product's two axes; its SVG draws every pair
@@ -702,11 +702,12 @@ class TestCli:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             code = main(["run", "--config", str(conf), "--out", str(tmp_path / "out")])
-        out = capsys.readouterr().out
+        out, err = capsys.readouterr()
         assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
         assert code in ((0,) if p in (2, 2.5) else (0, 1, 2))
         if code == 2:
-            assert out.count("\n") == 1 and out.startswith("invalid parameters: gap exponent")
+            assert out == ""
+            assert err.count("\n") == 1 and err.startswith("invalid parameters: gap exponent")
         else:
             for path in (tmp_path / "out").rglob("*.json"):
                 _strict_json(path)
@@ -734,9 +735,11 @@ class TestCli:
         conf = _write(tmp_path / "conf.json", {**SMALL, "a_list": [0.99999999]})
         out = tmp_path / "out"
         assert main(["run", "--config", str(conf), "--out", str(out), "--only", "cones"]) == 2
-        lines = capsys.readouterr().out.splitlines()
-        assert lines == ["invalid parameters: cannot resolve the level-4 brute-force slice at "
-                         "a = 0.99999999: an orbit of its bisected preimages meets the line x = 0"]
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "invalid parameters: cannot resolve the level-4 brute-force slice at "
+            "a = 0.99999999: an orbit of its bisected preimages meets the line x = 0"]
         assert not out.exists()
 
     def test_invalid_config_value_exits_two(self, tmp_path, capsys):
@@ -757,7 +760,8 @@ class TestCli:
         conf = _write(tmp_path / "conf.json", SMALL)
         assert main(["run", "--config", str(conf), "--out", str(out), "--only", "cones"]) == 3
         captured = capsys.readouterr()
-        assert captured.out.count("\n") == 1 and captured.out.startswith("I/O failure:")
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and captured.err.startswith("I/O failure:")
         assert "Traceback" not in captured.err
 
     def test_out_override(self, tmp_path, capsys):
@@ -824,11 +828,12 @@ _SMALL_VALID = st.fixed_dictionaries(
 )
 
 
-def _run_quietly(cfg: ExperimentConfig, only: str | None, out: Path) -> tuple[int, str]:
-    buf = io.StringIO()
-    with contextlib.redirect_stdout(buf):
+def _run_quietly(cfg: ExperimentConfig, only: str | None, out: Path) -> tuple[int, str, str]:
+    """run's exit code, then what it printed to stdout and to stderr."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
         code = run(cfg, only=only, out_dir=str(out))
-    return code, buf.getvalue()
+    return code, stdout.getvalue(), stderr.getvalue()
 
 
 def _artifacts(out: Path) -> dict[str, bytes]:
@@ -843,9 +848,9 @@ class TestRunProperties:
         key, value = override
         with tempfile.TemporaryDirectory() as tmp:
             out = Path(tmp) / "out"
-            code, printed = _run_quietly(ExperimentConfig(**{**SMALL, key: value}), only, out)
-            assert code == 2
-            assert printed.count("\n") == 1 and printed.startswith("config error:")
+            code, printed, err = _run_quietly(ExperimentConfig(**{**SMALL, key: value}), only, out)
+            assert code == 2 and printed == ""
+            assert err.count("\n") == 1 and err.startswith("config error:")
             assert not out.exists()
 
     @settings(max_examples=15, deadline=None)
@@ -857,9 +862,9 @@ class TestRunProperties:
         with tempfile.TemporaryDirectory() as tmp:
             cfg = ExperimentConfig(**{**SMALL, key: value})
             for out in (Path(tmp) / "out", Path(tmp)):
-                code, printed = _run_quietly(cfg, only, out)
-                assert code == 2
-                assert printed.count("\n") == 1
+                code, printed, err = _run_quietly(cfg, only, out)
+                assert code == 2 and printed == ""
+                assert err.count("\n") == 1
                 assert list(Path(tmp).iterdir()) == []
 
     def test_refused_run_leaves_earlier_artifacts_as_they_were(self, tmp_path):
@@ -868,8 +873,8 @@ class TestRunProperties:
         assert _run_quietly(ExperimentConfig(), None, tmp_path)[0] == 0
         before = _artifacts(tmp_path)
         for override in ({"c": 1.95, "p": 4}, {"c": 1.5}):
-            code, printed = _run_quietly(ExperimentConfig(**override), None, tmp_path)
-            assert code == 2 and printed.count("\n") == 1
+            code, printed, err = _run_quietly(ExperimentConfig(**override), None, tmp_path)
+            assert code == 2 and printed == "" and err.count("\n") == 1
             assert _artifacts(tmp_path) == before
 
     @settings(max_examples=10, deadline=None)

@@ -1,11 +1,15 @@
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from oracles import branch_derivative, right_branch_inverse
 
+from fathorse import lorenz
 from fathorse.errors import DomainError, InvalidParameterError, SingularityError
-from fathorse.lorenz import branch_value, derive_constants, fixed_point_constant, preimage_constant
+from fathorse.lorenz import LorenzBranchMap, branch_value
 
 
 class TestBranchValue:
@@ -67,48 +71,88 @@ class TestRightBranchInverse:
         assert worst < 1e-12
 
 
+# (a.hex(), b.hex()) per coefficient, so that any reordering of the
+# derivation's floating-point operations shows
+CONSTANT_BITS = {
+    1.6: ("0x1.d916a7eb85c28p-3", "0x1.0a6c562976a3ep-4"),
+    1.7: ("0x1.b5f79d394aa59p-3", "0x1.548483a6028ecp-4"),
+    1.8: ("0x1.96374dd38f7e5p-3", "0x1.87e7847553900p-4"),
+    1.95: ("0x1.6c1b824285d87p-3", "0x1.b29c7b41e9729p-4"),
+    2.0: ("0x1.5f619980c433ap-3", "0x1.b9cfff07aa024p-4"),
+}
+C_MIN = 1.595796005804997  # the smallest double coefficient with f(1) > -f(b)
+
+
 class TestDerivedConstants:
     def test_c2_closed_form(self):
-        a, b = derive_constants(2.0)
-        assert a == pytest.approx(3.0 - 2.0 * math.sqrt(2.0), abs=1e-14)
+        m = LorenzBranchMap.from_coefficient(2.0)
+        assert m.a == pytest.approx(3.0 - 2.0 * math.sqrt(2.0), abs=1e-14)
+        assert (m.c, m.alpha) == (2.0, 1.0)
 
-    @pytest.mark.parametrize("c", [1.2, 1.5, 1.8, 2.0])
+    @pytest.mark.parametrize("c", [1.8, 2.0])
     def test_fixed_point_residual(self, c):
-        # a solves f(a) = -a for every family member, even those later
-        # rejected by the preimage or endpoint constraints
-        a = fixed_point_constant(c)
+        a = LorenzBranchMap.from_coefficient(c).a
         assert abs(branch_value(c, a) + a) < 1e-12
         assert abs(branch_value(c, branch_value(c, a)) - a) < 1e-12
 
-    @pytest.mark.parametrize("c", [1.5, 1.8, 2.0])
+    @pytest.mark.parametrize("c", [1.8, 2.0])
     def test_preimage_residual(self, c):
-        a = fixed_point_constant(c)
-        b = preimage_constant(c, a)
-        assert 0.0 < b < a
-        assert abs(branch_value(c, branch_value(c, b)) + a) < 1e-12
+        m = LorenzBranchMap.from_coefficient(c)
+        assert 0.0 < m.b < m.a
+        assert abs(branch_value(c, branch_value(c, m.b)) + m.a) < 1e-12
 
     def test_c18_values(self):
-        a, b = derive_constants(1.8)
-        assert a == pytest.approx(0.1983476715267322, abs=1e-12)
-        assert b == pytest.approx(0.0956797765877333, abs=1e-12)
+        m = LorenzBranchMap.from_coefficient(1.8)
+        assert m.a == pytest.approx(0.1983476715267322, abs=1e-12)
+        assert m.b == pytest.approx(0.0956797765877333, abs=1e-12)
         # endpoint condition f(1) > -f(b), with -f(b) = ((1+a)/c)^2
-        assert 0.8 > ((1.0 + a) / 1.8) ** 2
+        assert 0.8 > ((1.0 + m.a) / 1.8) ** 2
 
-    def test_no_preimage_constant_at_small_c(self):
+    @pytest.mark.parametrize("c", sorted(CONSTANT_BITS))
+    def test_constant_bits(self, c):
+        m = LorenzBranchMap.from_coefficient(c)
+        assert (m.a.hex(), m.b.hex()) == CONSTANT_BITS[c]
+
+    @settings(max_examples=200, deadline=None)
+    @given(c=st.floats(C_MIN, 2.0))
+    @example(c=C_MIN)
+    def test_constants_solve_their_equations(self, c):
+        m = LorenzBranchMap.from_coefficient(c)
+        assert 0.0 < m.b < m.a
+        assert abs(branch_value(c, m.a) + m.a) <= 1e-12
+        assert abs(branch_value(c, branch_value(c, m.b)) + m.a) <= 1e-12
+
+    def test_no_preimage_point_at_small_c(self):
         # at c = 1.2 the required f(b) would fall below -1
-        with pytest.raises(InvalidParameterError):
-            derive_constants(1.2)
+        with pytest.raises(InvalidParameterError) as raised:
+            LorenzBranchMap.from_coefficient(1.2)
+        assert str(raised.value) == "no preimage constant for c = 1.2: f(b) would fall below -1"
 
     def test_endpoint_constraint_rejects_c15(self):
-        # b exists at c = 1.5 but f(1) = 0.5 < -f(b)
-        with pytest.raises(InvalidParameterError):
-            derive_constants(1.5)
+        # b exists at c = 1.5 but f(1) = 0.5 < -f(b); the same holds just below C_MIN
+        with pytest.raises(InvalidParameterError) as raised:
+            LorenzBranchMap.from_coefficient(1.5)
+        assert str(raised.value) == (
+            "c = 1.5 rejected: requires f(1) > -f(b), but 0.5 <= 0.6944444444444445")
+        with pytest.raises(InvalidParameterError, match="rejected: requires f"):
+            LorenzBranchMap.from_coefficient(math.nextafter(C_MIN, 0.0))
+
+    def test_preimage_range_refusal(self, monkeypatch):
+        # no double c in (1, 2] reaches it (there 0 < b < a whenever s > 0); a
+        # square root that puts a at 1e-6 leaves b near 0.14, past a
+        monkeypatch.setattr(lorenz, "math", SimpleNamespace(sqrt=lambda v: 2.002))
+        with pytest.raises(InvalidParameterError) as raised:
+            LorenzBranchMap.from_coefficient(2.0)
+        message = str(raised.value)
+        b = float(message.removeprefix("preimage constant b = ").removesuffix(" not in (0, a)"))
+        assert b == pytest.approx(0.1406, abs=1e-4)
+        assert message == f"preimage constant b = {b} not in (0, a)"
 
     def test_coefficient_range(self):
-        with pytest.raises(InvalidParameterError):
-            derive_constants(1.0)
-        with pytest.raises(InvalidParameterError):
-            derive_constants(2.1)
+        for c in (1.0, 2.1, math.nan):
+            with pytest.raises(InvalidParameterError) as raised:
+                LorenzBranchMap.from_coefficient(c)
+            assert str(raised.value) == f"branch coefficient must lie in (1, 2], got {c}"
 
 
 @dataclass(frozen=True)
