@@ -55,9 +55,10 @@ class ConeSystem:
     """Fiber-contraction exponent k >= 2 of the skew product.
 
     The base is always the c = 2 branch map, so k is the only parameter.
-    The system keeps the per-level totals of the last abscissa walked for
-    it, by slice_measure or by a walk_slices shared with other exponents,
-    so a table at that abscissa reads its levels without walking again.
+    The system keeps the per-level totals of the abscissas of its last
+    walk: the one abscissa of a slice_measure or of a walk_slices shared
+    with other exponents, or every abscissa of a slice_intervals call.  A
+    table or a figure at those abscissas reads its levels without walking.
     """
 
     k: int
@@ -195,8 +196,9 @@ def preimage_level(a: float, n: int) -> np.ndarray:
 def slice_measure(sys: ConeSystem, a: float, n: int) -> float:
     """Total width of the exact level-n slice cover, via the width recursion.
 
-    A call at the abscissa the system last walked, and a level no deeper,
-    returns the kept total; any other call walks to level n first.
+    A call at an abscissa of the system's last walk, by walk_slices,
+    slice_measure or slice_intervals, and a level no deeper, returns the
+    kept total; any other call walks to level n first.
     """
     _check_slice(a, n)
     totals = sys._totals.get(float(a), ())
@@ -215,6 +217,11 @@ def slice_intervals(sys: ConeSystem, a, n: int) -> np.ndarray:
     under the child's fiber map y -> (|r|^{1/k} y +- 1)/2, so the child
     center sits a quarter of the parent width below (negative branch) or
     above (positive branch) the parent center.
+
+    The system keeps each abscissa's level totals 0..n, the widths summed
+    along the last axis, in place of its earlier ones, so a later
+    slice_measure at one of these abscissas and a level no deeper reads
+    them without walking.
     """
     a = np.asarray(a, dtype=float)
     if a.ndim > 1:
@@ -224,11 +231,16 @@ def slice_intervals(sys: ConeSystem, a, n: int) -> np.ndarray:
     levels = _preimages(a, n)
     next(levels)
     centers, widths = np.zeros((*a.shape, 1)), np.full((*a.shape, 1), 2.0)
+    totals = [widths.sum(axis=-1)]
     for r in levels:
         centers = np.repeat(centers, 2, axis=-1)
         centers[..., 0::2] -= 0.25 * widths
         centers[..., 1::2] += 0.25 * widths
         widths = _widths(r, widths, 1.0 / sys.k, np.empty(r.shape))
+        totals.append(widths.sum(axis=-1))  # pairwise per row, bit-equal to a walk's np.sum
+    sys._totals.clear()
+    rows = np.stack(totals, axis=-1).reshape(a.size, n + 1)
+    sys._totals.update(zip(a.reshape(-1).tolist(), rows.tolist()))  # 0.0 and -0.0 share a key
     return np.stack([centers - 0.5 * widths, centers + 0.5 * widths], axis=-1)
 
 

@@ -129,7 +129,9 @@ def _pixel_merge(intervals: np.ndarray) -> np.ndarray:
 def _cone_figure(system: cones_mod.ConeSystem, n: int) -> dict:
     """The cone figure's 161 slices at level n: each slice's total and its
     leaf ends merged at one pixel.  One slice_intervals call gives the
-    leaves of every slice, released on return, before the tables walk."""
+    leaves of every slice, released on return, before the tables walk.  It
+    also keeps every slice's level totals, so each slice_measure call below
+    reads its total without walking."""
     abscissas = [-0.98 + i * (1.96 / 160) for i in range(161)]
     leaves = cones_mod.slice_intervals(system, np.array(abscissas), n)
     slices = []
@@ -142,8 +144,9 @@ def _cone_figure(system: cones_mod.ConeSystem, n: int) -> dict:
 def _cones_suite(cfg: ExperimentConfig, checks: _Checks, artifacts: dict) -> None:
     # One system per k_list entry, in config order, so a repeated k gets its
     # own block of cones.csv.  The first also serves the oracle sample and
-    # the figure, whose totals stay one slice_measure call per abscissa, the
-    # count perfbench/selftest.py pins.
+    # the figure.  The figure's slice_intervals call keeps every slice's
+    # totals, so its one slice_measure call per abscissa, the count
+    # perfbench/selftest.py pins, reads them and walks no abscissa.
     # The tables walk once per abscissa for every k: walk_slices leaves
     # each system the level totals its table reads.
     systems = [cones_mod.ConeSystem(k) for k in cfg.k_list]

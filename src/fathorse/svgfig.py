@@ -116,11 +116,11 @@ def _image(dataset: dict) -> list[str]:
 
 
 def _cones(dataset: dict) -> list[str]:
-    line = '<line x1="%.6f" y1="%.6f" x2="%.6f" y2="%.6f" stroke="#303030" stroke-width="0.004"/>\n'
     parts = []
     for entry in dataset.get("slices", []):
-        x, ends = entry["a"], entry["ends"]
-        parts.extend([line % (x, lo, x, hi) for lo, hi in zip(ends[0::2], ends[1::2], strict=True)])
+        x, ends = _f(entry["a"]), entry["ends"]  # one slice's lines format only lo and hi
+        line = f'<line x1="{x}" y1="%.6f" x2="{x}" y2="%.6f" stroke="#303030" stroke-width="0.004"/>\n'
+        parts.extend([line % pair for pair in zip(ends[0::2], ends[1::2], strict=True)])
     parts.append(_line(0, -1, 0, 1, "black", 0.006))
     return parts
 

@@ -2,6 +2,7 @@ import contextlib
 import dataclasses
 import io
 import itertools
+import json
 import math
 import tracemalloc
 from fractions import Fraction
@@ -459,14 +460,21 @@ class TestStoredTotals:
             _assert_totals(system, a1, STORED_N)
 
     @pytest.mark.parametrize("k", WIDE_K)
-    def test_below_an_earlier_walk(self, k):
-        # slice_intervals walks without keeping totals, and
-        # verify_cone_bound keeps them through slice_measure
+    def test_below_an_earlier_walk(self, k, monkeypatch):
+        # slice_intervals keeps the totals of its levels, so reads at or
+        # below its level walk none; a deeper table walks once and
+        # verify_cone_bound keeps its totals through slice_measure
+        walks, walk = [], cones._walk_totals
+        monkeypatch.setattr(cones, "_walk_totals",
+                            lambda a, n, ks: walks.append((a, n)) or walk(a, n, ks))
         system = ConeSystem(k)
         for a in STORED_A:
             slice_intervals(system, a, 10)
             _assert_totals(system, a, 10)
+            assert walks == []
             rows = verify_cone_bound(system, a, 12)
+            assert walks == [(a, 12)]
+            walks.clear()
             assert [row.total.hex() for row in rows] == [
                 _fresh_total(k, a, n) for n in range(13)
             ]
@@ -505,8 +513,9 @@ class TestStoredTotals:
         assert walks == [12, 12]
 
     def test_one_walk_per_abscissa_for_every_k(self, monkeypatch, tmp_path):
-        # the oracle sample and the figure sweep walk the first system alone;
-        # then each abscissa is one walk for every distinct k of the tables
+        # the oracle sample walks the first system alone; the figure sweep
+        # reads the totals of its slice_intervals call and walks none; then
+        # each abscissa is one walk for every distinct k of the tables
         walks, walk = [], cones._walk_totals
         monkeypatch.setattr(cones, "_walk_totals",
                             lambda a, n, ks: walks.append((a, n, tuple(ks))) or walk(a, n, ks))
@@ -514,12 +523,20 @@ class TestStoredTotals:
         cfg = ExperimentConfig(k_list=k_list, a_list=a_list, n_max=n_max, output_dir=str(tmp_path))
         with contextlib.redirect_stdout(io.StringIO()):
             assert run(cfg, only="cones") == 0
-        sweep = [(-0.98 + i * (1.96 / 160), 6, (3,)) for i in range(161)]
         tables = [(a, n_max, (3, 2)) for a in a_list]
-        assert walks == [(a_list[2], 4, (3,))] + sweep + tables
+        assert walks == [(a_list[2], 4, (3,))] + tables
+        figure = json.loads((tmp_path / "figures" / "cones.json").read_text())
+        assert len(figure["slices"]) == 161
+        for entry in figure["slices"]:
+            assert entry["total"].hex() == _fresh_total(3, entry["a"], 6), entry["a"]
 
 
 SWEEP_A = [-0.98 + i * (1.96 / 160) for i in range(161)]  # the cone figure's abscissas
+
+
+# abscissa lists of a batched call: empty, with duplicates, +-0.0 and +-0.98
+BATCH_A = st.lists(st.floats(-1.0, 1.0, exclude_min=True, exclude_max=True)
+                   | st.sampled_from([-0.0, 0.98, -0.98]), max_size=20)
 
 
 def _assert_rows_match_oracle(system, abscissas, n):
@@ -541,14 +558,28 @@ class TestBatchedIntervals:
             _assert_rows_match_oracle(ConeSystem(k), SWEEP_A, n)
 
     @settings(max_examples=100, deadline=None)
-    @given(
-        st.lists(st.floats(-1.0, 1.0, exclude_min=True, exclude_max=True)
-                 | st.sampled_from([-0.0, 0.98, -0.98]), max_size=20),
-        st.integers(2, 8),
-        st.integers(0, 8),
-    )
+    @given(BATCH_A, st.integers(2, 8), st.integers(0, 8))
     def test_batch_property(self, abscissas, k, n):
         _assert_rows_match_oracle(ConeSystem(k), abscissas, n)
+
+    @settings(max_examples=100, deadline=None)
+    @given(BATCH_A, st.integers(2, 8), st.integers(0, 8))
+    def test_kept_totals_property(self, abscissas, k, n):
+        # every level 0..n of every abscissa is read without a walk,
+        # float.hex-equal to the oracle; a deeper level walks, as before
+        walks, walk = [], cones._walk_totals
+        system = ConeSystem(k)
+        with mock.patch.object(cones, "_walk_totals",
+                               lambda a, m, ks: walks.append((a, m)) or walk(a, m, ks)):
+            slice_intervals(system, np.array(abscissas, dtype=float), n)
+            for a in abscissas:
+                for m in range(n + 1):
+                    assert slice_measure(system, a, m).hex() == _fresh_total(k, a, m), (a, m)
+            assert walks == []
+            if abscissas:
+                a = abscissas[0]
+                assert slice_measure(system, a, n + 1).hex() == _fresh_total(k, a, n + 1)
+                assert walks == [(a, n + 1)]
 
     @pytest.mark.parametrize("a", [[0.1, 1.0], [-1.0], [0.3, -2.5, 0.0], [0.2, math.nan]],
                              ids=["one", "minus-one", "past-minus-one", "nan"])
@@ -569,8 +600,8 @@ class TestBatchedIntervals:
             slice_intervals(k3, np.array([0.1]), cones.LEVEL_HARD_CAP + 1)
 
     def test_figure_takes_leaves_from_one_call(self, monkeypatch, tmp_path):
-        # the 161 figure slices are one batched call; the totals stay one
-        # slice_measure call per abscissa
+        # the 161 figure slices are one batched call, which also keeps the
+        # totals that the figure reads
         calls, leaves = [], cones.slice_intervals
         monkeypatch.setattr(cones, "slice_intervals",
                             lambda system, a, n: calls.append((system.k, a, n)) or leaves(system, a, n))
