@@ -40,7 +40,7 @@ from .errors import DomainError, SingularityError, SizeGuardError, check_depth
 __all__ = [
     "PoincareSystem",
     "HorseshoeEstimate",
-    "WitnessRecord",
+    "GapWitness",
     "make_poincare_system",
     "suspension_volume",
 ]
@@ -231,7 +231,7 @@ class PoincareSystem:
 
     def vertical_gap_witness(
         self, sample_count: int, eps: float, seed: int, depth: int = 6
-    ) -> tuple["WitnessRecord", ...]:
+    ) -> "GapWitness":
         """Certify that no vertical eps-segment lies in the horseshoe.
 
         Members of the depth-N set are sampled from the product cover with
@@ -243,8 +243,8 @@ class PoincareSystem:
         point is tested as a non-member by membership at the gap's own
         depth if that exceeds the sampling depth (the failure certificate
         concerns the full intersection, whose covers shrink with depth).
-        One record per sample, in sample order: a non-member sample, or one
-        no level certifies, has its failure set and no witness.
+        The samples come back in draw order; a non-member sample, or one no
+        level certifies, keeps witness_y NaN and gap_level -1.
         """
         b = self.bowen.m.b
         if not 0.0 < eps < b:  # also rejects NaN
@@ -261,7 +261,7 @@ class PoincareSystem:
         xs, ys = (lo[cells] + offsets * (hi[cells] - lo[cells])).T
         member = self.membership((xs, ys), depth)
 
-        witness_y, gap_level = np.empty(ys.size), np.full(ys.size, -1)
+        witness_y, gap_level = np.full(ys.size, np.nan), np.full(ys.size, -1)
         pending = np.flatnonzero(member)  # members still descending
         lo, hi = np.full(pending.size, -cc.half_width), np.full(pending.size, cc.half_width)
         for level in range(WITNESS_SEARCH_LEVEL + 1):
@@ -284,17 +284,7 @@ class PoincareSystem:
                 pending, lo, hi, glo, ghi, above = (
                     v[go] for v in (pending, lo, hi, glo, ghi, above))
             lo, hi = np.where(above, ghi, lo), np.where(above, hi, glo)
-
-        records = []
-        for x, y, inside, wy, level in zip(xs.tolist(), ys.tolist(), member.tolist(),
-                                           witness_y.tolist(), gap_level.tolist()):
-            if not inside:
-                records.append(WitnessRecord(x, y, None, None, "sample not a member"))
-            elif level < 0:
-                records.append(WitnessRecord(x, y, None, None, "no gap within eps"))
-            else:
-                records.append(WitnessRecord(x, y, wy, level, None))
-        return tuple(records)
+        return GapWitness(xs, ys, witness_y, gap_level)
 
     def fiber_contraction_report(self, samples: int = 2000) -> float:
         """Sampled two-step contraction factor of the fiber on the core
@@ -382,16 +372,15 @@ class HorseshoeEstimate:
     envelope: float
 
 
-@dataclass(frozen=True)
-class WitnessRecord:
-    """One witness sample: failure is None exactly when witness_y and
-    gap_level are set."""
+@dataclass(frozen=True, eq=False)
+class GapWitness:
+    """The witness samples as arrays in draw order: witness_y is NaN and
+    gap_level -1 where no gap certifies the sample."""
 
-    x: float
-    y: float
-    witness_y: float | None
-    gap_level: int | None
-    failure: str | None
+    x: np.ndarray
+    y: np.ndarray
+    witness_y: np.ndarray
+    gap_level: np.ndarray
 
 
 def make_poincare_system(bowen: BowenSystem) -> PoincareSystem:

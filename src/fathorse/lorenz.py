@@ -61,8 +61,6 @@ class LorenzBranchMap:
         if s <= 0.0:
             raise InvalidParameterError(f"no preimage constant for c = {c}: f(b) would fall below -1")
         b = s * s
-        if not 0.0 < b < a:
-            raise InvalidParameterError(f"preimage constant b = {b} not in (0, a)")
         if c - 1.0 <= ((1.0 + a) / c) ** 2:
             raise InvalidParameterError(
                 f"c = {c} rejected: requires f(1) > -f(b), "

@@ -281,7 +281,7 @@ def _horseshoe_suite(cfg: ExperimentConfig, checks: _Checks, artifacts: dict, bo
 
     eps = cc.gaps.length(3) / 16.0
     witness = ps.vertical_gap_witness(1000, eps, seed=cfg.seed, depth=cfg.N)
-    failures = sum(record.failure is not None for record in witness)
+    failures = int(np.count_nonzero(witness.gap_level < 0))
     checks.add("horseshoe_vertical_witness", float(failures), 0.0)
 
     volume = suspension_volume(cc.level_measure(cfg.N) ** 2, cfg.delta)

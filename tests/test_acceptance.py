@@ -225,17 +225,17 @@ def test_c7_mapping_identities(poincare18, lorenz18):
 
 def test_c8_vertical_witness(poincare18):
     eps = poincare18.bowen.cc.gaps.length(3) / 16.0
-    records = poincare18.vertical_gap_witness(1_000, eps, seed=20_260_810, depth=6)
-    failures = [rec for rec in records if rec.failure is not None]
-    ok = not failures and len(records) == 1_000
+    witness = poincare18.vertical_gap_witness(1_000, eps, seed=20_260_810, depth=6)
+    failures = int(np.count_nonzero(witness.gap_level < 0))
+    ok = not failures and witness.x.size == 1_000
     _line(
         "criterion-8 vertical-gap witness",
         ok,
-        f"1000/{len(records) - len(failures)} samples witnessed, eps {eps:.3e}, "
-        f"deepest gap level {max((rec.gap_level or 0 for rec in records), default=0)}",
+        f"1000/{witness.x.size - failures} samples witnessed, eps {eps:.3e}, "
+        f"deepest gap level {int(witness.gap_level.max(initial=0))}",
     )
     assert not failures
-    assert len(records) == 1_000
+    assert witness.x.size == 1_000
 
 
 def test_c9_suspension_bound(construction18):

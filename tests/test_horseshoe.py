@@ -12,7 +12,6 @@ from fathorse.fatcantor import make_construction
 from fathorse.horseshoe import (
     FIBER_DEPTH_CAP,
     WITNESS_SEARCH_LEVEL,
-    WitnessRecord,
     make_poincare_system,
     suspension_volume,
 )
@@ -432,12 +431,12 @@ def _scalar_samples(ps, sample_count, seed, depth):
 
 def _scalar_witness(ps, sample_count, eps, seed, depth):
     """vertical_gap_witness as a plain loop over scalar membership: the
-    oracle of the array witness."""
+    oracle of the array witness, as the lists x, y, witness_y, gap_level."""
     cc = ps.bowen.cc
-    records = []
-    for x, y in _scalar_samples(ps, sample_count, seed, depth):
+    samples = _scalar_samples(ps, sample_count, seed, depth)
+    witness_y, gap_level = [math.nan] * len(samples), [-1] * len(samples)
+    for i, (x, y) in enumerate(samples):
         if not oracles.membership(ps, (x, y), depth):
-            records.append(WitnessRecord(x, y, None, None, "sample not a member"))
             continue
         word = ""
         for level in range(WITNESS_SEARCH_LEVEL + 1):
@@ -451,20 +450,29 @@ def _scalar_witness(ps, sample_count, eps, seed, depth):
             else:
                 inside = min(max(y, glo + 0.25 * (ghi - glo)), ghi - 0.25 * (ghi - glo))
             if inside is not None and _scalar_non_member(ps, x, inside, max(depth, level + 1)):
-                records.append(WitnessRecord(x, y, inside, level, None))
+                witness_y[i], gap_level[i] = inside, level
                 break
             word += "0" if y > ghi else "1"
-        else:
-            records.append(WitnessRecord(x, y, None, None, "no gap within eps"))
-    return tuple(records)
+    return [[x for x, _ in samples], [y for _, y in samples], witness_y, gap_level]
 
 
-def _failures(records):
-    return [rec for rec in records if rec.failure is not None]
+def _lists(witness):
+    """The witness's four arrays as lists: their repr compares every float
+    bit for bit, and NaN equal to NaN."""
+    return [witness.x.tolist(), witness.y.tolist(), witness.witness_y.tolist(),
+            witness.gap_level.tolist()]
 
 
-def _deepest(records):
-    return max((rec.gap_level for rec in records if rec.failure is None), default=0)
+def _samples(witness):
+    return list(zip(witness.x.tolist(), witness.y.tolist()))
+
+
+def _failures(witness):
+    return int(np.count_nonzero(witness.gap_level < 0))
+
+
+def _deepest(witness):
+    return int(witness.gap_level.max(initial=0))
 
 
 class TestWitness:
@@ -474,13 +482,13 @@ class TestWitness:
         ps = _poincare(c)
         for eps in (ps.bowen.cc.gaps.length(3) / 16.0, 1e-4):
             for seed in (1, 7):
-                records = ps.vertical_gap_witness(100, eps, seed=seed, depth=depth)
-                assert repr(records) == repr(_scalar_witness(ps, 100, eps, seed, depth))
+                witness = ps.vertical_gap_witness(100, eps, seed=seed, depth=depth)
+                assert repr(_lists(witness)) == repr(_scalar_witness(ps, 100, eps, seed, depth))
 
     def test_no_samples(self, poincare18):
-        records = poincare18.vertical_gap_witness(0, 1e-3, seed=1)
-        assert records == ()
-        assert records == _scalar_witness(poincare18, 0, 1e-3, 1, 6)
+        witness = poincare18.vertical_gap_witness(0, 1e-3, seed=1)
+        assert _lists(witness) == [[], [], [], []]
+        assert _lists(witness) == _scalar_witness(poincare18, 0, 1e-3, 1, 6)
 
     @pytest.mark.parametrize("search_level", [2, WITNESS_SEARCH_LEVEL])
     def test_one_record_per_sample_in_order(self, poincare18, monkeypatch, search_level):
@@ -488,39 +496,37 @@ class TestWitness:
         # it also caps membership at depth 3, so the samples are drawn at depth 2
         monkeypatch.setattr(horseshoe, "WITNESS_SEARCH_LEVEL", search_level)
         eps = poincare18.bowen.cc.gaps.length(3) / 16.0
-        records = poincare18.vertical_gap_witness(60, eps, seed=5, depth=2)
-        assert [(rec.x, rec.y) for rec in records] == _scalar_samples(poincare18, 60, 5, 2)
-        failed = [rec.failure is not None for rec in records]
-        assert [rec.witness_y is None for rec in records] == failed
-        assert [rec.gap_level is None for rec in records] == failed
+        witness = poincare18.vertical_gap_witness(60, eps, seed=5, depth=2)
+        assert _samples(witness) == _scalar_samples(poincare18, 60, 5, 2)
+        failed = (witness.gap_level < 0).tolist()
+        assert np.isnan(witness.witness_y).tolist() == failed
         assert any(failed) == (search_level == 2) and not all(failed)
 
     @pytest.mark.parametrize("depth", range(FIBER_DEPTH_CAP + 1))
     def test_cells_are_the_oracle_word_cells(self, poincare18, depth):
         # each cell is the top depth bits of one output, which oracles.bits
         # spells as a word that the scalar samples place by word descent
-        records = poincare18.vertical_gap_witness(40, 1e-3, seed=depth + 3, depth=depth)
-        assert [(rec.x, rec.y) for rec in records] == _scalar_samples(
-            poincare18, 40, depth + 3, depth)
+        witness = poincare18.vertical_gap_witness(40, 1e-3, seed=depth + 3, depth=depth)
+        assert _samples(witness) == _scalar_samples(poincare18, 40, depth + 3, depth)
 
     def test_small_run_finds_gaps(self, poincare18):
         eps = poincare18.bowen.cc.gaps.length(3) / 16.0
-        records = poincare18.vertical_gap_witness(50, eps, seed=42, depth=6)
-        assert not _failures(records)
-        assert all(rec.witness_y is not None for rec in records)
-        assert all(abs(rec.witness_y - rec.y) < eps for rec in records)
+        witness = poincare18.vertical_gap_witness(50, eps, seed=42, depth=6)
+        assert not _failures(witness)
+        assert not np.isnan(witness.witness_y).any()
+        assert (np.abs(witness.witness_y - witness.y) < eps).all()
 
     def test_wide_eps_uses_shallow_gap(self, poincare18):
         # eps just under the gap scale: the top-level gap is within reach
         eps = poincare18.bowen.m.b * 0.99
-        records = poincare18.vertical_gap_witness(20, eps, seed=3, depth=4)
-        assert not _failures(records)
-        assert _deepest(records) <= 3
+        witness = poincare18.vertical_gap_witness(20, eps, seed=3, depth=4)
+        assert not _failures(witness)
+        assert _deepest(witness) <= 3
 
     def test_eps_precondition(self, poincare18):
         with pytest.raises(DomainError):
             poincare18.vertical_gap_witness(5, poincare18.bowen.m.b, seed=1)
-        # invalid input, not a failed check with "no gap within eps" records
+        # invalid input, not a failed check with no sample certified
         for eps in (0.0, -0.01, math.nan):
             with pytest.raises(DomainError):
                 poincare18.vertical_gap_witness(10, eps, seed=1, depth=2)
@@ -541,8 +547,9 @@ class TestWitness:
     def test_seed_taken_mod_two_to_the_64(self, poincare18):
         # the config admits negative seeds; -1 is 2^64 - 1 mod 2^64
         eps = poincare18.bowen.cc.gaps.length(3) / 16.0
-        records = poincare18.vertical_gap_witness(100, eps, seed=-1)
-        assert repr(records) == repr(poincare18.vertical_gap_witness(100, eps, seed=2 ** 64 - 1))
+        witness = poincare18.vertical_gap_witness(100, eps, seed=-1)
+        wrapped = poincare18.vertical_gap_witness(100, eps, seed=2 ** 64 - 1)
+        assert repr(_lists(witness)) == repr(_lists(wrapped))
 
     def test_gap_point_trivially_non_member(self, poincare18, construction18):
         glo, ghi = oracles.gap(construction18, "0")
@@ -554,12 +561,12 @@ class TestWitness:
         # oracle runs the x-orbit
         eps = poincare18.bowen.cc.gaps.length(3) / 16.0
         for seed in (1, 2, 3):
-            records = poincare18.vertical_gap_witness(100, eps, seed=seed, depth=depth)
-            assert not _failures(records)
-            assert len(records) == 100
-            for rec in records:
-                deep = max(depth, rec.gap_level + 1)
-                assert not oracles.membership(poincare18, (rec.x, rec.witness_y), deep)
+            witness = poincare18.vertical_gap_witness(100, eps, seed=seed, depth=depth)
+            assert not _failures(witness)
+            assert witness.x.size == 100
+            xs, _, wys, levels = _lists(witness)
+            for x, wy, level in zip(xs, wys, levels):
+                assert not oracles.membership(poincare18, (x, wy), max(depth, level + 1))
 
     @pytest.mark.parametrize("eps", [1e-5, 1e-6, 1e-7, 1e-9])
     def test_gaps_past_the_fiber_cap(self, eps):
@@ -568,19 +575,20 @@ class TestWitness:
         deepest = 0
         for c in (1.7, 1.8, 1.95):
             ps = _poincare(c)
-            records = ps.vertical_gap_witness(20, eps, seed=1, depth=4)
-            assert repr(records) == repr(_scalar_witness(ps, 20, eps, 1, 4))
-            assert not _failures(records) and len(records) == 20
-            for rec in records:
-                assert _scalar_non_member(ps, rec.x, rec.witness_y, max(4, rec.gap_level + 1))
-            deepest = max(deepest, _deepest(records))
+            witness = ps.vertical_gap_witness(20, eps, seed=1, depth=4)
+            assert repr(_lists(witness)) == repr(_scalar_witness(ps, 20, eps, 1, 4))
+            assert not _failures(witness) and witness.x.size == 20
+            xs, _, wys, levels = _lists(witness)
+            for x, wy, level in zip(xs, wys, levels):
+                assert _scalar_non_member(ps, x, wy, max(4, level + 1))
+            deepest = max(deepest, _deepest(witness))
         assert (deepest > FIBER_DEPTH_CAP) == (eps < 1e-5)
 
     def test_deterministic_given_seed(self, poincare18):
         eps = poincare18.bowen.cc.gaps.length(3) / 16.0
         r1 = poincare18.vertical_gap_witness(10, eps, seed=9, depth=5)
         r2 = poincare18.vertical_gap_witness(10, eps, seed=9, depth=5)
-        assert r1 == r2
+        assert repr(_lists(r1)) == repr(_lists(r2))
 
 
 H = 1e-7  # the central-difference step of fiber_contraction_report

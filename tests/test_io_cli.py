@@ -764,6 +764,18 @@ class TestCli:
         assert captured.err.count("\n") == 1 and captured.err.startswith("I/O failure:")
         assert "Traceback" not in captured.err
 
+    def test_unwritable_svg_exits_three(self, tmp_path, capsys):
+        # --out names a path under a regular file
+        dataset = _write(tmp_path / "d.json", {"b": 0.2, "strip_halfheight": 0.8})
+        (tmp_path / "blocker").write_text("")
+        out = tmp_path / "blocker" / "x.svg"
+        assert main(["render", "--input", str(dataset), "--kind", "partition",
+                     "--out", str(out)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and captured.err.startswith("cannot write SVG:")
+        assert "Traceback" not in captured.err
+
     def test_out_override(self, tmp_path, capsys):
         conf = _write(tmp_path / "conf.json", {**SMALL, "output_dir": str(tmp_path / "ignored")})
         override = tmp_path / "actual"

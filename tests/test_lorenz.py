@@ -1,13 +1,11 @@
 import math
 from dataclasses import dataclass
-from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles import branch_derivative, right_branch_inverse
 
-from fathorse import lorenz
 from fathorse.errors import DomainError, InvalidParameterError, SingularityError
 from fathorse.lorenz import LorenzBranchMap, branch_value
 
@@ -136,17 +134,6 @@ class TestDerivedConstants:
             "c = 1.5 rejected: requires f(1) > -f(b), but 0.5 <= 0.6944444444444445")
         with pytest.raises(InvalidParameterError, match="rejected: requires f"):
             LorenzBranchMap.from_coefficient(math.nextafter(C_MIN, 0.0))
-
-    def test_preimage_range_refusal(self, monkeypatch):
-        # no double c in (1, 2] reaches it (there 0 < b < a whenever s > 0); a
-        # square root that puts a at 1e-6 leaves b near 0.14, past a
-        monkeypatch.setattr(lorenz, "math", SimpleNamespace(sqrt=lambda v: 2.002))
-        with pytest.raises(InvalidParameterError) as raised:
-            LorenzBranchMap.from_coefficient(2.0)
-        message = str(raised.value)
-        b = float(message.removeprefix("preimage constant b = ").removesuffix(" not in (0, a)"))
-        assert b == pytest.approx(0.1406, abs=1e-4)
-        assert message == f"preimage constant b = {b} not in (0, a)"
 
     def test_coefficient_range(self):
         for c in (1.0, 2.1, math.nan):
